@@ -1,13 +1,17 @@
 (* The evaluation harness: regenerates every table and figure of the paper
-   (§2, §6, §7) from this reproduction, and runs Bechamel timing benchmarks
-   over the pipeline stages.
+   (§2, §6, §7) from this reproduction, plus the ablations and three
+   printed experiments (timing-parallel, static-analysis, trace).  Timed
+   benchmark keys live in the lib/bench registry and run through
+   `sage bench`.
 
    Usage:
      bench/main.exe              run every table, figure and experiment
-     bench/main.exe <target>     one target: table2..table11, fig5, fig6,
-                                 e2e-pcap, e2e-interop, generality, bfd,
-                                 stats, ablate-order, ablate-assoc, timing,
-                                 suite (the lib/bench stage registry)
+     bench/main.exe <target>...  the named targets: table2..table11, fig5,
+                                 fig6, fig7, e2e-pcap, e2e-interop,
+                                 generality, bfd, extensions, stats,
+                                 ablate-order, ablate-cap, ablate-overgen,
+                                 ablate-assoc, timing-parallel,
+                                 static-analysis, trace
 *)
 
 module P = Sage.Pipeline
@@ -933,129 +937,8 @@ let ablate_overgen () =
     (base_lfs_of_corpus spec Sage_corpus.Icmp_rfc.text)
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable benchmark output.                                  *)
-(*                                                                     *)
-(* Timing targets append (name -> ns/run) entries here and flush to    *)
-(* BENCH_pipeline.json so the perf trajectory is tracked across PRs    *)
-(* (CI uploads the file as an artifact).  Flushing merges with the     *)
-(* entries already on disk: running one target refreshes that target's *)
-(* keys and leaves every other baseline in place.                      *)
-(* ------------------------------------------------------------------ *)
-
-let bench_json_file = Sage_bench.Snapshot.default_file
-let bench_entries : (string * float) list ref = ref []
-
-let bench_record name ns =
-  bench_entries := (name, ns) :: List.remove_assoc name !bench_entries
-
-(* Loading, merge-on-flush and the atomic temp+rename write live in
-   Sage_bench.Snapshot now, shared with `sage bench --import` and the
-   torn-write tests: an interrupted run can no longer leave a
-   partially-written BENCH_pipeline.json behind. *)
-let bench_flush () =
-  let entries = Sage_bench.Snapshot.flush ~file:bench_json_file !bench_entries in
-  Printf.printf "\n(%d benchmark entries written to %s)\n"
-    (List.length entries) bench_json_file
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing benchmarks.                                         *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  header "Timing (Bechamel): one benchmark per pipeline stage / experiment";
-  let open Bechamel in
-  let spec = P.icmp_spec () in
-  let sentence_e =
-    "If code = 0, an identifier to aid in matching echos and replies, may \
-     be zero."
-  in
-  let base_lfs =
-    (Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary sentence_e)
-      .Parser.lfs
-  in
-  let run = Lazy.force icmp_rewr in
-  let st = Gs.of_run run in
-  let echo_request =
-    let payload =
-      Icmp.encode
-        (Icmp.Echo { Icmp.echo_code = 0; identifier = 7; sequence = 1;
-                     payload = Bytes.of_string "benchmark-payload" })
-    in
-    Ipv4.encode
-      (Ipv4.make ~protocol:Ipv4.protocol_icmp ~src:(a "10.0.1.50")
-         ~dst:(a "192.168.2.10") ~payload_len:(Bytes.length payload) ())
-      ~payload
-  in
-  let table4_lf = Lf.is_ (Lf.term "type") (Lf.num 3) in
-  let ctx =
-    Sage_codegen.Context.dynamic ~protocol:"ICMP"
-      ~message:"Destination Unreachable Message" ()
-  in
-  let tests =
-    [
-      Test.make ~name:"chunk-sentence"
-        (Staged.stage (fun () ->
-             ignore (Chunker.chunk_sentence ~dict:spec.P.dictionary sentence_e)));
-      Test.make ~name:"ccg-parse"
-        (Staged.stage (fun () ->
-             ignore
-               (Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary
-                  sentence_e)));
-      Test.make ~name:"winnow"
-        (Staged.stage (fun () -> ignore (Winnow.winnow base_lfs)));
-      Test.make ~name:"codegen-table4"
-        (Staged.stage (fun () ->
-             ignore (Sage_codegen.Generate.gen_sentence ctx table4_lf)));
-      Test.make ~name:"generated-echo-reply"
-        (Staged.stage (fun () ->
-             ignore
-               (Gs.process_request st ~fn:"icmp_echo_reply_receiver"
-                  ~request:echo_request)));
-      Test.make ~name:"reference-echo-reply"
-        (Staged.stage (fun () ->
-             ignore (Svc.reference.Svc.echo_reply ~request:echo_request)));
-      Test.make ~name:"icmp-encode"
-        (Staged.stage (fun () ->
-             ignore
-               (Icmp.encode
-                  (Icmp.Echo { Icmp.echo_code = 0; identifier = 1; sequence = 1;
-                               payload = Bytes.make 56 'x' }))));
-      Test.make ~name:"student-cohort-ping"
-        (Staged.stage (fun () ->
-             let s = List.nth Sm.cohort 30 in
-             let net = Net.default_topology ~service:(Sm.service_of s) () in
-             ignore (Ping.ping ~count:1 ~net (Net.server1_addr net))));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"sage" ~fmt:"%s/%s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  Printf.printf "%-44s %14s\n" "benchmark" "time/run";
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols_result) ->
-         match Analyze.OLS.estimates ols_result with
-         | Some [ ns ] ->
-           let pretty =
-             if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-             else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-             else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-             else Printf.sprintf "%.0f ns" ns
-           in
-           Printf.printf "%-44s %14s\n" name pretty;
-           bench_record name ns
-         | _ -> Printf.printf "%-44s %14s\n" name "n/a");
-  bench_flush ()
-
-(* ------------------------------------------------------------------ *)
 (* timing-parallel: end-to-end corpus pipeline, sequential vs domains  *)
-(* vs chart-cache-warm, with per-stage metrics and a determinism       *)
-(* cross-check.  Emits BENCH_pipeline.json.                            *)
+(* vs chart-cache-warm, with a determinism cross-check.                *)
 (* ------------------------------------------------------------------ *)
 
 let timing_parallel () =
@@ -1076,10 +959,10 @@ let timing_parallel () =
     ]
   in
   let now = Sage_sched.Metrics.now_ns in
-  let run_all ?jobs ?cache ?metrics () =
+  let run_all ?jobs ?cache () =
     List.map
       (fun (title, spec, text) ->
-        Sage.Report.markdown (P.run_document ?jobs ?cache ?metrics spec ~title ~text))
+        Sage.Report.markdown (P.run_document ?jobs ?cache spec ~title ~text))
       corpora
   in
   let timed_pass f =
@@ -1088,9 +971,8 @@ let timing_parallel () =
     (r, Int64.to_float (Int64.sub (now ()) t0))
   in
   let jobs = Sage_sched.Pool.default_jobs () in
-  let seq_metrics = Sage_sched.Metrics.create () in
   let seq_reports, seq_ns =
-    timed_pass (fun () -> run_all ~jobs:1 ~metrics:seq_metrics ())
+    timed_pass (fun () -> run_all ~jobs:1 ())
   in
   let par_reports, par_ns = timed_pass (fun () -> run_all ~jobs ()) in
   let cache = Sage.Chart_cache.create () in
@@ -1124,15 +1006,7 @@ let timing_parallel () =
   then begin
     Printf.eprintf "DETERMINISM VIOLATION: parallel or cached output differs\n";
     exit 1
-  end;
-  bench_record "pipeline/sequential" seq_ns;
-  bench_record (Printf.sprintf "pipeline/parallel-j%d" jobs) par_ns;
-  bench_record "pipeline/cache-warm" cached_ns;
-  List.iter
-    (fun (stage, ns) ->
-      bench_record ("pipeline/stage/" ^ stage) (Int64.to_float ns))
-    (Sage_sched.Metrics.stage_ns seq_metrics);
-  bench_flush ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* static-analysis: findings per corpus and the cost of the pass.      *)
@@ -1176,17 +1050,12 @@ let static_analysis () =
         (D.errors run.P.diagnostics)
         (D.warnings run.P.diagnostics)
         (List.length run.P.codegen.P.functions)
-        ns;
-      bench_record
-        (Printf.sprintf "analysis/%s" name)
-        (Int64.to_float ns))
+        ns)
     corpora;
   Printf.printf "\ntotal analysis time: %.2f ms — %s\n"
     (Int64.to_float !total_ns /. 1e6)
     (if !clean then "all corpora Error-free"
      else "ERROR-SEVERITY FINDINGS PRESENT");
-  bench_record "analysis/total" (Int64.to_float !total_ns);
-  bench_flush ();
   if not !clean then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1236,222 +1105,13 @@ let trace_profile () =
     events;
   Printf.printf "\n%-24s %12s\n" "phase" "ns";
   List.iter
-    (fun (name, ns) ->
-      Printf.printf "%-24s %12Ld\n" name ns;
-      bench_record ("trace/" ^ name) (Int64.to_float ns))
+    (fun (name, ns) -> Printf.printf "%-24s %12Ld\n" name ns)
     (List.sort compare !durs);
   let oc = open_out "BENCH_trace.json" in
   output_string oc (T.to_chrome_json tracer);
   close_out oc;
   Printf.printf "\n(%d events written to BENCH_trace.json)\n"
-    (T.event_count tracer);
-  bench_flush ()
-
-(* ------------------------------------------------------------------ *)
-(* fuzz: throughput of the coverage-guided differential fuzzer.        *)
-(* ------------------------------------------------------------------ *)
-
-let fuzz_throughput ~key ~backend ~differential ~banner () =
-  header banner;
-  let run = Lazy.force icmp_rewr in
-  let targets =
-    List.filter_map
-      (fun (f : Ir.func) ->
-        Option.map
-          (fun sd -> (f, sd))
-          (List.assoc_opt f.Ir.fn_name run.P.codegen.P.struct_of_function))
-      run.P.codegen.P.functions
-  in
-  (* long enough that load-time compilation is amortized away, and the
-     best of three identical runs so scheduler noise doesn't pollute
-     the recorded trajectory (the engine is deterministic: every rep
-     does exactly the same work) *)
-  let iters = 20000 in
-  let reps = 5 in
-  let result = ref None in
-  let dt = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Sage_fuzz.Engine.run ~backend ~differential ~seed:42 ~iters
-        ~protocol:run.P.spec.P.protocol targets
-    in
-    dt := Float.min !dt (Unix.gettimeofday () -. t0);
-    result := Some r
-  done;
-  let result = Option.get !result and dt = !dt in
-  let covered, points =
-    Sage_interp.Coverage.totals result.Sage_fuzz.Engine.coverage
-      result.Sage_fuzz.Engine.funcs
-  in
-  Printf.printf "%-24s %12s\n" "metric" "value";
-  Printf.printf "%-24s %12s\n" "backend"
-    (Sage_backend.Backend.choice_name backend);
-  Printf.printf "%-24s %12d\n" "iterations" iters;
-  Printf.printf "%-24s %12d\n" "executions"
-    result.Sage_fuzz.Engine.executions;
-  Printf.printf "%-24s %12.0f\n" "iters/sec" (float_of_int iters /. dt);
-  Printf.printf "%-24s %9d/%-3d\n" "coverage" covered points;
-  Printf.printf "%-24s %12d\n" "findings"
-    (List.length result.Sage_fuzz.Engine.findings);
-  bench_record key (dt *. 1e9 /. float_of_int iters);
-  bench_flush ()
-
-let fuzz_bench =
-  fuzz_throughput ~key:"fuzz/iter" ~backend:Sage_backend.Backend.Interp
-    ~differential:false
-    ~banner:
-      "Fuzzer throughput (lib/fuzz): grammar-based generation, interpreter\n\
-       execution with statement-coverage instrumentation, and the full\n\
-       differential oracle suite, per iteration."
-
-let fuzz_compiled_bench =
-  fuzz_throughput ~key:"fuzz-compiled/iter"
-    ~backend:Sage_backend.Backend.Compiled ~differential:false
-    ~banner:
-      "Fuzzer throughput on the compiled backend (lib/backend): IR bodies\n\
-       compiled to closures at load time, same generation, coverage and\n\
-       oracle suite — the apples-to-apples comparison against fuzz/iter."
-
-let interp_vs_compiled_bench =
-  fuzz_throughput ~key:"interp-vs-compiled/iter"
-    ~backend:Sage_backend.Backend.Compiled ~differential:true
-    ~banner:
-      "Differential fuzzing cost: the compiled backend with every checked\n\
-       iteration re-executed on the interpreter and fed to the\n\
-       backend-agreement oracle (what `sage fuzz --backend compiled` runs)."
-
-let chaos_bench () =
-  header
-    "Chaos campaign throughput (lib/chaos): episode scheduling, fault-plan\n\
-     swaps, per-tick workload traffic and the recovery oracles, over the\n\
-     ICMP corpus (reference and generated stacks, all built-in scenarios).";
-  let run = Lazy.force icmp_rewr in
-  let corpora =
-    [ { Sage_chaos.Campaign.corpus = "icmp"; generated_run = lazy run } ]
-  in
-  let reps = 20 in
-  let ticks = ref 0 in
-  let cases = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for rep = 1 to reps do
-    let campaign =
-      Sage_chaos.Campaign.run ~seed:rep
-        ~scenarios:Sage_chaos.Scenario.builtins ~corpora ()
-    in
-    assert (Sage_chaos.Campaign.exit_code campaign = 0);
-    List.iter
-      (fun (r : Sage_chaos.Campaign.case_result) ->
-        incr cases;
-        ticks := !ticks + Sage_chaos.Episode.duration r.Sage_chaos.Campaign.schedule)
-      campaign.Sage_chaos.Campaign.results
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "%-24s %12s\n" "metric" "value";
-  Printf.printf "%-24s %12d\n" "campaigns" reps;
-  Printf.printf "%-24s %12d\n" "cases" !cases;
-  Printf.printf "%-24s %12d\n" "ticks" !ticks;
-  Printf.printf "%-24s %12.0f\n" "ticks/sec" (float_of_int !ticks /. dt);
-  bench_record "chaos/tick" (dt *. 1e9 /. float_of_int !ticks);
-  bench_flush ()
-
-let absint_bench () =
-  header
-    "Abstract-interpretation throughput (lib/analysis/absint): the full\n\
-     SA007-SA012 proof layer — the interval/relational summary plus the\n\
-     bounds, range, branch, checksum-window, slot and FSM checks — re-run\n\
-     from scratch over the ICMP corpus functions.";
-  let run = Lazy.force icmp_rewr in
-  let funcs = run.P.codegen.P.functions in
-  let struct_of_function = run.P.codegen.P.struct_of_function in
-  let reps = 200 in
-  let diags = ref [] in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    diags :=
-      Sage_analysis.Analyzer.analyze_program ~struct_of_function funcs
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let proved = Sage_analysis.Analyzer.proved_functions !diags funcs in
-  assert (not (Sage_analysis.Diagnostic.has_errors !diags));
-  Printf.printf "%-24s %12s\n" "metric" "value";
-  Printf.printf "%-24s %12d\n" "functions" (List.length funcs);
-  Printf.printf "%-24s %12d\n" "proved" (List.length proved);
-  Printf.printf "%-24s %12d\n" "findings" (List.length !diags);
-  Printf.printf "%-24s %12.0f\n" "proof-runs/sec" (float_of_int reps /. dt);
-  bench_record "analysis-absint/iter" (dt *. 1e9 /. float_of_int reps);
-  bench_flush ()
-
-let reqs_bench () =
-  header
-    "Requirement-oracle throughput (lib/reqs): mined RFC 2119 rules\n\
-     enforced as the seventh fuzz oracle over the BFD corpus — the\n\
-     per-iteration cost of guard evaluation plus obligation checking,\n\
-     against the same loop with requirement checking off.";
-  let run = Lazy.force bfd_rewr in
-  let targets =
-    List.filter_map
-      (fun (f : Ir.func) ->
-        Option.map
-          (fun sd -> (f, sd))
-          (List.assoc_opt f.Ir.fn_name run.P.codegen.P.struct_of_function))
-      run.P.codegen.P.functions
-  in
-  let reqs = List.filter Sage_reqs.Req.checkable run.P.requirements in
-  let iters = 10000 in
-  let reps = 3 in
-  let best f =
-    let dt = ref infinity in
-    let result = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      dt := Float.min !dt (Unix.gettimeofday () -. t0);
-      result := Some r
-    done;
-    (Option.get !result, !dt)
-  in
-  let fuzz ~reqs () =
-    Sage_fuzz.Engine.run ~reqs ~seed:42 ~iters
-      ~protocol:run.P.spec.P.protocol targets
-  in
-  let base_result, base_dt = best (fuzz ~reqs:[]) in
-  let req_result, req_dt = best (fuzz ~reqs) in
-  assert (base_result.Sage_fuzz.Engine.findings = []);
-  assert (req_result.Sage_fuzz.Engine.findings = []);
-  Printf.printf "%-24s %12s\n" "metric" "value";
-  Printf.printf "%-24s %12d\n" "checkable reqs"
-    req_result.Sage_fuzz.Engine.reqs_checked;
-  Printf.printf "%-24s %12d\n" "iterations" iters;
-  Printf.printf "%-24s %12.0f\n" "iters/sec (no reqs)"
-    (float_of_int iters /. base_dt);
-  Printf.printf "%-24s %12.0f\n" "iters/sec (reqs)"
-    (float_of_int iters /. req_dt);
-  Printf.printf "%-24s %11.1f%%\n" "overhead"
-    (100.0 *. ((req_dt /. base_dt) -. 1.0));
-  bench_record "reqs/iter" (req_dt *. 1e9 /. float_of_int iters);
-  bench_flush ()
-
-(* ------------------------------------------------------------------ *)
-(* suite: the shared lib/bench target registry — same keys and same    *)
-(* measurements as `sage bench`, recorded into BENCH_pipeline.json.    *)
-(* ------------------------------------------------------------------ *)
-
-let suite_bench () =
-  header
-    "Stage benchmark suite (lib/bench registry): one target per pipeline\n\
-     phase — nlp, ccg-parse, winnow, codegen, analysis-dataflow,\n\
-     interp/iter, sim-pps — exactly what `sage bench` measures and\n\
-     `sage bench --check` gates against BENCH_history.json.";
-  let results = Sage_bench.Target.run_all () in
-  Printf.printf "%-20s %14s %8s  %s\n" "key" "ns/iter" "iters" "backend";
-  List.iter
-    (fun (key, (s : Sage_bench.History.sample)) ->
-      Printf.printf "%-20s %14.1f %8d  %s\n" key s.Sage_bench.History.ns
-        s.Sage_bench.History.iters s.Sage_bench.History.backend;
-      bench_record key s.Sage_bench.History.ns)
-    results;
-  bench_flush ()
+    (T.event_count tracer)
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
@@ -1482,17 +1142,9 @@ let targets =
     ("ablate-cap", ablate_cap);
     ("ablate-overgen", ablate_overgen);
     ("ablate-assoc", ablate_assoc);
-    ("timing", timing);
     ("timing-parallel", timing_parallel);
     ("static-analysis", static_analysis);
     ("trace", trace_profile);
-    ("fuzz", fuzz_bench);
-    ("fuzz-compiled", fuzz_compiled_bench);
-    ("interp-vs-compiled", interp_vs_compiled_bench);
-    ("chaos", chaos_bench);
-    ("analysis-absint", absint_bench);
-    ("reqs", reqs_bench);
-    ("suite", suite_bench);
   ]
 
 let () =
@@ -1501,10 +1153,6 @@ let () =
     List.iter (fun (_, f) -> f ()) targets;
     Printf.printf "\nAll evaluation targets completed.\n"
   | _ :: names ->
-    (* several names run back-to-back in one process: paired baselines
-       (fuzz vs fuzz-compiled) then share warm caches and whatever CPU
-       state the machine is in, so their ratio is less noisy than two
-       separate invocations *)
     List.iter
       (fun name ->
         match List.assoc_opt name targets with

@@ -138,42 +138,20 @@ let with_trace ?(clock = Sage_trace.Trace.Wall) trace_file trace_format f =
     Printf.eprintf "trace: %s -> %s\n%!" (Sage_trace.Trace.summary tracer) file;
     result
 
-(* --analyze[=strict]: run the static analyzer after the pipeline and
-   print its findings; strict additionally turns Error-severity findings
-   into a nonzero exit *)
-type analyze_mode = Analyze_off | Analyze | Analyze_strict
-
+(* --analyze: print the static analyzer's findings after the pipeline *)
 let analyze_arg =
-  let mode_conv =
-    let parse = function
-      | "" | "plain" -> Ok Analyze
-      | "strict" -> Ok Analyze_strict
-      | other ->
-        Error (`Msg (Printf.sprintf "bad --analyze mode %S (use strict)" other))
-    in
-    let print ppf m =
-      Fmt.string ppf
-        (match m with
-         | Analyze_off -> "off" | Analyze -> "plain" | Analyze_strict -> "strict")
-    in
-    Arg.conv (parse, print)
-  in
   let doc =
     "Print the static-analysis findings over the generated code \
      (definite-assignment/field coverage, dead code, width/overflow, \
-     checksum ordering).  With $(i,--analyze=strict), Error-severity \
-     findings make the exit status nonzero."
+     checksum ordering).  $(b,--fail-on) sets the exit policy."
   in
-  Arg.(value & opt ~vopt:Analyze mode_conv Analyze_off
-       & info [ "analyze" ] ~docv:"MODE" ~doc)
+  Arg.(value & flag & info [ "analyze" ] ~doc)
 
-(* --fail-on error/warning: the generalized exit policy; --strict and
-   --analyze=strict are the Fail_error spelling *)
+(* --fail-on error/warning: the exit policy over the findings *)
 let fail_on_arg =
   let doc =
     "Exit nonzero when findings at or above $(docv) severity exist: \
-     $(b,error) or $(b,warning).  Generalizes $(b,--strict), which is \
-     $(b,--fail-on error)."
+     $(b,error) or $(b,warning)."
   in
   Arg.(value
        & opt
@@ -184,17 +162,9 @@ let fail_on_arg =
            None
        & info [ "fail-on" ] ~docv:"SEV" ~doc)
 
-let analysis_exit ?fail_on mode (result : P.run) =
-  match fail_on with
-  | Some f ->
-    Sage_analysis.Analyzer.exit_code_on ~fail_on:f result.P.diagnostics
-  | None -> (
-    match mode with
-    | Analyze_off -> 0
-    | Analyze | Analyze_strict ->
-      Sage_analysis.Analyzer.exit_code
-        ~strict:(mode = Analyze_strict)
-        result.P.diagnostics)
+let analysis_exit ?(fail_on = Sage_analysis.Analyzer.Fail_never)
+    (result : P.run) =
+  Sage_analysis.Analyzer.exit_code_on ~fail_on result.P.diagnostics
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -358,7 +328,7 @@ let run_cmd =
              else r.P.sentence))
         result.P.sentences
     end;
-    if analyze <> Analyze_off then begin
+    if analyze then begin
       print_newline ();
       print_string (Sage.Report.analysis result)
     end;
@@ -366,7 +336,7 @@ let run_cmd =
       print_newline ();
       print_string (Sage.Report.stats result)
     end;
-    analysis_exit ?fail_on analyze result
+    analysis_exit ?fail_on result
   in
   let doc = "Run the full pipeline (parse, winnow, generate) over a corpus." in
   Cmd.v
@@ -410,13 +380,6 @@ let code_cmd =
 (* ------------------------------------------------------------------ *)
 
 let analyze_cmd =
-  let strict_arg =
-    let doc =
-      "Exit nonzero when any Error-severity finding exists (alias for \
-       $(b,--fail-on error))."
-    in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
   let format_arg =
     let doc = "Output format: $(b,text) (default) or $(b,json)." in
     Arg.(value
@@ -448,7 +411,7 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "seeded-divergence" ] ~doc)
   in
-  let run proto verbose rewritten jobs cache_cap strict fail_on prove
+  let run proto verbose rewritten jobs cache_cap fail_on prove
       seeded_wedge seeded_divergence format =
     setup_logs verbose;
     let result = run_pipeline ~jobs ?cache_cap proto rewritten in
@@ -492,7 +455,7 @@ let analyze_cmd =
       match fail_on with
       | Some f -> f
       | None ->
-        if strict || prove then Sage_analysis.Analyzer.Fail_error
+        if prove then Sage_analysis.Analyzer.Fail_error
         else Sage_analysis.Analyzer.Fail_never
     in
     Sage_analysis.Analyzer.exit_code_on ~fail_on diagnostics
@@ -513,7 +476,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ strict_arg $ fail_on_arg $ prove_arg
+          $ cache_arg $ fail_on_arg $ prove_arg
           $ seeded_wedge_arg $ seeded_divergence_arg $ format_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1153,7 +1116,7 @@ let report_cmd =
     end;
     (* the markdown already carries the findings; --analyze/--fail-on
        here only select the exit policy *)
-    analysis_exit ?fail_on analyze result
+    analysis_exit ?fail_on result
   in
   let doc =
     "Produce the markdown report a spec author reads in the feedback loop: \
@@ -1176,7 +1139,10 @@ let bench_cmd =
     Arg.(value & flag & info [ "list" ] ~doc)
   in
   let filter_arg =
-    let doc = "Only run targets whose key contains $(docv)." in
+    let doc =
+      "Only run targets whose key contains $(docv); $(b,--check) then \
+       expects only the history keys that contain it."
+    in
     Arg.(value & opt string "" & info [ "filter" ] ~docv:"SUBSTR" ~doc)
   in
   let check_arg =
@@ -1216,14 +1182,6 @@ let bench_cmd =
     in
     Arg.(value & opt (some string) None & info [ "date" ] ~docv:"DATE" ~doc)
   in
-  let import_arg =
-    let doc =
-      "With $(b,--record): also fold the flat BENCH_pipeline.json-style \
-       snapshot $(docv) into the recorded commit (backend \
-       $(b,snapshot)); measured keys win on collision."
-    in
-    Arg.(value & opt (some string) None & info [ "import" ] ~docv:"FILE" ~doc)
-  in
   let tolerance_arg =
     let doc =
       "Default allowed slowdown versus baseline, in percent (per-key \
@@ -1249,14 +1207,14 @@ let bench_cmd =
       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
   in
   let run verbose list_targets filter check seeded history_file record date
-      import tolerance window render stats =
+      tolerance window render stats =
     setup_logs verbose;
     let check = check || seeded in
     if list_targets then begin
-      Printf.printf "%-20s %-10s %s\n" "key" "backend" "description";
+      Printf.printf "%-24s %-12s %s\n" "key" "backend" "description";
       List.iter
         (fun (t : Sage_bench.Target.t) ->
-          Printf.printf "%-20s %-10s %s\n" t.Sage_bench.Target.key
+          Printf.printf "%-24s %-12s %s\n" t.Sage_bench.Target.key
             t.Sage_bench.Target.backend t.Sage_bench.Target.descr)
         Sage_bench.Target.all;
       0
@@ -1278,117 +1236,107 @@ let bench_cmd =
               filter;
             1
           end
-          else begin
+          else
             let metrics = Sage_sched.Metrics.create () in
-            let current = Sage_bench.Target.run_all ~metrics ~filter () in
-            Printf.printf "%-20s %14s %8s  %s\n" "key" "ns/iter" "iters"
-              "backend";
-            List.iter
-              (fun (key, (s : Sage_bench.History.sample)) ->
-                Printf.printf "%-20s %14.1f %8d  %s\n" key
-                  s.Sage_bench.History.ns s.Sage_bench.History.iters
-                  s.Sage_bench.History.backend)
-              current;
-            let history =
-              match record with
-              | None -> history
-              | Some commit ->
-                let date =
-                  match date with Some d -> d | None -> iso_today ()
-                in
-                let imported =
-                  match import with
-                  | None -> []
-                  | Some file ->
-                    List.filter_map
-                      (fun (key, ns) ->
-                        if List.mem_assoc key current then None
-                        else
-                          Some
-                            ( key,
-                              {
-                                Sage_bench.History.ns;
-                                iters = 1;
-                                backend = "snapshot";
-                              } ))
-                      (Sage_bench.Snapshot.load file)
-                in
-                let record =
-                  {
-                    Sage_bench.History.commit;
-                    date;
-                    entries = imported @ current;
-                  }
-                in
-                let history = Sage_bench.History.append history record in
-                Sage_bench.History.save history_file history;
-                Printf.printf
-                  "\n(recorded %d entr%s as commit %s (%s) in %s)\n"
-                  (List.length record.Sage_bench.History.entries)
-                  (if List.length record.Sage_bench.History.entries = 1
-                   then "y"
-                   else "ies")
-                  commit date history_file;
-                history
-            in
-            let code =
-              if not check then 0
-              else begin
-                let checked =
-                  if seeded then Sage_bench.Seeded_regression.tamper current
-                  else current
-                in
-                let expected =
-                  List.map
-                    (fun (t : Sage_bench.Target.t) -> t.Sage_bench.Target.key)
-                    selected
-                in
-                let report =
-                  Sage_bench.Regress.check
-                    ?default_tolerance:
-                      (Option.map (fun p -> p /. 100.) tolerance)
-                    ~window ~tolerance_of:Sage_bench.Target.tolerance_of
-                    ~history ~expected ~current:checked ()
-                in
-                let count f =
-                  List.length (List.filter f report.Sage_bench.Regress.lines)
-                in
-                Sage_sched.Metrics.incr metrics "bench.regressions"
-                  ~by:
-                    (count (fun l ->
-                         match l.Sage_bench.Regress.status with
-                         | Sage_bench.Regress.Regressed _ -> true
-                         | _ -> false));
-                Sage_sched.Metrics.incr metrics "bench.new"
-                  ~by:
-                    (count (fun l ->
-                         l.Sage_bench.Regress.status
-                         = Sage_bench.Regress.New_key));
+            match Sage_bench.Target.run_all ~metrics ~filter () with
+            | exception Sage_bench.Target.Check_failed msg ->
+              Printf.eprintf "sage bench: check failed: %s\n" msg;
+              1
+            | current ->
+              Printf.printf "%-24s %14s %8s  %s\n" "key" "ns/iter" "iters"
+                "backend";
+              List.iter
+                (fun (key, (s : Sage_bench.History.sample)) ->
+                  Printf.printf "%-24s %14.1f %8d  %s\n" key
+                    s.Sage_bench.History.ns s.Sage_bench.History.iters
+                    s.Sage_bench.History.backend)
+                current;
+              let history =
+                match record with
+                | None -> history
+                | Some commit ->
+                  let date =
+                    match date with Some d -> d | None -> iso_today ()
+                  in
+                  let record =
+                    { Sage_bench.History.commit; date; entries = current }
+                  in
+                  let history = Sage_bench.History.append history record in
+                  Sage_bench.History.save history_file history;
+                  Printf.printf
+                    "\n(recorded %d entr%s as commit %s (%s) in %s)\n"
+                    (List.length record.Sage_bench.History.entries)
+                    (if List.length record.Sage_bench.History.entries = 1
+                     then "y"
+                     else "ies")
+                    commit date history_file;
+                  history
+              in
+              let code =
+                if not check then 0
+                else begin
+                  let checked =
+                    if seeded then Sage_bench.Seeded_regression.tamper current
+                    else current
+                  in
+                  (* a selected target, or a history key the filter
+                     matches: either one absent from the run is MISSING *)
+                  let expected =
+                    List.map
+                      (fun (t : Sage_bench.Target.t) -> t.Sage_bench.Target.key)
+                      selected
+                    @ List.filter
+                        (fun key -> Sage_bench.Target.contains key filter)
+                        (Sage_bench.History.keys history)
+                  in
+                  let report =
+                    Sage_bench.Regress.check
+                      ?default_tolerance:
+                        (Option.map (fun p -> p /. 100.) tolerance)
+                      ~window ~tolerance_of:Sage_bench.Target.tolerance_of
+                      ~history ~expected ~current:checked ()
+                  in
+                  let count f =
+                    List.length (List.filter f report.Sage_bench.Regress.lines)
+                  in
+                  Sage_sched.Metrics.incr metrics "bench.regressions"
+                    ~by:
+                      (count (fun l ->
+                           match l.Sage_bench.Regress.status with
+                           | Sage_bench.Regress.Regressed _ -> true
+                           | _ -> false));
+                  Sage_sched.Metrics.incr metrics "bench.new"
+                    ~by:
+                      (count (fun l ->
+                           l.Sage_bench.Regress.status
+                           = Sage_bench.Regress.New_key));
+                  print_newline ();
+                  print_string (Sage_bench.Regress.render report);
+                  Sage_bench.Regress.exit_code report
+                end
+              in
+              if stats then begin
                 print_newline ();
-                print_string (Sage_bench.Regress.render report);
-                Sage_bench.Regress.exit_code report
-              end
-            in
-            if stats then begin
-              print_newline ();
-              print_string (Sage.Report.metrics_stats ~title:"bench" metrics)
-            end;
-            code
-          end
+                print_string (Sage.Report.metrics_stats ~title:"bench" metrics)
+              end;
+              code
         end
   in
   let doc =
-    "Run the stage benchmark suite (nlp, ccg-parse, winnow, codegen, \
-     analysis-dataflow, interp/iter, sim-pps) from the shared target \
-     registry, append per-commit results to the BENCH_history.json \
-     trajectory, gate the current run against the recorded baseline \
-     (median of the last K, per-key noise tolerance) and render the \
-     BENCH.md sparkline page."
+    "Run the benchmark target registry — pipeline stages (nlp, ccg-parse, \
+     winnow, codegen, analysis-dataflow, analysis-absint/iter), \
+     generated-code execution (interp/iter, reference-echo-reply, \
+     icmp-encode, sim-pps) and the verification loops (fuzz/iter, \
+     fuzz-compiled/iter, interp-vs-compiled/iter, reqs/iter, chaos/tick) \
+     — append per-commit results to the BENCH_history.json trajectory, \
+     gate the current run against the recorded baseline (median of the \
+     last K, per-key noise tolerance) and render the BENCH.md sparkline \
+     page."
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(const run $ verbose_arg $ list_arg $ filter_arg $ check_arg
           $ seeded_regression_arg $ history_arg $ record_arg $ date_arg
-          $ import_arg $ tolerance_arg $ window_arg $ render_arg $ stats_arg)
+          $ tolerance_arg $ window_arg $ render_arg $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* main                                                                *)

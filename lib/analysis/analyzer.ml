@@ -10,8 +10,8 @@ let checks =
 
 (* The analyzer must never take a run down: a check that raises on some
    exotic IR shape becomes an SA000 finding instead of an exception.
-   Warning severity, so an analyzer bug does not fail strict mode on an
-   otherwise-clean corpus — the finding text carries the exception. *)
+   Warning severity, so an analyzer bug does not fail --fail-on error on
+   an otherwise-clean corpus — the finding text carries the exception. *)
 let protect ~name ~fn_name ~protocol f =
   match f () with
   | diags -> diags
@@ -101,6 +101,3 @@ let exit_code_on ~fail_on diags =
   | Fail_error -> if D.has_errors diags then 1 else 0
   | Fail_warning ->
     if D.has_errors diags || D.warnings diags > 0 then 1 else 0
-
-let exit_code ~strict diags =
-  exit_code_on ~fail_on:(if strict then Fail_error else Fail_never) diags

@@ -44,7 +44,3 @@ type fail_on = Fail_never | Fail_error | Fail_warning
 
 val exit_code_on : fail_on:fail_on -> Diagnostic.t list -> int
 (** [1] when the policy says the process must fail, [0] otherwise. *)
-
-val exit_code : strict:bool -> Diagnostic.t list -> int
-(** [exit_code ~strict] is [exit_code_on] with [Fail_error] when
-    [strict], [Fail_never] otherwise — the legacy [--strict] alias. *)

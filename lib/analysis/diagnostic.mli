@@ -6,7 +6,7 @@
     generated function it was found in, and — when the analyzer can
     recover it — the specification sentence that produced (or failed to
     produce) the statements involved.  [Error] findings are the ones
-    [--analyze=strict] turns into a nonzero exit. *)
+    [--fail-on error] turns into a nonzero exit. *)
 
 type severity = Error | Warning | Info
 
@@ -56,7 +56,7 @@ val errors : t list -> int
 val warnings : t list -> int
 val count : severity -> t list -> int
 val has_errors : t list -> bool
-(** Whether strict mode must fail the run. *)
+(** Whether [--fail-on error] must fail the run. *)
 
 val to_string : t -> string
 (** One finding, one (occasionally two) lines. *)

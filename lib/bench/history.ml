@@ -14,7 +14,7 @@
    Commits stay in chronological (append) order; entries within a
    commit are kept sorted by key so the canonical printer round-trips
    through the parser and the file diffs cleanly across runs.  `ns` is
-   printed with one decimal, matching BENCH_pipeline.json. *)
+   printed with one decimal. *)
 
 type sample = { ns : float; iters : int; backend : string }
 
@@ -372,7 +372,7 @@ let baseline ?(window = 5) t key =
 
 (* Atomic replace: write a sibling temp file, then rename over the
    target.  An interrupted writer can leave a stale temp file behind
-   but never a torn target.  Shared with Snapshot (BENCH_pipeline.json). *)
+   but never a torn target. *)
 let write_atomic file content =
   let tmp = file ^ ".tmp" in
   let oc = open_out_bin tmp in

@@ -15,10 +15,10 @@
      - above baseline + tolerance fails the gate ("REGRESSED");
      - a key with no history is not a failure — its baseline is simply
        recorded ("new");
-     - a key that was expected (registered and selected, or present in
-       the history) but absent from the current run is an explicit
-       error ("MISSING") — a silently dropped benchmark must not read
-       as a pass. *)
+     - a key that was expected (registered and selected, or a history
+       key the selection filter matches) but absent from the current
+       run is an explicit error ("MISSING") — a silently dropped
+       benchmark must not read as a pass. *)
 
 type status =
   | Within of { baseline : float; delta : float; tolerance : float }

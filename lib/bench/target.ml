@@ -1,15 +1,23 @@
-(* The benchmark target registry: one entry per pipeline stage, shared
-   by bench/main.ml (the `suite` target) and the `sage bench` CLI verb
-   so both measure exactly the same work under the same keys.
+(* The benchmark target registry: every key `sage bench` measures,
+   records and gates — pipeline stages, generated-code execution, and
+   the fuzz, requirement and chaos loops — is an entry here, and [run]
+   is the only timing loop.
 
-   Each target measures ns/iteration as the best of [reps] identical
-   runs — every stage here is deterministic, so the repetitions do the
-   same work and the minimum rejects scheduler noise.  Setup (pipeline
-   runs, packet construction, topology building) happens in [prepare],
-   outside the timed region. *)
+   A target's timed thunk returns the number of work units it did: 1
+   for a single stage call, the fuzz iterations or chaos ticks for the
+   loop targets, so every key reads as ns per unit (per sentence parse,
+   per fuzz iteration, per chaos tick, per proof run).  A rep makes
+   [calls] calls; the key is the best of [reps] identical reps — every
+   target is deterministic, so the reps do the same work and the
+   minimum rejects scheduler noise.  Setup (pipeline runs, packet
+   construction, topology building) happens in [prepare], outside the
+   timed region, and time comes from the monotonic clock.  A thunk that
+   sees its work go wrong (a fuzz finding, a failed campaign, an Error
+   diagnostic) raises [Check_failed]: a broken run has no speed. *)
 
 module P = Sage.Pipeline
 module Lf = Sage_logic.Lf
+module Ir = Sage_codegen.Ir
 module Chunker = Sage_nlp.Chunker
 module Parser = Sage_ccg.Parser
 module Winnow = Sage_disambig.Winnow
@@ -20,16 +28,25 @@ module Net = Sage_sim.Network
 module Ping = Sage_sim.Ping
 module Svc = Sage_sim.Icmp_service
 module Gs = Sage_sim.Generated_stack
+module Backend = Sage_backend.Backend
+module Engine = Sage_fuzz.Engine
+module Campaign = Sage_chaos.Campaign
 
 type t = {
   key : string;
   descr : string;
   backend : string; (* recorded in the history entry *)
-  iters : int;
+  calls : int; (* thunk calls per rep *)
   reps : int;
   tolerance : float option; (* per-key regress tolerance override *)
-  prepare : unit -> unit -> unit; (* prepare () returns the timed thunk *)
+  prepare : unit -> unit -> int;
+      (* prepare () returns the timed thunk, which returns its work units *)
 }
+
+exception Check_failed of string
+
+(* a thunk's success check; [run] prefixes the failing key *)
+let require ok what = if not ok then raise (Check_failed what)
 
 (* shared fixtures, forced once on first use *)
 
@@ -40,8 +57,13 @@ let icmp_rewr =
     (P.run (Lazy.force spec) ~title:"icmp"
        ~text:Sage_corpus.Icmp_rfc.rewritten_text)
 
+let bfd_rewr =
+  lazy
+    (P.run (P.bfd_spec ()) ~title:"bfd"
+       ~text:Sage_corpus.Bfd_rfc.rewritten_text)
+
 (* the paper's running example: one sentence through chunk / parse /
-   winnow / codegen, same as the bechamel `timing` target *)
+   winnow / codegen *)
 let sentence_e =
   "If code = 0, an identifier to aid in matching echos and replies, may \
    be zero."
@@ -70,6 +92,41 @@ let echo_request =
           ~dst:(a "192.168.2.10") ~payload_len:(Bytes.length payload) ())
        ~payload)
 
+(* every generated function with a recovered layout: the fuzz targets *)
+let fuzz_targets (run : P.run) =
+  List.filter_map
+    (fun (f : Ir.func) ->
+      Option.map
+        (fun sd -> (f, sd))
+        (List.assoc_opt f.Ir.fn_name run.P.codegen.P.struct_of_function))
+    run.P.codegen.P.functions
+
+(* long enough that load-time compilation is amortized away *)
+let fuzz_iters = 20_000
+
+(* the ICMP fuzz loop (seed 42) on one backend, per fuzz iteration *)
+let fuzz_target ~key ~descr ~backend ~differential =
+  {
+    key;
+    descr;
+    backend =
+      (if differential then "differential" else Backend.choice_name backend);
+    calls = 1;
+    reps = 5;
+    tolerance = None;
+    prepare =
+      (fun () ->
+        let run = Lazy.force icmp_rewr in
+        let targets = fuzz_targets run in
+        fun () ->
+          let r =
+            Engine.run ~backend ~differential ~seed:42 ~iters:fuzz_iters
+              ~protocol:run.P.spec.P.protocol targets
+          in
+          require (r.Engine.findings = []) "fuzz findings";
+          fuzz_iters);
+  }
+
 (* Sub-microsecond stages jitter well beyond the default 15% on shared
    CI machines; they gate at 50% instead, which still catches a real
    algorithmic regression while ignoring allocator/cache weather. *)
@@ -81,21 +138,21 @@ let all =
       key = "nlp";
       descr = "noun-phrase chunking of the running-example sentence";
       backend = "nlp";
-      iters = 1000;
+      calls = 1000;
       reps = 5;
       tolerance = noisy;
       prepare =
         (fun () ->
           let spec = Lazy.force spec in
           fun () ->
-            ignore
-              (Chunker.chunk_sentence ~dict:spec.P.dictionary sentence_e));
+            ignore (Chunker.chunk_sentence ~dict:spec.P.dictionary sentence_e);
+            1);
     };
     {
       key = "ccg-parse";
       descr = "CCG chart parse of the running-example sentence";
       backend = "ccg";
-      iters = 50;
+      calls = 50;
       reps = 5;
       tolerance = None;
       prepare =
@@ -104,25 +161,28 @@ let all =
           fun () ->
             ignore
               (Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary
-                 sentence_e));
+                 sentence_e);
+            1);
     };
     {
       key = "winnow";
       descr = "winnowing the running-example parse's logical forms";
       backend = "disambig";
-      iters = 500;
+      calls = 500;
       reps = 5;
       tolerance = noisy;
       prepare =
         (fun () ->
           let lfs = Lazy.force base_lfs in
-          fun () -> ignore (Winnow.winnow lfs));
+          fun () ->
+            ignore (Winnow.winnow lfs);
+            1);
     };
     {
       key = "codegen";
       descr = "IR generation for the Table-4 logical form";
       backend = "codegen";
-      iters = 500;
+      calls = 500;
       reps = 5;
       tolerance = noisy;
       prepare =
@@ -132,13 +192,15 @@ let all =
             Sage_codegen.Context.dynamic ~protocol:"ICMP"
               ~message:"Destination Unreachable Message" ()
           in
-          fun () -> ignore (Sage_codegen.Generate.gen_sentence ctx table4_lf));
+          fun () ->
+            ignore (Sage_codegen.Generate.gen_sentence ctx table4_lf);
+            1);
     };
     {
       key = "analysis-dataflow";
       descr = "dataflow checks (SA001-SA006 tier) over all ICMP functions";
       backend = "analysis";
-      iters = 50;
+      calls = 50;
       reps = 5;
       tolerance = None;
       prepare =
@@ -148,12 +210,10 @@ let all =
           let struct_of_function = run.P.codegen.P.struct_of_function in
           fun () ->
             List.iter
-              (fun (f : Sage_codegen.Ir.func) ->
+              (fun (f : Ir.func) ->
                 let ctx =
                   Sage_analysis.Dataflow.ctx
-                    ?layout:
-                      (List.assoc_opt f.Sage_codegen.Ir.fn_name
-                         struct_of_function)
+                    ?layout:(List.assoc_opt f.Ir.fn_name struct_of_function)
                     f
                 in
                 List.iter
@@ -163,13 +223,35 @@ let all =
                     Sage_analysis.Dead_code.check;
                     Sage_analysis.Overflow.check;
                   ])
-              funcs);
+              funcs;
+            1);
+    };
+    {
+      key = "analysis-absint/iter";
+      descr = "SA007-SA012 proof layer over all ICMP functions, per run";
+      backend = "absint";
+      calls = 200;
+      reps = 3;
+      tolerance = None;
+      prepare =
+        (fun () ->
+          let run = Lazy.force icmp_rewr in
+          let funcs = run.P.codegen.P.functions in
+          let struct_of_function = run.P.codegen.P.struct_of_function in
+          fun () ->
+            let diags =
+              Sage_analysis.Analyzer.analyze_program ~struct_of_function funcs
+            in
+            require
+              (not (Sage_analysis.Diagnostic.has_errors diags))
+              "Error diagnostics";
+            1);
     };
     {
       key = "interp/iter";
       descr = "tree-walk interpreter: one generated echo reply";
       backend = "interp";
-      iters = 300;
+      calls = 300;
       reps = 5;
       (* observed ±30% swing under a loaded host; the floor still fails
          the 3x seeded fixture and any order-of-magnitude regression *)
@@ -180,13 +262,48 @@ let all =
           let request = Lazy.force echo_request in
           fun () ->
             ignore
-              (Gs.process_request st ~fn:"icmp_echo_reply_receiver" ~request));
+              (Gs.process_request st ~fn:"icmp_echo_reply_receiver" ~request);
+            1);
+    };
+    {
+      key = "reference-echo-reply";
+      descr = "hand-written reference stack: one echo reply";
+      backend = "reference";
+      calls = 100_000;
+      reps = 5;
+      tolerance = noisy;
+      prepare =
+        (fun () ->
+          let request = Lazy.force echo_request in
+          fun () ->
+            ignore (Svc.reference.Svc.echo_reply ~request);
+            1);
+    };
+    {
+      key = "icmp-encode";
+      descr = "encoding one 56-byte ICMP echo";
+      backend = "net";
+      calls = 100_000;
+      reps = 5;
+      tolerance = noisy;
+      prepare =
+        (fun () () ->
+          ignore
+            (Icmp.encode
+               (Icmp.Echo
+                  {
+                    Icmp.echo_code = 0;
+                    identifier = 1;
+                    sequence = 1;
+                    payload = Bytes.make 56 'x';
+                  }));
+          1);
     };
     {
       key = "sim-pps";
       descr = "simulator packet rate: ping through the generated stack";
       backend = "sim";
-      iters = 50;
+      calls = 50;
       reps = 5;
       tolerance = noisy;
       prepare =
@@ -194,11 +311,71 @@ let all =
           let service = Svc.generated (Gs.of_run (Lazy.force icmp_rewr)) in
           let net = Net.default_topology ~service () in
           let dst = Net.server1_addr net in
-          fun () -> ignore (Ping.ping ~count:1 ~net dst));
+          fun () ->
+            ignore (Ping.ping ~count:1 ~net dst);
+            1);
+    };
+    fuzz_target ~key:"fuzz/iter"
+      ~descr:"ICMP fuzz loop on the interpreter, per iteration"
+      ~backend:Backend.Interp ~differential:false;
+    fuzz_target ~key:"fuzz-compiled/iter"
+      ~descr:"ICMP fuzz loop on the compiled backend, per iteration"
+      ~backend:Backend.Compiled ~differential:false;
+    fuzz_target ~key:"interp-vs-compiled/iter"
+      ~descr:"ICMP fuzz loop, compiled re-checked on the interpreter"
+      ~backend:Backend.Compiled ~differential:true;
+    {
+      key = "reqs/iter";
+      descr = "BFD fuzz loop enforcing the checkable requirements";
+      backend = "reqs";
+      calls = 1;
+      reps = 3;
+      tolerance = None;
+      prepare =
+        (fun () ->
+          let run = Lazy.force bfd_rewr in
+          let targets = fuzz_targets run in
+          let reqs = List.filter Sage_reqs.Req.checkable run.P.requirements in
+          let iters = 10_000 in
+          fun () ->
+            let r =
+              Engine.run ~reqs ~seed:42 ~iters ~protocol:run.P.spec.P.protocol
+                targets
+            in
+            require (r.Engine.findings = []) "fuzz findings";
+            iters);
+    };
+    {
+      key = "chaos/tick";
+      descr = "chaos campaigns, seeds 1-20, built-in scenarios on ICMP";
+      backend = "chaos";
+      calls = 1;
+      reps = 3;
+      tolerance = None;
+      prepare =
+        (fun () ->
+          let (_ : P.run) = Lazy.force icmp_rewr in
+          let corpora =
+            [ { Campaign.corpus = "icmp"; generated_run = icmp_rewr } ]
+          in
+          fun () ->
+            let ticks = ref 0 in
+            for seed = 1 to 20 do
+              let campaign =
+                Campaign.run ~seed ~scenarios:Sage_chaos.Scenario.builtins
+                  ~corpora ()
+              in
+              require (Campaign.exit_code campaign = 0) "campaign failed";
+              List.iter
+                (fun (r : Campaign.case_result) ->
+                  ticks :=
+                    !ticks + Sage_chaos.Episode.duration r.Campaign.schedule)
+                campaign.Campaign.results
+            done;
+            !ticks);
     };
   ]
 
-let keys = List.map (fun t -> t.key) all
 let find key = List.find_opt (fun t -> t.key = key) all
 
 let contains haystack needle =
@@ -211,21 +388,24 @@ let contains haystack needle =
 let filter substr = List.filter (fun t -> contains t.key substr) all
 let tolerance_of key = Option.bind (find key) (fun t -> t.tolerance)
 
+(* best of [reps] reps in ns per work unit; the sample's [iters] is the
+   work units of one rep *)
 let run tgt : History.sample =
   let thunk = tgt.prepare () in
-  let best = ref infinity in
-  for _ = 1 to tgt.reps do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to tgt.iters do
-      thunk ()
-    done;
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  {
-    History.ns = !best *. 1e9 /. float_of_int tgt.iters;
-    iters = tgt.iters;
-    backend = tgt.backend;
-  }
+  let best = ref infinity and units = ref 0 in
+  (try
+     for _ = 1 to tgt.reps do
+       let n = ref 0 in
+       let t0 = Monotonic_clock.now () in
+       for _ = 1 to tgt.calls do
+         n := !n + thunk ()
+       done;
+       let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+       best := Float.min !best (dt /. float_of_int !n);
+       units := !n
+     done
+   with Check_failed what -> raise (Check_failed (tgt.key ^ ": " ^ what)));
+  { History.ns = !best; iters = !units; backend = tgt.backend }
 
 (* run every (or the filtered subset of) registered target(s), results
    sorted by key; bumps bench.* counters when given a metrics sink *)

@@ -457,9 +457,7 @@ let test_exit_code_policies () =
         (Printf.sprintf "policy case %d" i)
         expect
         (A.exit_code_on ~fail_on diags))
-    cases;
-  check Alcotest.int "strict is Fail_error" 1 (A.exit_code ~strict:true [ err ]);
-  check Alcotest.int "lax is Fail_never" 0 (A.exit_code ~strict:false [ err ])
+    cases
 
 let suite =
   [

@@ -1,6 +1,6 @@
 (* The IR static analyzer (lib/analysis): per-check unit tests over
    hand-built IR, zero-Error golden runs over every shipped corpus, the
-   seeded under-specified corpus that strict mode must fail, and a
+   seeded under-specified corpus that --fail-on error must fail, and a
    never-raise fuzz property over random IR. *)
 
 module P = Sage.Pipeline
@@ -66,8 +66,10 @@ let test_missing_checksum_is_error () =
   check Alcotest.string "code" "SA001" d.D.code;
   check Alcotest.bool "error severity" true (d.D.severity = D.Error);
   check Alcotest.(option string) "field" (Some "checksum") d.D.field;
-  check Alcotest.bool "strict exit" true (A.exit_code ~strict:true diags = 1);
-  check Alcotest.bool "lax exit" true (A.exit_code ~strict:false diags = 0)
+  check Alcotest.int "fail-on error exit" 1
+    (A.exit_code_on ~fail_on:A.Fail_error diags);
+  check Alcotest.int "fail-never exit" 0
+    (A.exit_code_on ~fail_on:A.Fail_never diags)
 
 let test_missing_plain_field_is_warning () =
   let body =
@@ -340,8 +342,8 @@ let test_corpora_error_free () =
         Alcotest.failf "%s: %d Error finding(s), first: %s" name
           (List.length errs)
           (D.to_string (List.hd errs));
-      check Alcotest.int (name ^ " strict exit") 0
-        (A.exit_code ~strict:true run.P.diagnostics))
+      check Alcotest.int (name ^ " fail-on error exit") 0
+        (A.exit_code_on ~fail_on:A.Fail_error run.P.diagnostics))
     (Lazy.force corpus_runs)
 
 let test_corpora_diagnostics_deterministic () =
@@ -420,10 +422,10 @@ let test_seeded_corpus_fails_strict () =
       check Alcotest.string "code" "SA001" d.D.code;
       check Alcotest.(option string) "field" (Some "checksum") d.D.field)
     errs;
-  check Alcotest.int "strict exit is 1" 1
-    (A.exit_code ~strict:true run.P.diagnostics);
-  check Alcotest.int "lax exit is 0" 0
-    (A.exit_code ~strict:false run.P.diagnostics)
+  check Alcotest.int "fail-on error exit is 1" 1
+    (A.exit_code_on ~fail_on:A.Fail_error run.P.diagnostics);
+  check Alcotest.int "fail-never exit is 0" 0
+    (A.exit_code_on ~fail_on:A.Fail_never run.P.diagnostics)
 
 let test_seeded_corpus_sanity () =
   (* the seed removed exactly the checksum description; the rest of the

@@ -1,13 +1,13 @@
 (* lib/bench under test: History parse/print properties (qcheck_lite),
-   the Regress gate's verdict semantics on synthetic trajectories, the
-   Snapshot torn-write fix, Render determinism, the Target registry
-   coverage, and the `sage bench` verb's surface via the real binary. *)
+   the Regress gate's verdict semantics on synthetic trajectories,
+   Render determinism, the Target registry (coverage of every committed
+   history key, work-unit counting), and the `sage bench` verb's surface
+   via the real binary. *)
 
 module Q = Qcheck_lite
 module H = Sage_bench.History
 module Regress = Sage_bench.Regress
 module Render = Sage_bench.Render
-module Snapshot = Sage_bench.Snapshot
 module Target = Sage_bench.Target
 module Sr = Sage_bench.Seeded_regression
 
@@ -287,53 +287,6 @@ let test_regress_baseline_is_median_of_window () =
   check Alcotest.int "outlier-immune" 0 (Regress.exit_code report)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot: torn writes and merge-on-flush.                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_snapshot_torn_write () =
-  let file = Filename.temp_file "sage-bench-snapshot" ".json" in
-  (* a snapshot interrupted mid-key under the old in-place writer: the
-     valid prefix must load, the torn tail must be ignored *)
-  let oc = open_out file in
-  output_string oc "{\n  \"fuzz/iter\": 19102.6,\n  \"interp-vs-comp";
-  close_out oc;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "torn tail ignored"
-    [ ("fuzz/iter", 19102.6) ]
-    (Snapshot.load file);
-  (* flushing over the torn file repairs it atomically *)
-  let merged = Snapshot.flush ~file [ ("chaos/tick", 11964.2) ] in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "merge carries the valid prefix"
-    [ ("chaos/tick", 11964.2); ("fuzz/iter", 19102.6) ]
-    merged;
-  check Alcotest.bool "no temp residue" false
-    (Sys.file_exists (file ^ ".tmp"));
-  (match Json_min.validate (In_channel.with_open_bin file In_channel.input_all)
-   with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "flushed snapshot is not valid JSON: %s" e);
-  Sys.remove file
-
-let test_snapshot_fresh_wins_on_flush () =
-  let file = Filename.temp_file "sage-bench-snapshot" ".json" in
-  let _ = Snapshot.flush ~file [ ("a", 1.0); ("b", 2.0) ] in
-  let merged = Snapshot.flush ~file [ ("b", 5.0); ("c", 3.0) ] in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "fresh entries win, carried stay, sorted"
-    [ ("a", 1.0); ("b", 5.0); ("c", 3.0) ]
-    merged;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "load sees the merged file"
-    [ ("a", 1.0); ("b", 5.0); ("c", 3.0) ]
-    (Snapshot.load file);
-  Sys.remove file
-
-(* ------------------------------------------------------------------ *)
 (* Render.                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -369,7 +322,9 @@ let test_render_empty_history () =
 let required_keys =
   [
     "nlp"; "ccg-parse"; "winnow"; "codegen"; "analysis-dataflow";
-    "interp/iter"; "sim-pps";
+    "analysis-absint/iter"; "interp/iter"; "reference-echo-reply";
+    "icmp-encode"; "sim-pps"; "fuzz/iter"; "fuzz-compiled/iter";
+    "interp-vs-compiled/iter"; "reqs/iter"; "chaos/tick";
   ]
 
 let test_registry_covers_every_stage () =
@@ -384,7 +339,7 @@ let test_registry_covers_every_stage () =
 
 let test_registry_filter () =
   check (Alcotest.list Alcotest.string) "substring filter"
-    [ "interp/iter" ]
+    [ "interp/iter"; "interp-vs-compiled/iter" ]
     (List.map
        (fun (t : Target.t) -> t.Target.key)
        (Target.filter "interp"));
@@ -397,10 +352,44 @@ let test_run_one_target () =
   match Target.find "codegen" with
   | None -> Alcotest.fail "codegen target missing"
   | Some t ->
-    let s = Target.run { t with Target.iters = 5; reps = 1 } in
+    let s = Target.run { t with Target.calls = 5; reps = 1 } in
     check Alcotest.bool "positive time" true (s.H.ns > 0.);
     check Alcotest.int "iters recorded" 5 s.H.iters;
     check Alcotest.string "backend recorded" "codegen" s.H.backend
+
+let test_run_counts_work_units () =
+  (* one call of a loop target is 20 000 fuzz iterations: the sample is
+     per iteration and records the iterations, not the calls *)
+  match Target.find "fuzz-compiled/iter" with
+  | None -> Alcotest.fail "fuzz-compiled/iter target missing"
+  | Some t ->
+    let s = Target.run { t with Target.calls = 1; reps = 1 } in
+    check Alcotest.int "iters = fuzz iterations" 20_000 s.H.iters;
+    check Alcotest.string "backend recorded" "compiled" s.H.backend
+
+(* the committed trajectory: `dune runtest` copies it next to the test
+   directory, a bare `dune exec` of the suite finds it in the source
+   tree; resolved from the binary so the suite is cwd-independent *)
+let committed_history () =
+  let build_root = Filename.dirname (Filename.dirname Sys.executable_name) in
+  List.find_opt Sys.file_exists
+    [
+      Filename.concat build_root "BENCH_history.json";
+      List.fold_left Filename.concat build_root
+        [ ".."; ".."; "BENCH_history.json" ];
+    ]
+
+let test_committed_history_is_registered () =
+  match Option.map H.load (committed_history ()) with
+  | None -> Alcotest.fail "BENCH_history.json not found"
+  | Some (Error e) -> Alcotest.failf "BENCH_history.json: %s" e
+  | Some (Ok h) ->
+    check Alcotest.bool "history has keys" true (H.keys h <> []);
+    List.iter
+      (fun key ->
+        if Target.find key = None then
+          Alcotest.failf "history key %s has no registered target" key)
+      (H.keys h)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded regression.                                                  *)
@@ -454,6 +443,25 @@ let test_cli_bad_filter () =
   check Alcotest.bool "names the filter" true
     (Cli_harness.contains err "no-such-target")
 
+let test_cli_missing_history_key () =
+  (* a history key no target measures any more fails the check by name,
+     even though the filter selected only its registered neighbour *)
+  let file = Filename.temp_file "sage-bench-retired" ".json" in
+  H.save file (history_of_trajectory "winnow-retired" [ 100. ]);
+  let code, out, _ =
+    Cli_harness.run_cli
+      (Printf.sprintf "bench --filter winnow --history %s --check"
+         (Filename.quote file))
+  in
+  Sys.remove file;
+  check Alcotest.int "exit 1" 1 code;
+  check Alcotest.bool "winnow-retired is MISSING" true
+    (List.exists
+       (fun line ->
+         Cli_harness.contains line "winnow-retired"
+         && Cli_harness.contains line "MISSING")
+       (String.split_on_char '\n' out))
+
 let suite =
   [
     prop_roundtrip;
@@ -475,10 +483,6 @@ let suite =
     tc "improvement passes" test_regress_improvement_passes;
     tc "baseline ignores a single outlier"
       test_regress_baseline_is_median_of_window;
-    tc "torn snapshot loads its valid prefix and repairs atomically"
-      test_snapshot_torn_write;
-    tc "merge-on-flush: fresh wins, carried stays"
-      test_snapshot_fresh_wins_on_flush;
     tc "sparklines" test_spark;
     tc "page renders deterministically" test_render_deterministic;
     tc "page on empty history" test_render_empty_history;
@@ -486,8 +490,13 @@ let suite =
       test_registry_covers_every_stage;
     tc "registry filter" test_registry_filter;
     tc "measurement loop smoke" test_run_one_target;
+    tc "loop targets record their work units" test_run_counts_work_units;
+    tc "every committed history key is registered"
+      test_committed_history_is_registered;
     tc "seeded tamper slows exactly one key 3x" test_seeded_tamper;
     tc "sage bench --list" test_cli_list;
     tc "sage bench --render on absent history" test_cli_render_empty;
     tc "sage bench --filter with no match" test_cli_bad_filter;
+    tc "sage bench --check fails on a retired history key"
+      test_cli_missing_history_key;
   ]
