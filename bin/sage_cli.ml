@@ -17,6 +17,7 @@ module Lf = Sage_logic.Lf
 module Winnow = Sage_disambig.Winnow
 module Parser = Sage_ccg.Parser
 module Chunker = Sage_nlp.Chunker
+module Fixture = Sage_fixture.Fixture
 
 open Cmdliner
 
@@ -165,6 +166,42 @@ let fail_on_arg =
 let analysis_exit ?(fail_on = Sage_analysis.Analyzer.Fail_never)
     (result : P.run) =
   Sage_analysis.Analyzer.exit_code_on ~fail_on result.P.diagnostics
+
+(* --seeded NAME: the fixtures Fixture.all registers for [verb] *)
+let seeded_arg verb =
+  let fixtures =
+    List.filter (fun f -> List.mem verb (Fixture.verbs f)) Fixture.all
+  in
+  let doc =
+    String.concat "  "
+      ("Plant a known defect, as a self-test that an oracle fires: the run \
+        must exit 1, or exit 2 when it lacks the fixture's target."
+      :: List.map
+           (fun f -> Printf.sprintf "$(b,%s) %s" (Fixture.name f) (Fixture.doc f))
+           fixtures)
+  in
+  Arg.(value
+       & opt (some (enum (List.map (fun f -> (Fixture.name f, f)) fixtures)))
+           None
+       & info [ "seeded" ] ~docv:"NAME" ~doc)
+
+(* A fixture that changes nothing would pass vacuously: refuse the run
+   with exit 2, saying what it needs. *)
+let refuse_vacuous ~verb fixture = function
+  | None -> ()
+  | Some need ->
+    Printf.eprintf
+      "sage %s: --seeded %s changes nothing in this run; it needs %s\n" verb
+      (Fixture.name fixture) need;
+    exit 2
+
+(* The generated IR of a fuzz or analyze run under its fixture. *)
+let seeded_ir ~verb seeded funcs =
+  match seeded with
+  | None -> funcs
+  | Some f ->
+    refuse_vacuous ~verb f (Fixture.vacuous_ir f funcs);
+    Fixture.rewrite f funcs
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -395,43 +432,19 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "prove" ] ~doc)
   in
-  let seeded_wedge_arg =
-    let doc =
-      "Tamper the generated IR by deleting the BFD session-recovery \
-       transitions before analyzing (SA011 self-test: the run must report \
-       a wedge-state Error and, under $(b,--prove), exit 1)."
-    in
-    Arg.(value & flag & info [ "seeded-wedge" ] ~doc)
-  in
-  let seeded_divergence_arg =
-    let doc =
-      "Arm the compiled backend's seeded mis-compilation fixture before \
-       analyzing (SA012 self-test: the run must report a slot-consistency \
-       Error and, under $(b,--prove), exit 1)."
-    in
-    Arg.(value & flag & info [ "seeded-divergence" ] ~doc)
-  in
-  let run proto verbose rewritten jobs cache_cap fail_on prove
-      seeded_wedge seeded_divergence format =
+  let run proto verbose rewritten jobs cache_cap fail_on prove seeded
+      format =
     setup_logs verbose;
     let result = run_pipeline ~jobs ?cache_cap proto rewritten in
-    let funcs = result.P.codegen.P.functions in
-    let funcs =
-      if seeded_wedge then Sage_chaos.Seeded_wedge.tamper_fsm funcs else funcs
-    in
-    let divergence =
-      if seeded_divergence then
-        Some Sage_backend.Seeded_divergence.default_target
-      else None
-    in
+    let funcs = seeded_ir ~verb:"analyze" seeded result.P.codegen.P.functions in
     let diagnostics =
-      (* fixtures change the program under analysis, so they re-analyze;
-         the untampered path reuses the pipeline's diagnostics, sentence
-         provenance included *)
-      if seeded_wedge || seeded_divergence then
-        Sage_analysis.Analyzer.analyze_program ?divergence
+      (* a fixture changes the program under analysis, so it
+         re-analyzes; the unseeded path reuses the pipeline's
+         diagnostics, sentence provenance included *)
+      if seeded = None then result.P.diagnostics
+      else
+        Sage_analysis.Analyzer.analyze_program
           ~struct_of_function:result.P.codegen.P.struct_of_function funcs
-      else result.P.diagnostics
     in
     let protocol = result.P.spec.P.protocol in
     (match format with
@@ -476,8 +489,8 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ fail_on_arg $ prove_arg
-          $ seeded_wedge_arg $ seeded_divergence_arg $ format_arg)
+          $ cache_arg $ fail_on_arg $ prove_arg $ seeded_arg "analyze"
+          $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage ambiguities                                                    *)
@@ -767,13 +780,6 @@ let fuzz_cmd =
          & opt (some string) None
          & info [ "coverage-out" ] ~docv:"FILE" ~doc)
   in
-  let seeded_bug_arg =
-    let doc =
-      "Tamper the generated IR with a known checksum bug before fuzzing \
-       (oracle-suite self-test: the run must report exactly one finding)."
-    in
-    Arg.(value & flag & info [ "seeded-bug" ] ~doc)
-  in
   let check_proofs_arg =
     let doc =
       "Cross-validate the static SA007 bounds proofs: run the analyzer \
@@ -781,15 +787,6 @@ let fuzz_cmd =
        function.  A violation means the static proof layer is unsound."
     in
     Arg.(value & flag & info [ "check-proofs" ] ~doc)
-  in
-  let seeded_divergence_arg =
-    let doc =
-      "Deliberately mis-compile one function's checksum assignment in the \
-       compiled backend (differential-oracle self-test: the run must report \
-       exactly one backend-agreement finding).  Implies \
-       $(b,--backend compiled)."
-    in
-    Arg.(value & flag & info [ "seeded-divergence" ] ~doc)
   in
   let check_reqs_arg =
     let doc =
@@ -800,52 +797,17 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "check-reqs" ] ~doc)
   in
-  let seeded_violation_arg =
-    let doc =
-      "Tamper the generated IR by deleting the guarded discard statements \
-       from one BFD function before fuzzing (requirement-oracle \
-       self-test: the run must report exactly one requirement finding \
-       with its RQ id, source sentence and a shrunk witness packet).  \
-       Implies $(b,--check-reqs)."
-    in
-    Arg.(value & flag & info [ "seeded-violation" ] ~doc)
-  in
-  let run proto verbose rewritten jobs backend seed iters seeded_bug
-      seeded_divergence check_proofs check_reqs seeded_violation coverage_out
-      stats trace_file trace_format trace_clock =
+  let run proto verbose rewritten jobs backend seed iters seeded check_proofs
+      check_reqs coverage_out stats trace_file trace_format trace_clock =
     setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-    let check_reqs = check_reqs || seeded_violation in
+    let check_reqs = check_reqs || seeded = Some Fixture.Violation in
+    let backend =
+      if seeded = Some Fixture.Divergence then Sage_backend.Backend.Compiled
+      else backend
+    in
     let result = run_pipeline ~jobs ?trace proto rewritten in
-    let funcs = result.P.codegen.P.functions in
-    let funcs =
-      if seeded_bug then
-        Sage_fuzz.Seeded_bug.tamper_checksum
-          ~fn:Sage_fuzz.Seeded_bug.default_target funcs
-      else funcs
-    in
-    let funcs =
-      if seeded_violation then begin
-        if
-          not
-            (List.exists
-               (fun (f : Sage_codegen.Ir.func) ->
-                 f.Sage_codegen.Ir.fn_name
-                 = Sage_reqs.Seeded_violation.default_target)
-               funcs)
-        then begin
-          Printf.eprintf
-            "--seeded-violation targets %s; run it on the %s corpus (-p %s)\n"
-            Sage_reqs.Seeded_violation.default_target
-            Sage_reqs.Seeded_violation.default_protocol
-            Sage_reqs.Seeded_violation.default_protocol;
-          exit 2
-        end;
-        Sage_reqs.Seeded_violation.tamper_discards
-          ~fn:Sage_reqs.Seeded_violation.default_target funcs
-      end
-      else funcs
-    in
+    let funcs = seeded_ir ~verb:"fuzz" seeded result.P.codegen.P.functions in
     let proved =
       (* static pass over the very functions being fuzzed (tampering
          included), so a proof the fuzzer then refutes is always the
@@ -867,18 +829,10 @@ let fuzz_cmd =
                result.P.codegen.P.struct_of_function))
         funcs
     in
-    let backend =
-      if seeded_divergence then Sage_backend.Backend.Compiled else backend
-    in
-    let divergence =
-      if seeded_divergence then
-        Some Sage_backend.Seeded_divergence.default_target
-      else None
-    in
     let reqs = if check_reqs then result.P.requirements else [] in
     let fz =
       Sage_fuzz.Engine.run ?trace ~metrics:result.P.metrics ~backend
-        ?divergence ~proved ~reqs ~seed ~iters
+        ?load:(Option.map Fixture.load seeded) ~proved ~reqs ~seed ~iters
         ~protocol:result.P.spec.P.protocol targets
     in
     print_string (Sage_fuzz.Engine.summary fz);
@@ -905,10 +859,9 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ backend_arg $ seed_arg $ iters_arg $ seeded_bug_arg
-          $ seeded_divergence_arg $ check_proofs_arg $ check_reqs_arg
-          $ seeded_violation_arg $ coverage_out_arg $ stats_arg $ trace_arg
-          $ trace_format_arg $ trace_clock_arg)
+          $ backend_arg $ seed_arg $ iters_arg $ seeded_arg "fuzz"
+          $ check_proofs_arg $ check_reqs_arg $ coverage_out_arg $ stats_arg
+          $ trace_arg $ trace_format_arg $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage chaos                                                          *)
@@ -1002,14 +955,6 @@ let chaos_cmd =
     let doc = "Campaign seed: the same seed reproduces the identical run." in
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
   in
-  let wedge_arg =
-    let doc =
-      "Arm the seeded no-recovery fixture (restart handlers die after the \
-       first crash) — oracle self-test: scenarios with a crash episode must \
-       fail and the run exits 1 with a shrunk minimal schedule."
-    in
-    Arg.(value & flag & info [ "seeded-wedge" ] ~doc)
-  in
   let check_reqs_arg =
     let doc =
       "Assert the mined RFC 2119 requirements (see $(b,sage reqs)) on \
@@ -1019,7 +964,7 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "check-reqs" ] ~doc)
   in
-  let run verbose jobs backend seed scenario schedule soak wedge check_reqs
+  let run verbose jobs backend seed scenario schedule soak seeded check_reqs
       corpora_sel stats trace_file trace_format trace_clock =
     setup_logs verbose;
     if scenario <> None && schedule <> None then
@@ -1070,10 +1015,16 @@ let chaos_cmd =
            | None, Some sched -> [ ("schedule", sched) ]
            | None, None -> Sage_chaos.Scenario.builtins
          in
+         Option.iter
+           (fun f ->
+             refuse_vacuous ~verb:"chaos" f
+               (Fixture.vacuous_chaos f (List.map snd scenarios)))
+           seeded;
          let metrics = Sage_sched.Metrics.create () in
          let campaign =
-           Sage_chaos.Campaign.run ?trace ~metrics ~backend ~soak ~wedge
-             ~check_reqs ~seed ~scenarios ~corpora ()
+           Sage_chaos.Campaign.run ?trace ~metrics ~backend ~soak
+             ?arm:(Option.map Fixture.arm seeded) ~check_reqs ~seed ~scenarios
+             ~corpora ()
          in
          print_string (Sage_chaos.Campaign.summary campaign);
          if stats then begin
@@ -1095,7 +1046,7 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(ret
             (const run $ verbose_arg $ jobs_arg $ backend_arg $ seed_arg
-             $ scenario_arg $ schedule_arg $ soak_arg $ wedge_arg
+             $ scenario_arg $ schedule_arg $ soak_arg $ seeded_arg "chaos"
              $ check_reqs_arg $ corpus_arg $ stats_arg $ trace_arg
              $ trace_format_arg $ trace_clock_arg))
 
@@ -1153,15 +1104,6 @@ let bench_cmd =
     in
     Arg.(value & flag & info [ "check" ] ~doc)
   in
-  let seeded_regression_arg =
-    let doc =
-      "Plant a deliberate 3x slowdown on one measured key before the \
-       check (the $(b,winnow) target when selected), so the regression \
-       gate itself can be exit-code tested.  Implies $(b,--check); the \
-       recorded history is never tampered."
-    in
-    Arg.(value & flag & info [ "seeded-regression" ] ~doc)
-  in
   let history_arg =
     let doc = "Trajectory file to read (and with $(b,--record), append to)." in
     Arg.(value
@@ -1209,7 +1151,7 @@ let bench_cmd =
   let run verbose list_targets filter check seeded history_file record date
       tolerance window render stats =
     setup_logs verbose;
-    let check = check || seeded in
+    let check = check || seeded <> None in
     if list_targets then begin
       Printf.printf "%-24s %-12s %s\n" "key" "backend" "description";
       List.iter
@@ -1276,8 +1218,9 @@ let bench_cmd =
                 if not check then 0
                 else begin
                   let checked =
-                    if seeded then Sage_bench.Seeded_regression.tamper current
-                    else current
+                    Option.fold ~none:current
+                      ~some:(fun f -> Fixture.slow f current)
+                      seeded
                   in
                   (* a selected target, or a history key the filter
                      matches: either one absent from the run is MISSING *)
@@ -1335,7 +1278,7 @@ let bench_cmd =
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(const run $ verbose_arg $ list_arg $ filter_arg $ check_arg
-          $ seeded_regression_arg $ history_arg $ record_arg $ date_arg
+          $ seeded_arg "bench" $ history_arg $ record_arg $ date_arg
           $ tolerance_arg $ window_arg $ render_arg $ stats_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -18,8 +18,9 @@
    A state [s] is *enterable* when some edge targets it; it is a
    *wedge* when no edge that can fire in [s] leaves it — once entered,
    no packet or event sequence moves the machine again.  The shipped
-   BFD/BGP machines are wedge-free; the [Seeded_wedge] chaos fixture
-   (recovery transitions removed) is exactly what this flags. *)
+   BFD/BGP machines are wedge-free; the wedge fixture of
+   `sage analyze --seeded wedge` (BFD recovery transitions removed) is
+   exactly what this flags. *)
 
 module Ir = Sage_codegen.Ir
 module D = Diagnostic

@@ -1,42 +1,29 @@
 (* SA012: interp/compiled slot-layout consistency — a load-time
    well-formedness verifier for the compiled backend's representation
-   of this function.
+   of this function's packet.
 
-   Two halves:
-
-   - The compiled {!Sage_backend.Layout} of the recovered header must
-     satisfy the invariants the interpreter's {!Packet_view} semantics
-     rely on: identifier-keyed slot sharing (two fields share a slot
-     iff their names normalize to the same C identifier), masks derived
-     from widths, contiguous bit offsets, and the fixed-byte arithmetic
-     both serializers use.  Any violation means the two backends would
-     read different bytes for the same field.
-
-   - Every [Assign] must compile to *its own* right-hand side:
-     {!Sage_backend.Compiled.effective_assign_expr} is the single point
-     where the compiled code may substitute an expression, and the only
-     sanctioned substitution is none at all.  Running the verifier with
-     the [divergence] fixture armed (the same flag `fuzz
-     --seeded-divergence` passes to [load]) makes the mis-compiled
-     checksum assignment a static Error — the fixture the dynamic
-     backend-agreement oracle needs thousands of packets to catch. *)
+   The compiled {!Sage_backend.Layout} of the recovered header must
+   satisfy the invariants the interpreter's {!Packet_view} semantics
+   rely on: identifier-keyed slot sharing (two fields share a slot iff
+   their names normalize to the same C identifier), masks derived from
+   widths, contiguous bit offsets, and the fixed-byte arithmetic both
+   serializers use.  Any violation means the two backends would read
+   different bytes for the same field. *)
 
 module Ir = Sage_codegen.Ir
 module Hd = Sage_rfc.Header_diagram
 module L = Sage_backend.Layout
-module Compiled = Sage_backend.Compiled
 module D = Diagnostic
 
-let check ?divergence (d : Dataflow.ctx) =
+let check (d : Dataflow.ctx) =
   let func = d.Dataflow.func in
   let diags = ref [] in
-  let emit ?field ?stmt_id severity text =
+  let emit ?field severity text =
     diags :=
-      D.v ?field ?stmt_id ~code:"SA012" ~severity ~fn_name:func.Ir.fn_name
+      D.v ?field ~code:"SA012" ~severity ~fn_name:func.Ir.fn_name
         ~protocol:func.Ir.protocol text
       :: !diags
   in
-  (* ---- compiled layout invariants ---- *)
   (match d.Dataflow.layout with
    | None -> ()
    | Some layout ->
@@ -113,32 +100,4 @@ let check ?divergence (d : Dataflow.ctx) =
               cl.L.fixed_bytes total_bits
               ((total_bits + 7) / 8))
      end);
-  (* ---- assignment fidelity against the compiled backend ---- *)
-  let tamper = divergence = Some func.Ir.fn_name in
-  let rec scan ~base stmts =
-    match stmts with
-    | [] -> ()
-    | s :: rest ->
-      (match s with
-       | Ir.Assign ((Ir.Lfield _ as lv), e) ->
-         let compiled = Compiled.effective_assign_expr ~tamper lv e in
-         if not (Ir.equal_expr compiled e) then
-           emit
-             ?field:(match lv with
-                     | Ir.Lfield (Ir.Proto, f) -> Some f
-                     | _ -> None)
-             ~stmt_id:base D.Error
-             (Printf.sprintf
-                "assignment compiles to a different expression: IR has (%s), \
-                 compiled code stores (%s)"
-                (Fmt.str "%a" Ir.pp_expr e)
-                (Fmt.str "%a" Ir.pp_expr compiled))
-       | Ir.If (_, then_, else_) ->
-         scan ~base:(base + 1) then_;
-         scan ~base:(base + 1 + Ir.extent then_) else_
-       | Ir.Assign (Ir.Lvar _, _) | Ir.Do _ | Ir.Discard | Ir.Send _
-       | Ir.Comment _ -> ());
-      scan ~base:(base + Ir.stmt_extent s) rest
-  in
-  scan ~base:0 func.Ir.body;
   List.rev !diags

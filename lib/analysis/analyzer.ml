@@ -36,7 +36,7 @@ let absint_checks =
     ("absint-checksum-window", Checksum_window.check);
   ]
 
-let analyze_func ?layout ?sentence_of_stmt ?divergence func =
+let analyze_func ?layout ?sentence_of_stmt func =
   let ctx = Dataflow.ctx ?layout ?sentence_of_stmt func in
   let fn_name = func.Ir.fn_name and protocol = func.Ir.protocol in
   let legacy = List.concat_map (fun c -> run_check c ctx) checks in
@@ -56,17 +56,17 @@ let analyze_func ?layout ?sentence_of_stmt ?divergence func =
   in
   let slots =
     protect ~name:"slot-consistency" ~fn_name ~protocol (fun () ->
-        Slots.check ?divergence ctx)
+        Slots.check ctx)
   in
   D.sort (legacy @ semantic @ slots)
 
-let analyze_program ?sentence_of_stmt ?divergence ~struct_of_function funcs =
+let analyze_program ?sentence_of_stmt ~struct_of_function funcs =
   let per_func =
     List.concat_map
       (fun (f : Ir.func) ->
         analyze_func
           ?layout:(List.assoc_opt f.Ir.fn_name struct_of_function)
-          ?sentence_of_stmt ?divergence f)
+          ?sentence_of_stmt f)
       funcs
   in
   let fsm =

@@ -12,18 +12,13 @@
 val analyze_func :
   ?layout:Sage_rfc.Header_diagram.t ->
   ?sentence_of_stmt:(Sage_codegen.Ir.stmt -> string option) ->
-  ?divergence:string ->
   Sage_codegen.Ir.func ->
   Diagnostic.t list
 (** Analyze one generated function against its packet layout (when
-    known) with optional per-sentence provenance.  [divergence] arms
-    the seeded mis-compilation fixture for the named function, exactly
-    as {!Sage_backend.Compiled.load} does, so SA012 can be shown to
-    catch it. *)
+    known) with optional per-sentence provenance. *)
 
 val analyze_program :
   ?sentence_of_stmt:(Sage_codegen.Ir.stmt -> string option) ->
-  ?divergence:string ->
   struct_of_function:(string * Sage_rfc.Header_diagram.t) list ->
   Sage_codegen.Ir.func list ->
   Diagnostic.t list

@@ -16,14 +16,14 @@ type loaded = {
   exec : exec_fn;
 }
 
-let load ?divergence choice ~layout (func : Ir.func) =
+let load choice ~layout (func : Ir.func) =
   let exec =
     match choice with
     | Interp ->
-      let p = Interp_backend.load ?divergence ~layout func in
+      let p = Interp_backend.load ~layout func in
       Interp_backend.exec p
     | Compiled ->
-      let p = Compiled.load ?divergence ~layout func in
+      let p = Compiled.load ~layout func in
       Compiled.exec p
   in
   { choice; func; layout; assigns_checksum = assigns_checksum func; exec }

@@ -81,10 +81,7 @@ type loaded = {
   exec : exec_fn;
 }
 
-val load : ?divergence:string -> choice -> layout:Hd.t -> Ir.func -> loaded
-(** [divergence] names a function the compiled backend deliberately
-    mis-compiles (see {!Seeded_divergence}); the interpreter ignores
-    it. *)
+val load : choice -> layout:Hd.t -> Ir.func -> loaded
 
 val diff : outcome -> outcome -> string option
 (** First observable difference between two outcomes of the same

@@ -17,11 +17,7 @@
    against the interpreter on every input.  One deliberate divergence
    is the step budget, counted per statement here instead of per
    expression node — generated IR is loop-free, so the budget is a
-   runaway backstop that neither backend can exhaust on real bodies.
-
-   [divergence] deliberately mis-compiles the checksum assignment of
-   one named function (the constant the seeded-bug fixture uses), so
-   tests can prove the agreement oracle actually fires. *)
+   runaway backstop that neither backend can exhaust on real bodies. *)
 
 module Ir = Sage_codegen.Ir
 module Hd = Sage_rfc.Header_diagram
@@ -69,7 +65,6 @@ type ctx = {
   fn : string;
   pidx : (string, int) Hashtbl.t;  (* param name -> cell *)
   sidx : (string, int) Hashtbl.t;  (* state name -> cell *)
-  tamper : bool;  (* mis-compile the checksum assignment *)
   mutable npoints : int;  (* executable statements compiled so far *)
   mutable point_ids : int list;  (* their pre-order ids, newest first *)
 }
@@ -599,20 +594,6 @@ let bump st =
     fail "step budget exhausted after %d steps (runaway generated code?)"
       budget
 
-(* The expression an [Assign] actually compiles.  Under the
-   seeded-divergence fixture ([tamper]) the computed checksum
-   assignment compiles to the seeded-bug constant instead of its
-   chain.  Exposed so the static slot-consistency verifier (SA012) can
-   re-derive the compiled program's assignment semantics — and catch
-   the fixture — without executing anything. *)
-let effective_assign_expr ~tamper lv e =
-  match lv with
-  | Ir.Lfield (l, f)
-    when tamper && l = Ir.Proto && f = "checksum"
-         && (match e with Ir.Call _ -> true | _ -> false) ->
-    Ir.Int 0x1234
-  | Ir.Lfield _ | Ir.Lvar _ -> e
-
 let rec comp_block ctx ~base stmts : cstate -> unit =
   let rec go base acc = function
     | [] -> List.rev acc
@@ -639,8 +620,7 @@ and comp_stmt ctx ~id stmt : cstate -> unit =
     ctx.point_ids <- id :: ctx.point_ids;
     let body =
       match stmt with
-      | Ir.Assign ((Ir.Lfield (l, f) as lv), e) ->
-        let e = effective_assign_expr ~tamper:ctx.tamper lv e in
+      | Ir.Assign (Ir.Lfield (l, f), e) ->
         (match l with
          | Ir.Proto when is_var_field ctx.layout f ->
            (* bytes target: keep the value path *)
@@ -707,7 +687,7 @@ let index_of names =
 
 let dummy_ip () = Rt.ip_info ~src:Addr.any ~dst:Addr.any ()
 
-let load ?divergence ~layout (func : Ir.func) =
+let load ~layout (func : Ir.func) =
   let cl = L.of_layout layout in
   let pnames, snames = collect_names func.Ir.body in
   let pidx = index_of pnames and sidx = index_of snames in
@@ -718,7 +698,6 @@ let load ?divergence ~layout (func : Ir.func) =
       fn = func.Ir.fn_name;
       pidx;
       sidx;
-      tamper = divergence = Some func.Ir.fn_name;
       npoints = 0;
       point_ids = [];
     }

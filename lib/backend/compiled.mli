@@ -4,20 +4,6 @@
     once — so executing a packet allocates only its outcome.  Semantics
     are bit-for-bit the interpreter's (asserted by the differential
     suite); the step budget is counted per statement rather than per
-    expression node, a divergence only runaway code could observe.
-
-    [load ~divergence:fn] deliberately mis-compiles [fn]'s computed
-    checksum assignment (see {!Seeded_divergence}). *)
+    expression node, a divergence only runaway code could observe. *)
 
 include Intf.S
-
-val effective_assign_expr :
-  tamper:bool ->
-  Sage_codegen.Ir.lvalue ->
-  Sage_codegen.Ir.expr ->
-  Sage_codegen.Ir.expr
-(** The expression an assignment actually compiles to: the identity,
-    except under the seeded-divergence fixture ([tamper = true]), where
-    a computed checksum assignment becomes the seeded-bug constant.
-    This is the single point the compiled backend may differ from the
-    IR, and the static slot verifier (SA012) checks it. *)

@@ -14,7 +14,7 @@ type prog = { func : Ir.func; layout : Hd.t; assigns_checksum : bool }
 
 let name = "interp"
 
-let load ?divergence:_ ~layout func =
+let load ~layout func =
   { func; layout; assigns_checksum = Intf.assigns_checksum func }
 
 let exec t ?coverage ?trace ~(env : Intf.env) packet =

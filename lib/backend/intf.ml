@@ -76,11 +76,8 @@ module type S = sig
 
   val name : string
 
-  val load : ?divergence:string -> layout:Hd.t -> Ir.func -> prog
-  (** Prepare [Ir.func] for repeated execution against [layout].
-      [divergence] names a function to deliberately mis-compile (the
-      seeded differential-oracle fixture); backends without a compile
-      step ignore it. *)
+  val load : layout:Hd.t -> Ir.func -> prog
+  (** Prepare [Ir.func] for repeated execution against [layout]. *)
 
   val exec : prog -> exec_fn
 end

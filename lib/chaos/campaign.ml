@@ -126,7 +126,7 @@ let run_schedule ?trace ~workload:(w : Workload.t) schedule =
     schedule;
   w.Workload.check ~heal_ticks
 
-let run ?trace ?metrics ?backend ?(soak = 0) ?(wedge = false)
+let run ?trace ?metrics ?backend ?(soak = 0) ?(arm = Fun.id)
     ?(check_reqs = false) ~seed ~scenarios ~corpora () =
   let incr_m ?by name =
     match metrics with None -> () | Some m -> Metrics.incr ?by m name
@@ -186,8 +186,7 @@ let run ?trace ?metrics ?backend ?(soak = 0) ?(wedge = false)
                   | Ok w -> w
                   | Error e -> invalid_arg e
                 in
-                let w = if wedge then Seeded_wedge.arm w else w in
-                ( w,
+                ( arm w,
                   fun () ->
                     List.rev_map
                       (fun (id, detail) ->

@@ -43,7 +43,7 @@ val run :
   ?metrics:Sage_sched.Metrics.t ->
   ?backend:Sage_backend.Backend.choice ->
   ?soak:int ->
-  ?wedge:bool ->
+  ?arm:(Workload.t -> Workload.t) ->
   ?check_reqs:bool ->
   seed:int ->
   scenarios:(string * Episode.schedule) list ->
@@ -52,8 +52,9 @@ val run :
   t
 (** [backend] selects the execution backend for generated stacks
     (default: the interpreter).  [soak] stretches every schedule's
-    final heal window by that many ticks.  [wedge] arms the {!Seeded_wedge} no-recovery fixture on
-    every workload.  [check_reqs] asserts the mined checkable RFC 2119
+    final heal window by that many ticks.  [arm] (default: the
+    identity) wraps every workload a case runs, shrink re-runs
+    included.  [check_reqs] asserts the mined checkable RFC 2119
     requirements (see {!Sage_reqs.Extract.mine}) on every
     generated-function execution a case performs; a violation is a
     case violation of kind {!Oracle.Requirement} carrying the RQ id

@@ -63,7 +63,6 @@ val pp_lvalue : Format.formatter -> lvalue -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
 val pp_func : Format.formatter -> func -> unit
 
-val equal_expr : expr -> expr -> bool
 val equal_stmt : stmt -> stmt -> bool
 
 val fold_stmts : ('a -> stmt -> 'a) -> 'a -> stmt list -> 'a

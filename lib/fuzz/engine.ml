@@ -79,8 +79,8 @@ let shrink ~protocol ~env ?alt ?reqs prog ~kind packet =
       | _ -> None)
     packet
 
-let run ?trace ?metrics ?(backend = Backend.Interp) ?differential ?divergence
-    ?(proved = []) ?(reqs = []) ~seed ~iters ~protocol targets =
+let run ?trace ?metrics ?(backend = Backend.Interp) ?differential
+    ?(load = Backend.load) ?(proved = []) ?(reqs = []) ~seed ~iters ~protocol targets =
   let differential =
     match differential with
     | Some d -> d
@@ -96,7 +96,7 @@ let run ?trace ?metrics ?(backend = Backend.Interp) ?differential ?divergence
      compilation are per-function costs, not per-iteration ones *)
   let progs =
     Array.map
-      (fun (f, layout) -> Backend.load ?divergence backend ~layout f)
+      (fun (f, layout) -> load backend ~layout f)
       ntargets
   in
   (* requirements pre-filtered per round-robin slot: only checkable
@@ -122,7 +122,7 @@ let run ?trace ?metrics ?(backend = Backend.Interp) ?differential ?divergence
       Some
         (Array.map
            (fun (f, layout) ->
-             Backend.load ?divergence (Backend.other backend) ~layout f)
+             load (Backend.other backend) ~layout f)
            ntargets)
     else None
   in

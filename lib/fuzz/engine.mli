@@ -35,7 +35,11 @@ val run :
   ?metrics:Sage_sched.Metrics.t ->
   ?backend:Sage_backend.Backend.choice ->
   ?differential:bool ->
-  ?divergence:string ->
+  ?load:
+    (Sage_backend.Backend.choice ->
+    layout:Sage_rfc.Header_diagram.t ->
+    Sage_codegen.Ir.func ->
+    Sage_backend.Backend.loaded) ->
   ?proved:string list ->
   ?reqs:Sage_reqs.Req.t list ->
   seed:int ->
@@ -54,9 +58,9 @@ val run :
     [differential] (default: on iff [backend] is [Compiled]) re-runs
     every checked iteration on the alternate backend — consuming no
     randomness, coverage or tracing — and feeds the pair to the
-    backend-agreement oracle.  [divergence] names a function the
-    compiled backend deliberately mis-compiles (the seeded
-    differential fixture).
+    backend-agreement oracle.  [load] (default {!Sage_backend.Backend.load})
+    prepares each target on each backend, once, before the first
+    iteration.
 
     [reqs] are the mined requirements (see {!Sage_reqs.Extract.mine});
     the checkable ones anchored to a target function are enforced as

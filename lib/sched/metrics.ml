@@ -13,7 +13,7 @@ let create () =
     lock = Sched_backend.mutex ();
   }
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Monotonic_clock.now ()
 
 let tbl_add tbl key v zero add =
   Hashtbl.replace tbl key (add (Option.value ~default:zero (Hashtbl.find_opt tbl key)) v)

@@ -12,8 +12,10 @@ type t
 val create : unit -> t
 
 val now_ns : unit -> int64
-(** Wall-clock nanoseconds (gettimeofday-based; monotonic enough for
-    coarse stage accounting). *)
+(** Nanoseconds on the monotonic clock: never steps backwards (an NTP
+    adjustment cannot make a stage time negative), with an arbitrary
+    origin, so only differences mean anything.  Reading it does not
+    allocate. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t stage f] runs [f], adding its wall time to [stage] and

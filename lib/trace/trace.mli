@@ -9,8 +9,9 @@
     [chrome://tracing] / Perfetto "trace event" format).
 
     Events carry a timestamp from one of two clocks:
-    - {!Wall} — wall-clock nanoseconds normalised to the tracer's
-      creation, the default, for real profiling;
+    - {!Wall} — elapsed nanoseconds since the tracer's creation, on
+      the monotonic clock ({!Sage_sched.Metrics.now_ns}), the default,
+      for real profiling;
     - {!Logical} — a sequence number incremented under the tracer
       mutex, for tests that need byte-identical trace files across
       runs (same inputs + [--jobs 1] ⇒ identical bytes). *)

@@ -2,9 +2,8 @@
    qcheck_lite lattice laws and concrete-anchor soundness for the
    interval domain, the relational (packet-length) component on the
    guard shape it exists for, a never-raise sweep over all 8 corpora
-   plus random IR, the FSM wedge detector against the seeded-wedge
-   fixture, SA012 against the seeded-divergence fixture, the
-   SA009-dead-arm vs dynamic-coverage cross-check, and the
+   plus random IR, the FSM wedge detector against the wedge
+   fixture, the SA009-dead-arm vs dynamic-coverage cross-check, and the
    fail-on/proved-functions plumbing the CLI builds on. *)
 
 module P = Sage.Pipeline
@@ -15,6 +14,7 @@ module I = Sage_analysis.Interval
 module Absint = Sage_analysis.Absint
 module Fsm = Sage_analysis.Fsm
 module Engine = Sage_fuzz.Engine
+module Fixture = Sage_fixture.Fixture
 module Coverage = Sage_interp.Coverage
 module C = Corpus_runs
 module Q = Qcheck_lite
@@ -309,7 +309,7 @@ let test_bfd_fsm_model_recovered () =
       (List.map Int64.to_string (Fsm.wedges m))
 
 let test_seeded_wedge_detected () =
-  let funcs = Sage_chaos.Seeded_wedge.tamper_fsm (bfd_funcs ()) in
+  let funcs = Fixture.rewrite Fixture.Wedge (bfd_funcs ()) in
   (match
      List.find_opt
        (fun m -> m.Fsm.var = "bfd.SessionState")
@@ -340,27 +340,6 @@ let test_untampered_corpora_wedge_free () =
           0
           (List.length (Fsm.check ~protocol:f.Ir.protocol funcs)))
     C.corpora
-
-(* ---- SA012: the seeded slot-divergence fixture ---- *)
-
-let test_seeded_divergence_detected () =
-  let run = C.run_of (corpus "icmp") in
-  let target = Sage_backend.Seeded_divergence.default_target in
-  let f =
-    List.find
-      (fun (f : Ir.func) -> f.Ir.fn_name = target)
-      run.P.codegen.P.functions
-  in
-  let layout = List.assoc target run.P.codegen.P.struct_of_function in
-  let sa012 diags = List.filter (fun d -> d.D.code = "SA012") diags in
-  check Alcotest.int "clean function: no SA012" 0
-    (List.length (sa012 (A.analyze_func ~layout f)));
-  match sa012 (A.analyze_func ~layout ~divergence:target f) with
-  | [ d ] ->
-    check Alcotest.bool "error severity" true (d.D.severity = D.Error);
-    check Alcotest.bool "shows both expressions" true
-      (contains ~needle:"compiles to a different expression" d.D.text)
-  | ds -> Alcotest.failf "expected 1 SA012, got %d" (List.length ds)
 
 (* ---- SA009 dead arms never execute: static vs coverage ---- *)
 
@@ -483,7 +462,6 @@ let suite =
     tc "bfd FSM model recovered, wedge-free" test_bfd_fsm_model_recovered;
     tc "seeded wedge caught by SA011" test_seeded_wedge_detected;
     tc "untampered corpora raise no SA011" test_untampered_corpora_wedge_free;
-    tc "seeded divergence caught by SA012" test_seeded_divergence_detected;
     tc "SA009 dead arms never covered dynamically"
       test_dead_arms_never_covered;
     tc "fuzz proof cross-check passes on icmp" test_engine_proof_check_ok;

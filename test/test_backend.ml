@@ -1,7 +1,7 @@
 (* The execution backends (lib/backend): the compiled closure backend
    must be observationally identical to the tree-walk interpreter on
    every corpus — same outcomes, same rejects, same coverage, same
-   trace events — and the seeded-divergence fixture must prove the
+   trace events — and the divergence fixture must prove the
    backend-agreement oracle can localize a real mis-compile. *)
 
 module Rng = Sage_fuzz.Rng
@@ -11,7 +11,7 @@ module Oracle = Sage_fuzz.Oracle
 module Engine = Sage_fuzz.Engine
 module Backend = Sage_backend.Backend
 module L = Sage_backend.Layout
-module Divergence = Sage_backend.Seeded_divergence
+module Fixture = Sage_fixture.Fixture
 module Coverage = Sage_interp.Coverage
 module Pv = Sage_interp.Packet_view
 module Ir = Sage_codegen.Ir
@@ -105,9 +105,9 @@ let layout_parity name () =
 
 (* ---- interp-vs-compiled agreement, every function, every corpus ---- *)
 
-let load_both ?divergence layout f =
-  ( Backend.load ?divergence Backend.Interp ~layout f,
-    Backend.load ?divergence Backend.Compiled ~layout f )
+let load_both layout f =
+  ( Backend.load Backend.Interp ~layout f,
+    Backend.load Backend.Compiled ~layout f )
 
 let agree ~what li lc ~env packet =
   match (Driver.exec ~env li packet, Driver.exec ~env lc packet) with
@@ -247,14 +247,19 @@ let test_engine_summary_stable () =
   check Alcotest.string "identical summaries"
     (report Backend.Interp) (report Backend.Compiled)
 
-(* ---- the seeded-divergence fixture ---- *)
+(* ---- the divergence fixture ---- *)
+
+let divergence_target = "icmp_echo_reply_receiver"
+let divergence_load = Fixture.load Fixture.Divergence
 
 let test_divergence_diff () =
   let run = run_of "icmp" in
-  let fn = Divergence.default_target in
+  let fn = divergence_target in
   let f = func_of run fn and layout = layout_of run fn in
-  let li = Backend.load Backend.Interp ~layout f in
-  let lc = Backend.load ~divergence:fn Backend.Compiled ~layout f in
+  let li = divergence_load Backend.Interp ~layout f in
+  let lc = divergence_load Backend.Compiled ~layout f in
+  checkb "compiled side reports the generated function" true
+    (lc.Backend.func == f);
   let packet = Bytes.make (Pv.fixed_bytes layout) '\000' in
   let env = Driver.env_of (Rng.of_seed 1) in
   match (Driver.exec ~env li packet, Driver.exec ~env lc packet) with
@@ -270,13 +275,13 @@ let test_divergence_diff () =
 let test_divergence_found () =
   let run = run_of "icmp" in
   let res =
-    Engine.run ~backend:Backend.Compiled ~divergence:Divergence.default_target
-      ~seed:42 ~iters:2000 ~protocol:"ICMP" (targets_of run)
+    Engine.run ~backend:Backend.Compiled ~load:divergence_load ~seed:42
+      ~iters:2000 ~protocol:"ICMP" (targets_of run)
   in
   match res.Engine.findings with
   | [ f ] ->
     check Alcotest.string "localized to the tampered function"
-      Divergence.default_target f.Engine.fn;
+      divergence_target f.Engine.fn;
     check Alcotest.string "reported as backend disagreement"
       "backend-agreement" (Oracle.kind_name f.Engine.kind);
     checkb "shrunk is no larger" true
@@ -287,12 +292,14 @@ let test_divergence_found () =
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
 let test_divergence_interp_untouched () =
-  (* the interpreter ignores the divergence request: a non-differential
-     interp run over the tampered load stays clean *)
+  (* the divergence loader leaves the interpreter side as generated: a
+     non-differential interp run over it stays clean, where the same
+     broken checksum in the shared IR is found within 500 iterations
+     (the bug fixture) *)
   let run = run_of "icmp" in
   let res =
-    Engine.run ~backend:Backend.Interp ~divergence:Divergence.default_target
-      ~seed:42 ~iters:500 ~protocol:"ICMP" (targets_of run)
+    Engine.run ~backend:Backend.Interp ~load:divergence_load ~seed:42
+      ~iters:500 ~protocol:"ICMP" (targets_of run)
   in
   checki "no findings" 0 (List.length res.Engine.findings)
 

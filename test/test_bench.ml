@@ -9,7 +9,7 @@ module H = Sage_bench.History
 module Regress = Sage_bench.Regress
 module Render = Sage_bench.Render
 module Target = Sage_bench.Target
-module Sr = Sage_bench.Seeded_regression
+module Fixture = Sage_fixture.Fixture
 
 let tc name f = Alcotest.test_case name `Quick f
 let check = Alcotest.check
@@ -397,21 +397,22 @@ let test_committed_history_is_registered () =
 
 let test_seeded_tamper () =
   let current = [ ("winnow", sample 100.); ("nlp", sample 50.) ] in
-  let tampered = Sr.tamper current in
+  let tampered = Fixture.slow Fixture.Regression current in
   check (Alcotest.option (Alcotest.float 1e-9)) "winnow slowed 3x"
     (Some 300.)
     (Option.map (fun s -> s.H.ns) (List.assoc_opt "winnow" tampered));
   check (Alcotest.option (Alcotest.float 1e-9)) "others untouched"
     (Some 50.)
     (Option.map (fun s -> s.H.ns) (List.assoc_opt "nlp" tampered));
-  (* without the default target, the first measured key is slowed *)
-  let fallback = Sr.tamper [ ("nlp", sample 50.) ] in
-  check (Alcotest.option (Alcotest.float 1e-9)) "fallback key slowed"
-    (Some 150.)
-    (Option.map (fun s -> s.H.ns) (List.assoc_opt "nlp" fallback));
-  check (Alcotest.option Alcotest.string) "tampered key reported"
-    (Some "nlp")
-    (Sr.tampered_key [ ("nlp", sample 50.) ])
+  (* without winnow, the first measured key is slowed, and only it *)
+  let others = [ ("nlp", sample 50.); ("codegen", sample 20.) ] in
+  let slowed =
+    List.filter_map
+      (fun (k, s) -> if s <> List.assoc k others then Some (k, s.H.ns) else None)
+      (Fixture.slow Fixture.Regression others)
+  in
+  check Alcotest.(list (pair string (float 1e-9))) "first key slowed 3x"
+    [ ("nlp", 150.) ] slowed
 
 (* ------------------------------------------------------------------ *)
 (* CLI surface (the real binary; measurement-free paths only — the     *)

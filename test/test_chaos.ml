@@ -10,6 +10,7 @@ module W = Sage_chaos.Workload
 module Sc = Sage_chaos.Scenario
 module Cam = Sage_chaos.Campaign
 module Faults = Sage_sim.Faults
+module Fixture = Sage_fixture.Fixture
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -171,7 +172,8 @@ let test_soak_stretches_heal () =
 
 let test_seeded_wedge_fails_and_shrinks () =
   let t =
-    Cam.run ~seed:7 ~wedge:true ~scenarios:Sc.builtins ~corpora:icmp_cases ()
+    Cam.run ~seed:7 ~arm:(Fixture.arm Fixture.Wedge) ~scenarios:Sc.builtins
+      ~corpora:icmp_cases ()
   in
   check Alcotest.int "exit 1" 1 (Cam.exit_code t);
   (* crash-free scenarios never engage the wedge *)

@@ -1,8 +1,12 @@
 (* CLI argument handling, exercised against the real binary: usage
-   errors (unknown flags, malformed values, unknown subcommands) must
-   exit 2 with usage text on stderr and never a backtrace, and the
-   fuzz verb must be deterministic and report through exit codes.
-   Exit codes of the --seeded-* fixtures live in test_seeded_matrix. *)
+   errors (unknown flags, malformed values, unknown subcommands, a
+   --seeded NAME the verb does not take) must exit 2 with usage text on
+   stderr and never a backtrace, a --seeded fixture that would change
+   nothing in its run must exit 2 saying what it needs, and the fuzz
+   verb must be deterministic and report through exit codes.  The exit
+   codes of fixtures that do run live in test_seeded_matrix. *)
+
+module Fixture = Sage_fixture.Fixture
 
 let run_cli = Cli_harness.run_cli
 let read_file = Cli_harness.read_file
@@ -166,6 +170,50 @@ let test_fuzz_check_proofs () =
   checkb "proof set reported" true (contains out "SA007-proved");
   checkb "cross-check passed" true (contains out "proof-check: ok")
 
+(* ---- --seeded NAME ---- *)
+
+let test_seeded_not_for_verb () =
+  let code, _out, err = run_cli "fuzz --seeded regression" in
+  checki "exit 2" 2 code;
+  List.iter
+    (fun f ->
+      if List.mem "fuzz" (Fixture.verbs f) then
+        checkb ("lists " ^ Fixture.name f) true
+          (contains err (Printf.sprintf "'%s'" (Fixture.name f))))
+    Fixture.all
+
+let test_seeded_hyphenated_unknown () =
+  List.iter
+    (fun args -> expect_usage_error args args)
+    [ "fuzz --seeded-bug"; "fuzz --seeded-divergence";
+      "fuzz --seeded-violation"; "analyze --seeded-wedge";
+      "chaos --seeded-wedge"; "bench --seeded-regression" ]
+
+(* a fixture whose target the run does not have would pass vacuously *)
+let expect_vacuous ~fixture ~needs args () =
+  let code, _out, err = run_cli args in
+  checki (args ^ ": exit 2") 2 code;
+  checkb (args ^ ": names the fixture") true
+    (contains err ("--seeded " ^ fixture));
+  checkb (args ^ ": says what it needs") true (contains err needs);
+  checkb (args ^ ": no backtrace") false
+    (contains err "Raised at" || contains err "Backtrace")
+
+(* (label, fixture, what the refusal must ask for, command line) *)
+let vacuous_cases =
+  [
+    ( "fuzz bug on bfd", "bug", "-p icmp",
+      "fuzz -p bfd --seed 42 --iters 300 --seeded bug" );
+    ( "fuzz divergence on bfd", "divergence", "-p icmp",
+      "fuzz -p bfd --seed 42 --iters 300 --seeded divergence" );
+    ( "fuzz violation on icmp", "violation", "-p bfd",
+      "fuzz -p icmp --seeded violation" );
+    ( "analyze wedge on icmp", "wedge", "-p bfd",
+      "analyze -p icmp --seeded wedge --prove" );
+    ( "chaos wedge without a crash", "wedge", "crash episode",
+      "chaos --seed 7 --corpus icmp --scenario partition --seeded wedge" );
+  ]
+
 let suite =
   [
     Alcotest.test_case "unknown flag: fuzz" `Quick test_unknown_flag_fuzz;
@@ -213,4 +261,13 @@ let suite =
       test_analyze_json_deterministic;
     Alcotest.test_case "fuzz: --check-proofs passes" `Slow
       test_fuzz_check_proofs;
+    Alcotest.test_case "--seeded NAME the verb lacks" `Quick
+      test_seeded_not_for_verb;
+    Alcotest.test_case "hyphenated --seeded-NAME is unknown" `Quick
+      test_seeded_hyphenated_unknown;
   ]
+  @ List.map
+      (fun (label, fixture, needs, args) ->
+        Alcotest.test_case ("vacuous: " ^ label) `Quick
+          (expect_vacuous ~fixture ~needs args))
+      vacuous_cases

@@ -1,6 +1,6 @@
 (* The coverage-guided differential fuzzer (lib/fuzz): PRNG stability,
    grammar-based generation, coverage instrumentation, the oracle
-   suite, engine determinism, and the seeded-bug fixture that proves
+   suite, engine determinism, and the bug fixture that proves
    the loop can find, shrink and report a real disagreement. *)
 
 module Rng = Sage_fuzz.Rng
@@ -8,7 +8,7 @@ module Gen = Sage_fuzz.Gen
 module Driver = Sage_fuzz.Driver
 module Oracle = Sage_fuzz.Oracle
 module Engine = Sage_fuzz.Engine
-module Seeded_bug = Sage_fuzz.Seeded_bug
+module Fixture = Sage_fixture.Fixture
 module Backend = Sage_backend.Backend
 module Coverage = Sage_interp.Coverage
 module Ir = Sage_codegen.Ir
@@ -553,12 +553,11 @@ let test_engine_trace () =
 
 (* ---- seeded bug ---- *)
 
+let bug_target = "icmp_echo_reply_receiver"
+
 let seeded_result ?(seed = 42) ?(iters = 500) () =
   let run = run_of "icmp" in
-  let funcs =
-    Seeded_bug.tamper_checksum ~fn:Seeded_bug.default_target
-      run.P.codegen.P.functions
-  in
+  let funcs = Fixture.rewrite Fixture.Bug run.P.codegen.P.functions in
   let targets =
     List.filter_map
       (fun (f : Ir.func) ->
@@ -573,8 +572,7 @@ let test_seeded_bug_one_finding () =
   let r = seeded_result () in
   checki "exactly one finding" 1 (List.length r.Engine.findings);
   let fd = List.hd r.Engine.findings in
-  check Alcotest.string "in the tampered function" Seeded_bug.default_target
-    fd.Engine.fn;
+  check Alcotest.string "in the tampered function" bug_target fd.Engine.fn;
   checkb "checksum oracle" true (fd.Engine.kind = Oracle.Checksum);
   checkb "shrunk no larger than trigger" true
     (Bytes.length fd.Engine.shrunk <= Bytes.length fd.Engine.packet);
@@ -591,23 +589,20 @@ let test_seeded_bug_deterministic () =
 let test_seeded_bug_tamper_is_targeted () =
   let run = run_of "icmp" in
   let funcs = run.P.codegen.P.functions in
-  let tampered = Seeded_bug.tamper_checksum ~fn:Seeded_bug.default_target funcs in
+  let tampered = Fixture.rewrite Fixture.Bug funcs in
   checki "same function count" (List.length funcs) (List.length tampered);
   List.iter2
     (fun (a : Ir.func) (b : Ir.func) ->
-      if a.Ir.fn_name = Seeded_bug.default_target then
+      if a.Ir.fn_name = bug_target then
         checkb "target body changed" true (a.Ir.body <> b.Ir.body)
       else checkb ("untouched " ^ a.Ir.fn_name) true (a.Ir.body = b.Ir.body))
     funcs tampered
 
 let test_shrink_keeps_oracle () =
   let run = run_of "icmp" in
-  let funcs =
-    Seeded_bug.tamper_checksum ~fn:Seeded_bug.default_target
-      run.P.codegen.P.functions
-  in
-  let f = List.find (fun f -> f.Ir.fn_name = Seeded_bug.default_target) funcs in
-  let layout = layout_of run Seeded_bug.default_target in
+  let funcs = Fixture.rewrite Fixture.Bug run.P.codegen.P.functions in
+  let f = List.find (fun f -> f.Ir.fn_name = bug_target) funcs in
+  let layout = layout_of run bug_target in
   let env = Driver.env_of (Rng.of_seed 2) in
   let packet = Gen.packet (Rng.of_seed 2) layout in
   let shrunk, detail, _steps =

@@ -1,13 +1,13 @@
 (* The requirement-mining subsystem (lib/reqs): RFC 2119 sentence
    detection, per-corpus mining counts, guard evaluation and every
    obligation's check semantics against synthetic outcomes, violation
-   ordering, the seeded-violation tamper fixture, and the text/JSON
+   ordering, the violation fixture, and the text/JSON
    renderers (including CLI-level byte-determinism across --jobs). *)
 
 module Req = Sage_reqs.Req
 module Extract = Sage_reqs.Extract
 module Render = Sage_reqs.Render
-module Seeded_violation = Sage_reqs.Seeded_violation
+module Fixture = Sage_fixture.Fixture
 module Backend = Sage_backend.Backend
 module Ir = Sage_codegen.Ir
 module Rt = Sage_interp.Runtime
@@ -307,13 +307,15 @@ let test_first_violation_order () =
   checkb "empty list is silent" true
     (Req.first_violation ~env:(env ()) ~o [] = None)
 
-(* ---- the seeded-violation fixture ---- *)
+(* ---- the violation fixture ---- *)
+
+let violation_target = "bfd_reception_of_bfd_control_packets_sender"
 
 let test_tamper_targeted () =
   let run = run_of "bfd" in
   let funcs = run.P.codegen.P.functions in
-  let target = Seeded_violation.default_target in
-  let tampered = Seeded_violation.tamper_discards ~fn:target funcs in
+  let target = violation_target in
+  let tampered = Fixture.rewrite Fixture.Violation funcs in
   checki "same function count" (List.length funcs) (List.length tampered);
   List.iter2
     (fun (a : Ir.func) (b : Ir.func) ->
@@ -328,10 +330,8 @@ let test_tamper_targeted () =
 let test_tampered_run_violates () =
   let run = run_of "bfd" in
   let reqs = List.filter Req.checkable run.P.requirements in
-  let target = Seeded_violation.default_target in
-  let funcs =
-    Seeded_violation.tamper_discards ~fn:target run.P.codegen.P.functions
-  in
+  let target = violation_target in
+  let funcs = Fixture.rewrite Fixture.Violation run.P.codegen.P.functions in
   let targets =
     List.filter_map
       (fun (f : Ir.func) ->

@@ -1,9 +1,14 @@
 (* The seeded-fixture exit-code matrix, table-driven against the real
-   binary: every --seeded-* fixture must exit 1 (each one is a
-   self-test proving its oracle can fire), and every clean corpus must
-   exit 0 under the same verbs.  One table instead of per-suite copies
-   of the same assertion — the fixture-internals tests (what exactly
-   was tampered, how the finding shrinks) stay with their libraries. *)
+   binary: every (fixture, verb) pair of Fixture.all must have a row
+   here that exits 1 (each fixture is a self-test proving its oracle
+   can fire), and every clean corpus must exit 0 under the same verbs.
+   One table instead of per-suite copies of the same assertion — the
+   fixture-internals tests (what exactly was tampered, how the finding
+   shrinks) stay with the suites of the oracles they exercise.
+
+   A row's [name] is its stable test id; [args] is what runs. *)
+
+module Fixture = Sage_fixture.Fixture
 
 let run_cli = Cli_harness.run_cli
 let contains = Cli_harness.contains
@@ -19,19 +24,19 @@ let seeded_fixtures =
   [
     {
       name = "fuzz --seeded-bug";
-      args = "fuzz --seed 42 --iters 300 --seeded-bug";
+      args = "fuzz --seed 42 --iters 300 --seeded bug";
       exit_code = 1;
       expect = [ "findings   : 1" ];
     };
     {
       name = "fuzz --seeded-divergence";
-      args = "fuzz --seed 42 --iters 300 --seeded-divergence";
+      args = "fuzz --seed 42 --iters 300 --seeded divergence";
       exit_code = 1;
       expect = [ "findings   : 1"; "backend-agreement" ];
     };
     {
       name = "fuzz --seeded-violation";
-      args = "fuzz -p bfd --seed 42 --iters 300 --seeded-violation";
+      args = "fuzz -p bfd --seed 42 --iters 300 --seeded violation";
       exit_code = 1;
       expect =
         [
@@ -45,21 +50,15 @@ let seeded_fixtures =
     };
     {
       name = "chaos --seeded-wedge";
-      args = "chaos --seed 7 --corpus icmp --seeded-wedge";
+      args = "chaos --seed 7 --corpus icmp --seeded wedge";
       exit_code = 1;
       expect = [ "FAIL"; "crash:1;heal:48" ];
     };
     {
       name = "analyze --seeded-wedge";
-      args = "analyze -p bfd --seeded-wedge --prove";
+      args = "analyze -p bfd --seeded wedge --prove";
       exit_code = 1;
       expect = [ "SA011"; "wedge" ];
-    };
-    {
-      name = "analyze --seeded-divergence";
-      args = "analyze --seeded-divergence --prove";
-      exit_code = 1;
-      expect = [ "SA012"; "compiles to a different expression" ];
     };
     (* record-then-check against a private history makes the baseline
        the just-measured value, so the verdict is deterministic on any
@@ -69,13 +68,13 @@ let seeded_fixtures =
       name = "bench --seeded-regression";
       args =
         "bench --filter winnow --history sage-bench-seeded.json --record \
-         selftest --date 2026-01-01 --seeded-regression";
+         selftest --date 2026-01-01 --seeded regression";
       exit_code = 1;
       expect = [ "REGRESSED"; "winnow"; "FAIL" ];
     };
   ]
 
-(* Every corpus, fuzzed clean (the --seeded-* fixtures above are the
+(* Every corpus, fuzzed clean (the --seeded fixtures above are the
    only way these verbs may exit nonzero on shipped corpora).  Small
    iteration counts: the exit-code contract is what's under test; the
    zero-violation soak lives in CI's fuzz job. *)
@@ -129,7 +128,36 @@ let check_row row () =
           row.name needle out err)
     row.expect
 
+(* the VERB and --seeded NAME a row's command line passes *)
+let seeded_pair row =
+  let rec name_of = function
+    | "--seeded" :: name :: _ -> Some name
+    | _ :: rest -> name_of rest
+    | [] -> None
+  in
+  match String.split_on_char ' ' row.args with
+  | verb :: rest -> Option.map (fun name -> (verb, name)) (name_of rest)
+  | [] -> None
+
+(* a fixture registered for a verb without a row here would ship
+   untested *)
+let test_every_fixture_has_a_row () =
+  let covered = List.filter_map seeded_pair seeded_fixtures in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun verb ->
+          if not (List.mem (verb, Fixture.name f) covered) then
+            Alcotest.failf "no matrix row runs %s --seeded %s" verb
+              (Fixture.name f))
+        (Fixture.verbs f))
+    Fixture.all
+
 let suite =
   List.map
     (fun row -> Alcotest.test_case row.name `Slow (check_row row))
     (seeded_fixtures @ clean_corpora)
+  @ [
+      Alcotest.test_case "every fixture/verb pair has a row" `Quick
+        test_every_fixture_has_a_row;
+    ]
