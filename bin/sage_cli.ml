@@ -69,6 +69,18 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+(* An integer below [min] is a usage error (exit 2): a zero iteration
+   count or baseline window would otherwise pass vacuously. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "must be >= %d, got %d" min n))
+    | None ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let stats_arg =
   let doc =
     "After the run, print per-stage wall times, counters and the chart \
@@ -225,6 +237,15 @@ let corpus_of proto rewritten =
   | Bfd, true -> (Sage_corpus.Bfd_rfc.title, Sage_corpus.Bfd_rfc.rewritten_text)
   | Tcp, _ -> (Sage_corpus.Tcp_rfc.title, Sage_corpus.Tcp_rfc.text)
   | Bgp, _ -> (Sage_corpus.Bgp_rfc.title, Sage_corpus.Bgp_rfc.text)
+
+(* The eight shipped corpora: name, protocol, rewritten text. *)
+let corpora =
+  [ ("icmp", Icmp, false); ("icmp-rw", Icmp, true);
+    ("igmp", Igmp, false); ("ntp", Ntp, false);
+    ("bfd", Bfd, false); ("bfd-rw", Bfd, true);
+    ("tcp", Tcp, false); ("bgp", Bgp, false) ]
+
+let corpus_names = List.map (fun (name, _, _) -> name) corpora
 
 let status_string = function
   | P.Parsed _ -> "parsed (1 LF)"
@@ -541,42 +562,12 @@ let ambiguities_cmd =
     Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
-(* execution backend selection (interop / fuzz / chaos)                *)
-(* ------------------------------------------------------------------ *)
-
-let backend_conv =
-  let parse s =
-    match Sage_backend.Backend.choice_of_string s with
-    | Some c -> Ok c
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown backend %S (choose from %s)" s
-              (String.concat ", "
-                 (List.map Sage_backend.Backend.choice_name
-                    Sage_backend.Backend.all_choices))))
-  in
-  Arg.conv
-    (parse, fun ppf c -> Fmt.string ppf (Sage_backend.Backend.choice_name c))
-
-let backend_arg =
-  let doc =
-    "Execution backend for the generated IR: $(b,interp) (the tree-walk \
-     interpreter) or $(b,compiled) (bodies compiled to closures at load \
-     time; fuzz runs additionally check every iteration against the \
-     interpreter through the backend-agreement oracle)."
-  in
-  Arg.(value
-       & opt backend_conv Sage_backend.Backend.Interp
-       & info [ "backend" ] ~docv:"NAME" ~doc)
-
-(* ------------------------------------------------------------------ *)
 (* sage interop                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let interop_cmd =
-  let run verbose rewritten backend fault_seed fault_plan trace_file
-      trace_format trace_clock =
+  let run verbose rewritten fault_seed fault_plan trace_file trace_format
+      trace_clock =
     setup_logs verbose;
     let faults =
       match fault_plan with
@@ -592,7 +583,7 @@ let interop_cmd =
     let under_faults = Option.is_some faults in
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
     let result = run_pipeline ?trace Icmp rewritten in
-    let stack = Sage_sim.Generated_stack.of_run ?trace ~backend result in
+    let stack = Sage_sim.Generated_stack.of_run ?trace result in
     let service = Sage_sim.Icmp_service.generated stack in
     let net = Sage_sim.Network.default_topology ~service ?faults ?trace () in
     let target = Sage_sim.Network.server1_addr net in
@@ -664,9 +655,8 @@ let interop_cmd =
      through a seeded fault-injection plan."
   in
   Cmd.v (Cmd.info "interop" ~doc)
-    Term.(const run $ verbose_arg $ rewritten_arg $ backend_arg
-          $ fault_seed_arg $ fault_plan_arg $ trace_arg $ trace_format_arg
-          $ trace_clock_arg)
+    Term.(const run $ verbose_arg $ rewritten_arg $ fault_seed_arg
+          $ fault_plan_arg $ trace_arg $ trace_format_arg $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage corpus                                                         *)
@@ -714,12 +704,6 @@ let reqs_cmd =
   let run proto verbose rewritten jobs cache_cap corpus format =
     setup_logs verbose;
     if corpus then begin
-      let corpora =
-        [ ("icmp", Icmp, false); ("icmp-rw", Icmp, true);
-          ("igmp", Igmp, false); ("ntp", Ntp, false);
-          ("bfd", Bfd, false); ("bfd-rw", Bfd, true);
-          ("tcp", Tcp, false); ("bgp", Bgp, false) ]
-      in
       Printf.printf "%-8s  %5s  %8s  %9s\n" "corpus" "mined" "compiled"
         "checkable";
       List.iter
@@ -771,8 +755,8 @@ let fuzz_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
   in
   let iters_arg =
-    let doc = "Number of fuzz iterations." in
-    Arg.(value & opt int 2000 & info [ "iters" ] ~docv:"N" ~doc)
+    let doc = "Number of fuzz iterations (at least 1)." in
+    Arg.(value & opt (int_at_least 1) 2000 & info [ "iters" ] ~docv:"N" ~doc)
   in
   let coverage_out_arg =
     let doc = "Write per-function IR statement coverage as JSON to $(docv)." in
@@ -797,15 +781,11 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "check-reqs" ] ~doc)
   in
-  let run proto verbose rewritten jobs backend seed iters seeded check_proofs
+  let run proto verbose rewritten jobs seed iters seeded check_proofs
       check_reqs coverage_out stats trace_file trace_format trace_clock =
     setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
     let check_reqs = check_reqs || seeded = Some Fixture.Violation in
-    let backend =
-      if seeded = Some Fixture.Divergence then Sage_backend.Backend.Compiled
-      else backend
-    in
     let result = run_pipeline ~jobs ?trace proto rewritten in
     let funcs = seeded_ir ~verb:"fuzz" seeded result.P.codegen.P.functions in
     let proved =
@@ -831,7 +811,8 @@ let fuzz_cmd =
     in
     let reqs = if check_reqs then result.P.requirements else [] in
     let fz =
-      Sage_fuzz.Engine.run ?trace ~metrics:result.P.metrics ~backend
+      Sage_fuzz.Engine.run ?trace ~metrics:result.P.metrics
+        ~backend:Sage_backend.Backend.Compiled
         ?load:(Option.map Fixture.load seeded) ~proved ~reqs ~seed ~iters
         ~protocol:result.P.spec.P.protocol targets
     in
@@ -851,15 +832,16 @@ let fuzz_cmd =
     if fz.Sage_fuzz.Engine.findings = [] then 0 else 1
   in
   let doc =
-    "Fuzz the generated code under the interpreter: grammar-based packets \
-     from the recovered layouts, IR statement coverage guidance, and a \
-     differential oracle suite (reference decoders, round-trip identity, \
-     checksum verification).  Deterministic for a fixed seed; exits \
-     nonzero when any oracle finding is reported."
+    "Fuzz the generated code on the compiled backend: grammar-based \
+     packets from the recovered layouts, IR statement coverage guidance, \
+     and a differential oracle suite (reference decoders, round-trip \
+     identity, checksum verification, and agreement with the reference \
+     interpreter, which re-runs every iteration).  Deterministic for a \
+     fixed seed; exits nonzero when any oracle finding is reported."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ backend_arg $ seed_arg $ iters_arg $ seeded_arg "fuzz"
+          $ seed_arg $ iters_arg $ seeded_arg "fuzz"
           $ check_proofs_arg $ check_reqs_arg $ coverage_out_arg $ stats_arg
           $ trace_arg $ trace_format_arg $ trace_clock_arg)
 
@@ -868,9 +850,6 @@ let fuzz_cmd =
 (* ------------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let corpus_names =
-    [ "icmp"; "icmp-rw"; "igmp"; "ntp"; "bfd"; "bfd-rw"; "tcp"; "bgp" ]
-  in
   let chaos_corpus_conv =
     let parse s =
       if List.mem s corpus_names then Ok s
@@ -938,18 +917,9 @@ let chaos_cmd =
     Arg.(value & opt (some schedule_conv) None
          & info [ "schedule" ] ~docv:"SPEC|FILE" ~doc)
   in
-  let soak_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Ok n
-      | Some n -> Error (`Msg (Printf.sprintf "--soak must be >= 0, got %d" n))
-      | None -> Error (`Msg (Printf.sprintf "bad --soak value %S" s))
-    in
-    Arg.conv (parse, Fmt.int)
-  in
   let soak_arg =
     let doc = "Stretch every schedule's final heal window by $(docv) ticks." in
-    Arg.(value & opt soak_conv 0 & info [ "soak" ] ~docv:"TICKS" ~doc)
+    Arg.(value & opt (int_at_least 0) 0 & info [ "soak" ] ~docv:"TICKS" ~doc)
   in
   let seed_arg =
     let doc = "Campaign seed: the same seed reproduces the identical run." in
@@ -964,7 +934,7 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "check-reqs" ] ~doc)
   in
-  let run verbose jobs backend seed scenario schedule soak seeded check_reqs
+  let run verbose jobs seed scenario schedule soak seeded check_reqs
       corpora_sel stats trace_file trace_format trace_clock =
     setup_logs verbose;
     if scenario <> None && schedule <> None then
@@ -980,16 +950,8 @@ let chaos_cmd =
            match Hashtbl.find_opt runs name with
            | Some r -> r
            | None ->
-             let proto, rewritten =
-               match name with
-               | "icmp" -> (Icmp, false)
-               | "icmp-rw" -> (Icmp, true)
-               | "igmp" -> (Igmp, false)
-               | "ntp" -> (Ntp, false)
-               | "bfd" -> (Bfd, false)
-               | "bfd-rw" -> (Bfd, true)
-               | "tcp" -> (Tcp, false)
-               | _ -> (Bgp, false)
+             let _, proto, rewritten =
+               List.find (fun (n, _, _) -> n = name) corpora
              in
              let r = run_pipeline ~jobs ?trace proto rewritten in
              Hashtbl.replace runs name r;
@@ -1022,7 +984,7 @@ let chaos_cmd =
            seeded;
          let metrics = Sage_sched.Metrics.create () in
          let campaign =
-           Sage_chaos.Campaign.run ?trace ~metrics ~backend ~soak
+           Sage_chaos.Campaign.run ?trace ~metrics ~soak
              ?arm:(Option.map Fixture.arm seeded) ~check_reqs ~seed ~scenarios
              ~corpora ()
          in
@@ -1045,7 +1007,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(ret
-            (const run $ verbose_arg $ jobs_arg $ backend_arg $ seed_arg
+            (const run $ verbose_arg $ jobs_arg $ seed_arg
              $ scenario_arg $ schedule_arg $ soak_arg $ seeded_arg "chaos"
              $ check_reqs_arg $ corpus_arg $ stats_arg $ trace_arg
              $ trace_format_arg $ trace_clock_arg))
@@ -1132,8 +1094,10 @@ let bench_cmd =
     Arg.(value & opt (some float) None & info [ "tolerance" ] ~docv:"PCT" ~doc)
   in
   let window_arg =
-    let doc = "Baseline = median of the last $(docv) recorded values." in
-    Arg.(value & opt int 5 & info [ "window" ] ~docv:"K" ~doc)
+    let doc =
+      "Baseline = median of the last $(docv) recorded values (at least 1)."
+    in
+    Arg.(value & opt (int_at_least 1) 5 & info [ "window" ] ~docv:"K" ~doc)
   in
   let render_arg =
     let doc =

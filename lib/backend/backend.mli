@@ -3,10 +3,12 @@
     One [Ir.func -> exec] interface with two implementations: the
     tree-walk interpreter ({!Interp_backend}) and a closure compiler
     ({!Compiled}) that resolves fields to slot indices and builtins to
-    precomputed byte ranges at load time.  Downstream code — fuzz
-    driver, oracles, generated stack, CLI — speaks only the types here,
-    so the backends are interchangeable, and {!diff} makes every
-    execution differentially testable. *)
+    precomputed byte ranges at load time.  The compiled backend is the
+    production executor (the generated stack, [sage fuzz]); the
+    interpreter is the semantic reference it is checked against.
+    Downstream code — fuzz driver, oracles, generated stack, CLI —
+    speaks only the types here, so the backends are interchangeable,
+    and {!diff} makes every execution differentially testable. *)
 
 module Hd = Sage_rfc.Header_diagram
 module Ir = Sage_codegen.Ir
@@ -19,8 +21,6 @@ module Addr = Sage_net.Addr
 type choice = Intf.choice = Interp | Compiled
 
 val choice_name : choice -> string
-val all_choices : choice list
-val choice_of_string : string -> choice option
 val other : choice -> choice
 
 (** Initial IP header fields underneath the protocol message. *)

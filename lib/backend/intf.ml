@@ -15,13 +15,6 @@ module Addr = Sage_net.Addr
 type choice = Interp | Compiled
 
 let choice_name = function Interp -> "interp" | Compiled -> "compiled"
-let all_choices = [ Interp; Compiled ]
-
-let choice_of_string = function
-  | "interp" -> Some Interp
-  | "compiled" -> Some Compiled
-  | _ -> None
-
 let other = function Interp -> Compiled | Compiled -> Interp
 
 (* Initial IP header fields underneath the protocol message.  Immutable

@@ -258,7 +258,7 @@ let all =
       tolerance = noisy;
       prepare =
         (fun () ->
-          let st = Gs.of_run (Lazy.force icmp_rewr) in
+          let st = Gs.of_run ~backend:Backend.Interp (Lazy.force icmp_rewr) in
           let request = Lazy.force echo_request in
           fun () ->
             ignore

@@ -126,7 +126,7 @@ let run_schedule ?trace ~workload:(w : Workload.t) schedule =
     schedule;
   w.Workload.check ~heal_ticks
 
-let run ?trace ?metrics ?backend ?(soak = 0) ?(arm = Fun.id)
+let run ?trace ?metrics ?(soak = 0) ?(arm = Fun.id)
     ?(check_reqs = false) ~seed ~scenarios ~corpora () =
   let incr_m ?by name =
     match metrics with None -> () | Some m -> Metrics.incr ?by m name
@@ -180,8 +180,7 @@ let run ?trace ?metrics ?backend ?(soak = 0) ?(arm = Fun.id)
                 let w =
                   match
                     Workload.for_corpus ~corpus:c.corpus ~stack
-                      ~run:c.generated_run ?trace ?backend ?observer
-                      ~seed:cseed ()
+                      ~run:c.generated_run ?trace ?observer ~seed:cseed ()
                   with
                   | Ok w -> w
                   | Error e -> invalid_arg e

@@ -41,7 +41,6 @@ type t = {
 val run :
   ?trace:Sage_trace.Trace.t ->
   ?metrics:Sage_sched.Metrics.t ->
-  ?backend:Sage_backend.Backend.choice ->
   ?soak:int ->
   ?arm:(Workload.t -> Workload.t) ->
   ?check_reqs:bool ->
@@ -50,9 +49,9 @@ val run :
   corpora:corpus_case list ->
   unit ->
   t
-(** [backend] selects the execution backend for generated stacks
-    (default: the interpreter).  [soak] stretches every schedule's
-    final heal window by that many ticks.  [arm] (default: the
+(** Generated stacks run the compiled backend, the production
+    executor.  [soak] stretches every schedule's final heal window by
+    that many ticks.  [arm] (default: the
     identity) wraps every workload a case runs, shrink re-runs
     included.  [check_reqs] asserts the mined checkable RFC 2119
     requirements (see {!Sage_reqs.Extract.mine}) on every

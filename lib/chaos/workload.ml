@@ -84,13 +84,13 @@ let recovery_check log ~kind ~what =
 (* ICMP: ping + traceroute against the reference or generated service  *)
 (* ------------------------------------------------------------------ *)
 
-let icmp ~stack ~run ?trace ?backend ?observer ~seed () =
+let icmp ~stack ~run ?trace ?observer ~seed () =
   let faults = Faults.create ~plan:[] ~seed () in
   let up = ref true in
   let base =
     match stack with
     | Reference -> Icmp_service.reference
-    | Generated -> Icmp_service.generated (Gs.of_run ?trace ?backend ?observer (Lazy.force run))
+    | Generated -> Icmp_service.generated (Gs.of_run ?trace ?observer (Lazy.force run))
   in
   let service = Icmp_service.with_availability ~up:(fun () -> !up) base in
   let net = Network.default_topology ~service ~faults ?trace () in
@@ -157,7 +157,7 @@ let icmp ~stack ~run ?trace ?backend ?observer ~seed () =
 (* IGMP: query/report cycle against the snooping switch                *)
 (* ------------------------------------------------------------------ *)
 
-let igmp ~stack ~run ?trace ?backend ?observer ~seed () =
+let igmp ~stack ~run ?trace ?observer ~seed () =
   let wire = Faults.create ~plan:[] ~seed () in
   let groups = [ a "224.1.1.1"; a "224.2.2.2" ] in
   let switch = Igmp_switch.create ~groups (a "192.168.2.10") in
@@ -181,7 +181,7 @@ let igmp ~stack ~run ?trace ?backend ?observer ~seed () =
                      (Int64.of_int32 (Addr.to_int32 (a "224.0.0.1")))
                      0xffffffffL)) ]
            ~src:(a "10.0.1.1") ~dst:(a "224.0.0.1")
-           (Gs.of_run ?trace ?backend ?observer (Lazy.force run))
+           (Gs.of_run ?trace ?observer (Lazy.force run))
            ~fn:"igmp_host_membership_query_sender")
   in
   let log = new_log () in
@@ -242,12 +242,12 @@ let igmp ~stack ~run ?trace ?backend ?observer ~seed () =
 (* NTP: poll/response with the RFC 5905 reachability shift register    *)
 (* ------------------------------------------------------------------ *)
 
-let ntp ~stack ~run ?trace ?backend ?observer ~seed () =
+let ntp ~stack ~run ?trace ?observer ~seed () =
   let c2s = Faults.create ~plan:[] ~seed () in
   let s2c = Faults.create ~plan:[] ~seed:(seed + 0x1e57) () in
   let up = ref true in
   let reach = ref 0 in
-  let gs = lazy (Gs.of_run ?trace ?backend ?observer (Lazy.force run)) in
+  let gs = lazy (Gs.of_run ?trace ?observer (Lazy.force run)) in
   let gen_error = ref None in
   let client_pkt =
     Ntp.encode { Ntp.default with Ntp.transmit_timestamp = 1L }
@@ -368,13 +368,13 @@ let generated_bfd_receive gs : Bfd_link.receive =
       bindings;
     `Ok
 
-let bfd ~stack ~run ?trace ?backend ?observer ~seed () =
+let bfd ~stack ~run ?trace ?observer ~seed () =
   let detect_mult = 3 in
   let receive =
     match stack with
     | Reference -> None
     | Generated ->
-      Some (generated_bfd_receive (Gs.of_run ?trace ?backend ?observer (Lazy.force run)))
+      Some (generated_bfd_receive (Gs.of_run ?trace ?observer (Lazy.force run)))
   in
   let link = Bfd_link.create_link ~detect_mult ?receive ~seed () in
   let log = new_log () in
@@ -431,12 +431,12 @@ let bfd ~stack ~run ?trace ?backend ?observer ~seed () =
 (* TCP: segment echo through the generated header-validation rules     *)
 (* ------------------------------------------------------------------ *)
 
-let tcp ~stack ~run ?trace ?backend ?observer ~seed () =
+let tcp ~stack ~run ?trace ?observer ~seed () =
   let c2s = Faults.create ~plan:[] ~seed () in
   let s2c = Faults.create ~plan:[] ~seed:(seed + 0x7cb) () in
   let up = ref true in
   let client = a "10.0.1.50" and server = a "192.168.2.10" in
-  let gs = lazy (Gs.of_run ?trace ?backend ?observer (Lazy.force run)) in
+  let gs = lazy (Gs.of_run ?trace ?observer (Lazy.force run)) in
   let segment =
     lazy
       (match stack with
@@ -528,11 +528,11 @@ let tcp ~stack ~run ?trace ?backend ?observer ~seed () =
 (* lossy transport                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let bgp ~stack ~run ?trace ?backend ?observer ~seed () =
+let bgp ~stack ~run ?trace ?observer ~seed () =
   let wire = Faults.create ~plan:[] ~seed () in
   let up = ref true in
   let state = ref 1 (* Idle *) in
-  let gs = lazy (Gs.of_run ?trace ?backend ?observer (Lazy.force run)) in
+  let gs = lazy (Gs.of_run ?trace ?observer (Lazy.force run)) in
   let open_pkt =
     lazy
       (match stack with
@@ -611,12 +611,12 @@ let bgp ~stack ~run ?trace ?backend ?observer ~seed () =
 (* Corpus dispatch                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let for_corpus ~corpus ~stack ~run ?trace ?backend ?observer ~seed () =
+let for_corpus ~corpus ~stack ~run ?trace ?observer ~seed () =
   match corpus with
-  | "icmp" | "icmp-rw" -> Ok (icmp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "igmp" -> Ok (igmp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "ntp" -> Ok (ntp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "bfd" | "bfd-rw" -> Ok (bfd ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "tcp" -> Ok (tcp ~stack ~run ?trace ?backend ?observer ~seed ())
-  | "bgp" -> Ok (bgp ~stack ~run ?trace ?backend ?observer ~seed ())
+  | "icmp" | "icmp-rw" -> Ok (icmp ~stack ~run ?trace ?observer ~seed ())
+  | "igmp" -> Ok (igmp ~stack ~run ?trace ?observer ~seed ())
+  | "ntp" -> Ok (ntp ~stack ~run ?trace ?observer ~seed ())
+  | "bfd" | "bfd-rw" -> Ok (bfd ~stack ~run ?trace ?observer ~seed ())
+  | "tcp" -> Ok (tcp ~stack ~run ?trace ?observer ~seed ())
+  | "bgp" -> Ok (bgp ~stack ~run ?trace ?observer ~seed ())
   | c -> Error (Printf.sprintf "no chaos workload for corpus %S" c)

@@ -6,8 +6,8 @@
     snooping switch, NTP a poll loop feeding the RFC 5905 reachability
     register, BFD the persistent {!Sage_sim.Bfd_link}, TCP a
     segment-echo through the generated header-validation rules, and BGP
-    the ManualStart FSM re-establishment.  The [Generated] stack drives
-    SAGE-generated functions through the interpreter; [Reference] drives
+    the ManualStart FSM re-establishment.  The [Generated] stack runs
+    SAGE-generated functions on the compiled backend; [Reference] drives
     the hand-written implementations — the chaos analogue of the paper's
     two-sided interoperation runs (§6.2). *)
 
@@ -40,7 +40,6 @@ val for_corpus :
   stack:stack ->
   run:Sage.Pipeline.run Lazy.t ->
   ?trace:Sage_trace.Trace.t ->
-  ?backend:Sage_backend.Backend.choice ->
   ?observer:Sage_sim.Generated_stack.observer ->
   seed:int ->
   unit ->

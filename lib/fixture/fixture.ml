@@ -38,8 +38,7 @@ let doc = function
   | Divergence ->
     "runs that broken checksum on the compiled backend only, the \
      interpreter running the IR as generated; the backend-agreement \
-     oracle must report exactly one finding.  Implies $(b,--backend \
-     compiled)."
+     oracle must report exactly one finding."
   | Violation ->
     "deletes the guarded discards of \
      bfd_reception_of_bfd_control_packets_sender (bfd corpus); the \

@@ -1,9 +1,12 @@
 (* Driving SAGE-generated code as a protocol implementation: the bridge
    between the pipeline's output and the simulated network.  All four
    entry points lower to one shape — build the packet bytes, build the
-   backend environment, run the selected execution backend — so the
-   whole simulated stack (interop suite, chaos campaigns) runs on
-   either backend unchanged. *)
+   backend environment, run the loaded program — so the whole simulated
+   stack (interop, chaos campaigns) runs the compiled backend, the
+   production executor; the interpreter stays the semantic reference
+   the fuzzer checks it against.  Compiled programs reuse state
+   preallocated at load time ([Compiled.cstate] and the scratch
+   buffers), so one stack must not be shared across [Pool] domains. *)
 
 module Rt = Sage_interp.Runtime
 module Pv = Sage_interp.Packet_view
@@ -30,10 +33,9 @@ type t = {
 
 type env_value = Rt.value
 
-let of_run ?trace ?(backend = Backend.Interp) ?observer run =
+let of_run ?trace ?(backend = Backend.Compiled) ?observer run =
   { run; trace; backend; observer; progs = Hashtbl.create 16 }
 
-let backend t = t.backend
 let functions t = t.run.Sage.Pipeline.codegen.Sage.Pipeline.functions
 
 let protocol_number t =

@@ -26,12 +26,13 @@ val of_run :
   t
 (** [trace] is handed to every execution this stack performs, so
     generated functions emit [exec:<fn>] spans and send/discard
-    instants regardless of backend.  [backend] selects the execution
-    backend (default: the tree-walk interpreter); programs are loaded
-    once per function and cached.  [observer], when given, sees every
-    execution (see {!observer}). *)
-
-val backend : t -> Sage_backend.Backend.choice
+    instants regardless of backend.  [backend] is the execution
+    backend (default: [Compiled], the production executor; [Interp]
+    only to measure or check the reference interpreter); programs are
+    loaded once per function and cached.  The compiled programs reuse
+    state preallocated at load time ([Compiled.cstate] and the scratch
+    buffers), so one [t] must not be shared across [Pool] domains.
+    [observer], when given, sees every execution (see {!observer}). *)
 
 val functions : t -> Sage_codegen.Ir.func list
 

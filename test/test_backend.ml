@@ -54,17 +54,9 @@ let all_corpora =
 (* ---- backend selection ---- *)
 
 let test_choices () =
-  checkb "interp parses" true
-    (Backend.choice_of_string "interp" = Some Backend.Interp);
-  checkb "compiled parses" true
-    (Backend.choice_of_string "compiled" = Some Backend.Compiled);
-  checkb "unknown rejected" true (Backend.choice_of_string "jit" = None);
   List.iter
-    (fun c ->
-      checkb "name round-trips" true
-        (Backend.choice_of_string (Backend.choice_name c) = Some c);
-      checkb "other is the other one" true (Backend.other c <> c))
-    Backend.all_choices
+    (fun c -> checkb "other is the other one" true (Backend.other c <> c))
+    [ Backend.Interp; Backend.Compiled ]
 
 (* ---- compiled layouts vs the interpreter's packet view ---- *)
 

@@ -213,6 +213,30 @@ let test_counters_reach_stats () =
   check Alcotest.bool "chaos line after" true
     (Astring_contains.contains after "chaos: 2 cases")
 
+(* ---- generated stacks run the production executor ---- *)
+
+let test_generated_workloads_run_compiled () =
+  List.iter
+    (fun (c : C.corpus) ->
+      let name = c.C.name in
+      let seen = ref [] in
+      let observer ~fn:_ ~env:_ (o : Sage_backend.Backend.outcome) =
+        seen := o.Sage_backend.Backend.backend :: !seen
+      in
+      match
+        W.for_corpus ~corpus:name ~stack:W.Generated
+          ~run:(case_of name).Cam.generated_run ~observer ~seed:1 ()
+      with
+      | Error e -> Alcotest.fail e
+      | Ok w ->
+        for _ = 1 to 10 do
+          w.W.step ~healed:true
+        done;
+        check Alcotest.bool (name ^ ": ran generated code") true (!seen <> []);
+        check Alcotest.bool (name ^ ": only compiled") true
+          (List.for_all (( = ) Sage_backend.Backend.Compiled) !seen))
+    C.corpora
+
 (* ---- byte-exact campaign snapshot ---- *)
 
 let test_campaign_snapshot () =
@@ -233,5 +257,7 @@ let suite =
     tc "seeded wedge fails with one shrunk schedule"
       test_seeded_wedge_fails_and_shrinks;
     tc "chaos counters reach Report.stats" test_counters_reach_stats;
+    tc "generated workloads run compiled code"
+      test_generated_workloads_run_compiled;
     tc "campaign summary golden snapshot" test_campaign_snapshot;
   ]

@@ -15,6 +15,7 @@ module Rt = Sage_interp.Runtime
 module Pcap = Sage_net.Pcap
 module Tcpdump = Sage_net.Tcpdump
 module Bfd = Sage_net.Bfd
+module Backend = Sage_backend.Backend
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -192,20 +193,21 @@ let test_pcap_all_message_types_clean () =
       verdicts
   | Error e -> Alcotest.fail e
 
+let echo_request =
+  let payload =
+    Icmp.encode
+      (Icmp.Echo { Icmp.echo_code = 0; identifier = 0x2327; sequence = 1;
+                   payload = Bytes.of_string "0123456789abcdef" })
+  in
+  Ipv4.encode
+    (Ipv4.make ~protocol:Ipv4.protocol_icmp ~src:(a "10.0.1.50")
+       ~dst:(a "192.168.2.10") ~payload_len:(Bytes.length payload) ())
+    ~payload
+
 let test_generated_echo_reply_matches_reference () =
   (* byte-for-byte agreement with the hand-written stack *)
   let st = Lazy.force stack in
-  let request =
-    let payload =
-      Icmp.encode
-        (Icmp.Echo { Icmp.echo_code = 0; identifier = 0x2327; sequence = 1;
-                     payload = Bytes.of_string "0123456789abcdef" })
-    in
-    Ipv4.encode
-      (Ipv4.make ~protocol:Ipv4.protocol_icmp ~src:(a "10.0.1.50")
-         ~dst:(a "192.168.2.10") ~payload_len:(Bytes.length payload) ())
-      ~payload
-  in
+  let request = echo_request in
   let generated =
     match Gs.process_request st ~fn:"icmp_echo_reply_receiver" ~request with
     | Ok (Some r) -> r
@@ -220,6 +222,23 @@ let test_generated_echo_reply_matches_reference () =
   (* compare the ICMP payloads (IP identification fields may differ) *)
   let icmp_of d = match Ipv4.decode d with Ok (_, p) -> p | Error e -> Alcotest.fail (Sage_net.Decode_error.to_string e) in
   check Alcotest.bytes "identical ICMP bytes" (icmp_of reference) (icmp_of generated)
+
+let test_stack_runs_compiled () =
+  (* the compiled backend is the production executor: a stack built
+     without choosing one runs it *)
+  let seen = ref [] in
+  let observer ~fn:_ ~env:_ (o : Backend.outcome) =
+    seen := o.Backend.backend :: !seen
+  in
+  let st = Gs.of_run ~observer (Lazy.force icmp_run) in
+  (match
+     Gs.process_request st ~fn:"icmp_echo_reply_receiver" ~request:echo_request
+   with
+   | Ok (Some _) -> ()
+   | Ok None -> Alcotest.fail "generated discarded"
+   | Error e -> Alcotest.fail e);
+  check Alcotest.bool "one execution, compiled" true
+    (!seen = [ Backend.Compiled ])
 
 let test_generated_to_generated () =
   (* close the loop: the generated SENDER's echo request is answered by
@@ -580,6 +599,7 @@ let suite =
     tc "original corpus fails ping (6.5)" test_original_corpus_fails_ping;
     tc "pcap of all message types is clean (6.2)" test_pcap_all_message_types_clean;
     tc "generated echo reply = reference bytes" test_generated_echo_reply_matches_reference;
+    tc "generated stack runs the compiled backend" test_stack_runs_compiled;
     tc "generated sender <-> generated receiver" test_generated_to_generated;
     tc "IGMP query interop (6.3)" test_igmp_interop;
     tc "IGMP report carries group" test_igmp_report_carries_group;
