@@ -112,58 +112,35 @@ let render_text ?(protocol = "") diags =
   end;
   Buffer.contents buf
 
-(* ---- JSON renderer (self-contained; stable field order) ---- *)
+(* ---- JSON renderer (stable field order) ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Sage_json.Json
 
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+let json d =
+  let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
+  Json.Obj
+    ([
+       ("code", Json.Str d.code);
+       ("severity", Json.Str (severity_name d.severity));
+       ("function", Json.Str d.fn_name);
+       ("protocol", Json.Str d.protocol);
+       ("message", Json.Str d.text);
+     ]
+    @ opt "field" (fun f -> Json.Str f) d.field
+    @ opt "stmt" Json.int d.stmt_id
+    @ opt "sentence" (fun s -> Json.Str s) d.sentence)
 
-let to_json d =
-  let fields =
-    [
-      ("code", json_str d.code);
-      ("severity", json_str (severity_name d.severity));
-      ("function", json_str d.fn_name);
-      ("protocol", json_str d.protocol);
-      ("message", json_str d.text);
-    ]
-    @ (match d.field with Some f -> [ ("field", json_str f) ] | None -> [])
-    @ (match d.stmt_id with
-       | Some id -> [ ("stmt", string_of_int id) ]
-       | None -> [])
-    @ (match d.sentence with
-       | Some s -> [ ("sentence", json_str s) ]
-       | None -> [])
-  in
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields)
-  ^ "}"
+let to_json d = Json.to_string (json d)
 
 let render_json ?(protocol = "") diags =
   let diags = sort diags in
-  let body =
-    match diags with
-    | [] -> "[]"
-    | _ ->
-      "[\n"
-      ^ String.concat ",\n" (List.map (fun d -> "    " ^ to_json d) diags)
-      ^ "\n  ]"
-  in
-  Printf.sprintf
-    "{\n  \"protocol\": %s,\n  \"errors\": %d,\n  \"warnings\": %d,\n  \
-     \"infos\": %d,\n  \"diagnostics\": %s\n}\n"
-    (json_str protocol) (errors diags) (warnings diags) (count Info diags)
-    body
+  let buf = Buffer.create 1024 in
+  Json.add_envelope buf
+    [
+      ("protocol", Json.Str protocol);
+      ("errors", Json.int (errors diags));
+      ("warnings", Json.int (warnings diags));
+      ("infos", Json.int (count Info diags));
+    ]
+    "diagnostics" (List.map json diags);
+  Buffer.contents buf

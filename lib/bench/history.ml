@@ -33,174 +33,26 @@ let normalize_record r =
   { r with entries = List.sort (fun (a, _) (b, _) -> compare a b) r.entries }
 
 (* ------------------------------------------------------------------ *)
-(* Minimal JSON tree parser.  The repo deliberately carries no JSON    *)
-(* dependency; this accepts standard JSON (objects, arrays, strings    *)
-(* with the common escapes, numbers, true/false/null) — everything the *)
-(* canonical printer emits and then some.                              *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg =
-    raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
-  in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        if !pos >= n then fail "unterminated escape";
-        (match s.[!pos] with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | c -> fail (Printf.sprintf "unsupported escape '\\%c'" c));
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && numchar s.[!pos] do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let k = parse_string () in
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            members ()
-          | Some '}' -> incr pos
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        Arr []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            elements ()
-          | Some ']' -> incr pos
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements ();
-        Arr (List.rev !items)
-      end
-    | Some 't' -> parse_literal "true" (Bool true)
-    | Some 'f' -> parse_literal "false" (Bool false)
-    | Some 'n' -> parse_literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing characters after document";
-  v
-
-(* ------------------------------------------------------------------ *)
 (* JSON <-> history                                                    *)
 (* ------------------------------------------------------------------ *)
 
+module Json = Sage_json.Json
+
+exception Parse_error of string
+
 let field name = function
-  | Obj fields ->
+  | Json.Obj fields ->
     (match List.assoc_opt name fields with
      | Some v -> v
      | None -> raise (Parse_error (Printf.sprintf "missing field %S" name)))
   | _ -> raise (Parse_error (Printf.sprintf "expected object with %S" name))
 
 let as_str what = function
-  | Str s -> s
+  | Json.Str s -> s
   | _ -> raise (Parse_error (Printf.sprintf "%s: expected string" what))
 
 let as_num what = function
-  | Num f -> f
+  | Json.Num f -> f
   | _ -> raise (Parse_error (Printf.sprintf "%s: expected number" what))
 
 let sample_of_json key j =
@@ -213,7 +65,7 @@ let sample_of_json key j =
 let record_of_json j =
   let entries =
     match field "entries" j with
-    | Obj fields -> List.map (fun (k, v) -> (k, sample_of_json k v)) fields
+    | Json.Obj fields -> List.map (fun (k, v) -> (k, sample_of_json k v)) fields
     | _ -> raise (Parse_error "entries: expected object")
   in
   normalize_record
@@ -232,53 +84,34 @@ let of_json j =
             schema_version));
   let records =
     match field "commits" j with
-    | Arr items -> List.map record_of_json items
+    | Json.Arr items -> List.map record_of_json items
     | _ -> raise (Parse_error "commits: expected array")
   in
   { schema; records }
 
 let of_string s =
-  match of_json (parse_json s) with
-  | t -> Ok t
-  | exception Parse_error msg -> Error msg
+  Result.bind (Json.parse s) (fun j ->
+      try Ok (of_json j) with Parse_error msg -> Error msg)
 
 (* canonical printer: the exact shape of_string accepts back *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_string t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{\n  \"schema\": %d,\n" t.schema);
-  Buffer.add_string buf "  \"commits\": [";
+  let str = Json.add_string in
+  Printf.bprintf buf "{\n  \"schema\": %d,\n  \"commits\": [" t.schema;
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\n      \"commit\": \"%s\",\n"
-           (escape r.commit));
-      Buffer.add_string buf
-        (Printf.sprintf "      \"date\": \"%s\",\n" (escape r.date));
-      Buffer.add_string buf "      \"entries\": {";
+      Printf.bprintf buf
+        "\n    {\n      \"commit\": %a,\n      \"date\": %a,\n\
+        \      \"entries\": {"
+        str r.commit str r.date;
       List.iteri
         (fun j (key, s) ->
           if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n        \"%s\": { \"ns\": %.1f, \"iters\": %d, \
-                \"backend\": \"%s\" }"
-               (escape key) s.ns s.iters (escape s.backend)))
+          Printf.bprintf buf
+            "\n        %a: { \"ns\": %.1f, \"iters\": %d, \"backend\": %a }" str
+            key s.ns s.iters str s.backend)
         r.entries;
       if r.entries <> [] then Buffer.add_string buf "\n      ";
       Buffer.add_string buf "}\n    }")

@@ -248,8 +248,15 @@ let pp_resolution ppf = function
   | Value v -> Fmt.pf ppf "value %d" v
 
 let pp ppf ctx =
-  Fmt.pf ppf
-    {|{"protocol": %S, "message": %S, "field": %S, "role": %S}|}
-    ctx.protocol ctx.message
-    (Option.value ~default:"" ctx.field)
-    (match ctx.role with None -> "" | Some r -> Ir.role_name r)
+  let module Json = Sage_json.Json in
+  Fmt.string ppf
+    (Json.to_string
+       (Json.Obj
+          [
+            ("protocol", Json.Str ctx.protocol);
+            ("message", Json.Str ctx.message);
+            ("field", Json.Str (Option.value ~default:"" ctx.field));
+            ( "role",
+              Json.Str
+                (match ctx.role with None -> "" | Some r -> Ir.role_name r) );
+          ]))

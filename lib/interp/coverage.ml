@@ -66,6 +66,8 @@ let totals t funcs =
     (fun (c, p) s -> (c + s.fn_covered, p + s.fn_points))
     (0, 0) (stats t funcs)
 
+module Json = Sage_json.Json
+
 (* Stable JSON rendering: functions sorted by name, ids ascending, so
    the --coverage-out artifact diffs cleanly across runs. *)
 let to_json t (funcs : Ir.func list) =
@@ -74,22 +76,27 @@ let to_json t (funcs : Ir.func list) =
   let fns = List.sort (fun a b -> compare a.Ir.fn_name b.Ir.fn_name) funcs in
   List.iteri
     (fun i (f : Ir.func) ->
-      let ids = points f in
-      let hit_ids = List.filter (fun id -> hit_count t ~fn:f.Ir.fn_name ~id > 0) ids in
-      Buffer.add_string buf
-        (Printf.sprintf "    %S: {\"covered\": %d, \"points\": %d, \"hits\": {"
-           f.Ir.fn_name (List.length hit_ids) (List.length ids));
-      List.iteri
-        (fun j id ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s\"%d\": %d"
-               (if j = 0 then "" else ", ")
-               id
-               (hit_count t ~fn:f.Ir.fn_name ~id)))
-        hit_ids;
-      Buffer.add_string buf
-        (Printf.sprintf "}}%s\n" (if i = List.length fns - 1 then "" else ",")))
+      let fn = f.Ir.fn_name and ids = points f in
+      let hits =
+        List.filter_map
+          (fun id ->
+            match hit_count t ~fn ~id with
+            | 0 -> None
+            | n -> Some (string_of_int id, Json.int n))
+          ids
+      in
+      Buffer.add_string buf (if i = 0 then "    " else ",\n    ");
+      Json.add_string buf fn;
+      Buffer.add_string buf ": ";
+      Json.add_value buf
+        (Json.Obj
+           [
+             ("covered", Json.int (List.length hits));
+             ("points", Json.int (List.length ids));
+             ("hits", Json.Obj hits);
+           ]))
     fns;
+  if fns <> [] then Buffer.add_char buf '\n';
   let covered, total = totals t funcs in
   Buffer.add_string buf
     (Printf.sprintf "  },\n  \"covered\": %d,\n  \"points\": %d\n}\n" covered

@@ -21,66 +21,39 @@ let text ~protocol reqs =
     reqs;
   Buffer.contents buf
 
-(* ---- JSON (self-contained; stable field order) ---- *)
+(* ---- JSON (stable field order) ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Sage_json.Json
 
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let req_to_json (r : Req.t) =
-  let fields =
-    [
-      ("id", json_str r.Req.id);
-      ("level", json_str (Req.level_name r.Req.level));
-      ("protocol", json_str r.Req.protocol);
-      ( "obligation",
-        match r.Req.rule with
-        | Some { Req.obligation; _ } ->
-          json_str (Req.obligation_name obligation)
-        | None -> "null" );
-      ("checkable", if Req.checkable r then "true" else "false");
-      ( "functions",
-        "["
-        ^ String.concat ", " (List.map json_str r.Req.fns)
-        ^ "]" );
-      ("sentence", json_str r.Req.sentence);
-    ]
-    @ (match r.Req.message with
-       | Some m -> [ ("message", json_str m) ]
-       | None -> [])
-    @ (match r.Req.field with
-       | Some f -> [ ("field", json_str f) ]
-       | None -> [])
-    @ if r.Req.note = "" then [] else [ ("note", json_str r.Req.note) ]
-  in
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields)
-  ^ "}"
+let req_json (r : Req.t) =
+  let opt key = function Some v -> [ (key, Json.Str v) ] | None -> [] in
+  Json.Obj
+    ([
+       ("id", Json.Str r.Req.id);
+       ("level", Json.Str (Req.level_name r.Req.level));
+       ("protocol", Json.Str r.Req.protocol);
+       ( "obligation",
+         match r.Req.rule with
+         | Some { Req.obligation; _ } ->
+           Json.Str (Req.obligation_name obligation)
+         | None -> Json.Null );
+       ("checkable", Json.Bool (Req.checkable r));
+       ("functions", Json.Arr (List.map (fun f -> Json.Str f) r.Req.fns));
+       ("sentence", Json.Str r.Req.sentence);
+     ]
+    @ opt "message" r.Req.message
+    @ opt "field" r.Req.field
+    @ if r.Req.note = "" then [] else [ ("note", Json.Str r.Req.note) ])
 
 let json ~protocol reqs =
   let mined, compiled, checkable = summary_counts reqs in
-  let body =
-    match reqs with
-    | [] -> "[]"
-    | _ ->
-      "[\n"
-      ^ String.concat ",\n" (List.map (fun r -> "    " ^ req_to_json r) reqs)
-      ^ "\n  ]"
-  in
-  Printf.sprintf
-    "{\n  \"protocol\": %s,\n  \"mined\": %d,\n  \"compiled\": %d,\n  \
-     \"checkable\": %d,\n  \"requirements\": %s\n}\n"
-    (json_str protocol) mined compiled checkable body
+  let buf = Buffer.create 1024 in
+  Json.add_envelope buf
+    [
+      ("protocol", Json.Str protocol);
+      ("mined", Json.int mined);
+      ("compiled", Json.int compiled);
+      ("checkable", Json.int checkable);
+    ]
+    "requirements" (List.map req_json reqs);
+  Buffer.contents buf

@@ -7,8 +7,6 @@
 type arg =
   | Int of int
   | Str of string
-  | Float of float
-  | Bool of bool
 
 type phase =
   | Begin
@@ -133,33 +131,7 @@ let event_count t =
 
 (* --- rendering ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let arg_to_json = function
-  | Int i -> string_of_int i
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Float f -> Printf.sprintf "%.6g" f
-  | Bool b -> if b then "true" else "false"
-
-let args_to_json args =
-  String.concat ","
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (arg_to_json v))
-       args)
+module Json = Sage_json.Json
 
 let ph_char = function
   | Begin -> 'B'
@@ -178,21 +150,28 @@ let ts_to_json clock ts =
     Printf.sprintf "%Ld.%03Ld" (Int64.div ts 1000L)
       (Int64.rem ts 1000L)
 
-let event_to_json clock ev =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%s,\"pid\":1,\"tid\":%d"
-       (json_escape ev.name)
-       (json_escape (if ev.cat = "" then "sage" else ev.cat))
-       (ph_char ev.ph) (ts_to_json clock ev.ts) ev.tid);
-  (match ev.ph with
-  | Instant -> Buffer.add_string buf ",\"s\":\"t\""
-  | _ -> ());
-  (match ev.args with
-  | [] -> ()
-  | args -> Buffer.add_string buf (Printf.sprintf ",\"args\":{%s}" (args_to_json args)));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+(* One event as a compact (space-free) Chrome trace-event object. *)
+let add_event buf clock ev =
+  Printf.bprintf buf
+    "{\"name\":%a,\"cat\":%a,\"ph\":\"%c\",\"ts\":%s,\"pid\":1,\"tid\":%d"
+    Json.add_string ev.name Json.add_string
+    (if ev.cat = "" then "sage" else ev.cat)
+    (ph_char ev.ph) (ts_to_json clock ev.ts) ev.tid;
+  if ev.ph = Instant then Buffer.add_string buf ",\"s\":\"t\"";
+  if ev.args <> [] then begin
+    Buffer.add_string buf ",\"args\":{";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        Json.add_string buf k;
+        Buffer.add_char buf ':';
+        match v with
+        | Int n -> Buffer.add_string buf (string_of_int n)
+        | Str s -> Json.add_string buf s)
+      ev.args;
+    Buffer.add_char buf '}'
+  end;
+  Buffer.add_char buf '}'
 
 let to_chrome_json t =
   let evs = events t in
@@ -201,16 +180,12 @@ let to_chrome_json t =
   List.iteri
     (fun i ev ->
       if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (event_to_json t.clock ev))
+      add_event buf t.clock ev)
     evs;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
 
-let arg_to_text = function
-  | Int i -> string_of_int i
-  | Str s -> s
-  | Float f -> Printf.sprintf "%.6g" f
-  | Bool b -> string_of_bool b
+let arg_to_text = function Int i -> string_of_int i | Str s -> s
 
 let event_to_text ev =
   let args =

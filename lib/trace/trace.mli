@@ -20,8 +20,6 @@
 type arg =
   | Int of int
   | Str of string
-  | Float of float
-  | Bool of bool
 
 (** Event kind, mirroring the Chrome-trace ["ph"] field. *)
 type phase =

@@ -272,6 +272,8 @@ let test_render_text_and_json () =
     (contains ~needle:"\"code\": \"SA005\"" json);
   check Alcotest.bool "json carries protocol" true
     (contains ~needle:"\"protocol\": \"TEST\"" json);
+  check Alcotest.bool "json parses" true
+    (Result.is_ok (Sage_json.Json.parse json));
   (* escaping: a finding text with quotes/backslashes must stay valid *)
   let d =
     D.v ~code:"SA000" ~severity:D.Warning ~fn_name:"f" ~protocol:"T"
@@ -374,7 +376,9 @@ let test_diagnostics_in_report () =
     (contains ~needle:"static analysis:" md);
   let json = Sage.Report.analysis_json run in
   check Alcotest.bool "json renders" true
-    (contains ~needle:"\"protocol\": \"ICMP\"" json)
+    (contains ~needle:"\"protocol\": \"ICMP\"" json);
+  check Alcotest.bool "json parses" true
+    (Result.is_ok (Sage_json.Json.parse json))
 
 let test_metrics_have_analysis_stage () =
   let _, run = List.hd (Lazy.force corpus_runs) in

@@ -6,6 +6,7 @@
 
 module Q = Qcheck_lite
 module H = Sage_bench.History
+module Json = Sage_json.Json
 module Regress = Sage_bench.Regress
 module Render = Sage_bench.Render
 module Target = Sage_bench.Target
@@ -23,7 +24,14 @@ let check = Alcotest.check
 let pool_a = [ "nlp"; "ccg-parse"; "winnow"; "codegen" ]
 let pool_b = [ "analysis-dataflow"; "interp/iter"; "sim-pps"; "fuzz/iter" ]
 
-let backends = [ "interp"; "compiled"; "sim"; "snapshot" ]
+(* what a JSON printer must escape (every byte below 0x20, the quote,
+   the backslash) and multibyte UTF-8 (é, →, 😀) that it must not *)
+let label_pieces =
+  List.init 32 (fun i -> String.make 1 (Char.chr i))
+  @ [ "\""; "\\"; "\xc3\xa9"; "\xe2\x86\x92"; "\xf0\x9f\x98\x80" ]
+
+let backends =
+  [ "interp"; "compiled"; "sim"; "snapshot"; String.concat "" label_pieces ]
 
 (* ns values on exact tenths so the canonical %.1f printer round-trips
    bit-for-bit through the parser *)
@@ -63,7 +71,9 @@ let record_arb pool =
     ~print:(fun (r : H.record) -> H.to_string { H.empty with records = [ r ] })
     (fun ((ci, day), entries) ->
       {
-        H.commit = Printf.sprintf "c%d" ci;
+        H.commit =
+          Printf.sprintf "c%d%s" ci
+            (List.nth label_pieces (ci mod List.length label_pieces));
         date = Printf.sprintf "2026-08-%02d" (1 + day);
         entries;
       })
@@ -84,7 +94,9 @@ let history_pair_arb =
 
 let prop_roundtrip =
   Q.test "history parse/print round-trip" ~count:150 (history_arb pool_a)
-    (fun h -> H.of_string (H.to_string h) = Ok h)
+    (fun h ->
+      let s = H.to_string h in
+      Result.is_ok (Json.parse s) && H.of_string s = Ok h)
 
 let prop_append_monotonic =
   Q.test "append preserves the existing trajectory" ~count:150
@@ -184,6 +196,22 @@ let test_load_rejects_garbage () =
    | Ok _ -> Alcotest.fail "truncated document must not load"
    | Error _ -> ());
   Sys.remove file
+
+(* a history written by another tool may use any RFC 8259 escape *)
+let test_load_every_escape () =
+  let doc =
+    {|{ "schema": 1, "commits": [ { "commit": "caf\u00e9\b\f\/",
+          "date": "2026-08-01", "entries": {
+            "a\/b": { "ns": 1.5, "iters": 2, "backend": "\u00e9" } } } ] }|}
+  in
+  match H.of_string doc with
+  | Error e -> Alcotest.failf "valid JSON rejected: %s" e
+  | Ok h ->
+    check Alcotest.(list string) "commit decoded" [ "caf\xc3\xa9\b\012/" ]
+      (List.map (fun r -> r.H.commit) h.H.records);
+    check Alcotest.(list string) "key decoded" [ "a/b" ] (H.keys h);
+    check Alcotest.(option string) "backend decoded" (Some "\xc3\xa9")
+      (Option.map (fun s -> s.H.backend) (H.latest h "a/b"))
 
 (* ------------------------------------------------------------------ *)
 (* Regress gate semantics.                                             *)
@@ -380,10 +408,12 @@ let committed_history () =
     ]
 
 let test_committed_history_is_registered () =
-  match Option.map H.load (committed_history ()) with
+  match Option.map (fun f -> (f, H.load f)) (committed_history ()) with
   | None -> Alcotest.fail "BENCH_history.json not found"
-  | Some (Error e) -> Alcotest.failf "BENCH_history.json: %s" e
-  | Some (Ok h) ->
+  | Some (_, Error e) -> Alcotest.failf "BENCH_history.json: %s" e
+  | Some (file, Ok h) ->
+    check Alcotest.string "the printer reproduces the committed bytes"
+      (Cli_harness.read_file file) (H.to_string h);
     check Alcotest.bool "history has keys" true (H.keys h <> []);
     List.iter
       (fun key ->
@@ -474,6 +504,7 @@ let suite =
     tc "save/load is atomic and lossless" test_save_load_atomic;
     tc "loading a missing history is empty" test_load_missing_is_empty;
     tc "bad schema and torn documents are errors" test_load_rejects_garbage;
+    tc "history reads every JSON escape" test_load_every_escape;
     tc "flat noise within tolerance passes" test_regress_flat_noise_passes;
     tc "2x regression fails naming the key" test_regress_2x_fails_naming_key;
     tc "new key is baseline-recorded, not failed"

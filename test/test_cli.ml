@@ -128,7 +128,8 @@ let test_fuzz_coverage_out () =
   let json = read_file file in
   Sys.remove file;
   checkb "coverage json has functions" true (contains json "\"functions\"");
-  checkb "coverage json has totals" true (contains json "\"points\"")
+  checkb "coverage json has totals" true (contains json "\"points\"");
+  checkb "coverage json parses" true (Result.is_ok (Sage_json.Json.parse json))
 
 (* ---- analyze verb: proofs, fixtures, policies, determinism ---- *)
 
@@ -158,6 +159,7 @@ let test_analyze_json_deterministic () =
   checki "exit 0 (a)" 0 c1;
   checki "exit 0 (b)" 0 c2;
   checkb "json findings" true (contains out1 "\"code\"");
+  checkb "json parses" true (Result.is_ok (Sage_json.Json.parse out1));
   Alcotest.check Alcotest.string "byte-identical across --jobs" out1 out2
 
 let test_fuzz_check_proofs () =

@@ -6,6 +6,7 @@
    {!Sage_sched.Metrics.sorted_bindings}). *)
 
 module Trace = Sage_trace.Trace
+module Json = Sage_json.Json
 module P = Sage.Pipeline
 module Report = Sage.Report
 module Metrics = Sage_sched.Metrics
@@ -17,8 +18,8 @@ let tc name f = Alcotest.test_case name `Quick f
 let contains = Astring_contains.contains
 
 let check_valid_json label s =
-  match Json_min.validate s with
-  | Ok () -> ()
+  match Json.parse s with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "%s: invalid JSON: %s" label e
 
 (* ---- tracer unit behaviour ---- *)
@@ -155,7 +156,7 @@ let test_summary () =
   check Alcotest.bool "mentions event count" true (contains s "3 events");
   check Alcotest.bool "mentions span count" true (contains s "1 span")
 
-let test_chrome_json_structure () =
+let test_chrome_trace_shape () =
   let t = Trace.create ~clock:Trace.Logical () in
   Trace.with_span ~cat:"pipeline" (Some t) "document" (fun () ->
       Trace.instant (Some t) "mark";
@@ -205,31 +206,41 @@ let test_text_rendering () =
   check Alcotest.bool "args rendered" true (contains txt "seq=1");
   check Alcotest.bool "worker id" true (contains txt "tid=")
 
-(* ---- the JSON checker itself (everything downstream trusts it) ---- *)
+(* ---- the JSON parser itself (everything downstream trusts it) ---- *)
 
-let test_json_min_accepts () =
+let test_json_accepts () =
   List.iter
     (fun s ->
-      match Json_min.validate s with
-      | Ok () -> ()
+      match Json.parse s with
+      | Ok _ -> ()
       | Error e -> Alcotest.failf "rejected %S: %s" s e)
     [
       "{}"; "[]"; "null"; "true"; "0"; "-1.5e3"; "\"\"";
       "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\\n\\u0041\"}";
       "  [ 1 , 2.0 , -3e-2 ]  ";
       "{\"traceEvents\":[{\"name\":\"x\",\"ts\":12.345}]}";
-    ]
+    ];
+  (* \uXXXX decodes to UTF-8: a surrogate pair to one code point, a lone
+     surrogate to U+FFFD *)
+  check Alcotest.bool "decodes \\u escapes" true
+    (Json.parse {|"\u0041\u00e9\ud83d\ude00\udc00"|}
+    = Ok (Json.Str "A\xc3\xa9\xf0\x9f\x98\x80\xef\xbf\xbd"))
 
-let test_json_min_rejects () =
+let test_json_rejects () =
   List.iter
     (fun s ->
       check Alcotest.bool (Printf.sprintf "rejects %S" s) false
-        (Json_min.is_valid s))
+        (Result.is_ok (Json.parse s)))
     [
       ""; "{"; "[1,]"; "{\"a\":}"; "{\"a\" 1}"; "[1] trailing"; "01";
       "1."; "\"unterminated"; "\"bad \\x escape\""; "{'a':1}"; "nul";
       "\"raw \x01 control\"";
     ]
+
+(* every byte string, control bytes and invalid UTF-8 included, survives
+   the shared escaper and the parser unchanged *)
+let prop_literal_round_trip s =
+  Json.parse (Json.to_string (Json.Str s)) = Ok (Json.Str s)
 
 (* ---- fuzzed properties ---- *)
 
@@ -279,7 +290,7 @@ let run_ops ?clock ops =
   t
 
 let prop_chrome_json_always_parses ops =
-  Json_min.is_valid (Trace.to_chrome_json (run_ops ops))
+  Result.is_ok (Json.parse (Trace.to_chrome_json (run_ops ops)))
 
 (* Begin/End events must follow stack discipline per worker: every End
    matches the most recent unclosed Begin, and nothing stays open. *)
@@ -429,21 +440,6 @@ let test_metrics_bindings_sorted () =
   check Alcotest.bool "counters sorted" true
     (is_sorted (List.map fst (Metrics.counters m)))
 
-let test_metrics_json_sorted () =
-  let m = Metrics.create () in
-  List.iter (fun s -> Metrics.add_ns m s 5L) [ "zz"; "mm"; "aa" ];
-  let js = Metrics.to_json m in
-  let idx needle =
-    let rec go i =
-      if i + String.length needle > String.length js then -1
-      else if String.sub js i (String.length needle) = needle then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  check Alcotest.bool "aa before mm" true (idx "\"aa\"" < idx "\"mm\"");
-  check Alcotest.bool "mm before zz" true (idx "\"mm\"" < idx "\"zz\"")
-
 let test_report_stats_sorted () =
   let run = C.run_of (List.hd C.corpora) in
   let stats = Report.stats run in
@@ -496,11 +492,14 @@ let suite =
     tc "format_of_string" test_format_of_string;
     tc "render dispatches on format" test_render_dispatch;
     tc "summary counts" test_summary;
-    tc "chrome json structure" test_chrome_json_structure;
+    tc "chrome json structure" test_chrome_trace_shape;
     tc "chrome json escaping" test_chrome_json_escaping;
     tc "text rendering" test_text_rendering;
-    tc "json checker accepts valid documents" test_json_min_accepts;
-    tc "json checker rejects malformed documents" test_json_min_rejects;
+    tc "json checker accepts valid documents" test_json_accepts;
+    tc "json checker rejects malformed documents" test_json_rejects;
+    Q.test ~count:300 "json string literal round-trips"
+      (Q.string_of ~max_len:40 (fun r -> Char.chr (Q.int_below r 256)))
+      prop_literal_round_trip;
     Q.test ~count:120 "fuzzed trace renders valid chrome json" ops_arb
       prop_chrome_json_always_parses;
     Q.test ~count:120 "fuzzed spans balanced per worker" ops_arb
@@ -519,6 +518,5 @@ let suite =
       tc "worker spans under jobs 2" test_trace_worker_spans;
       tc "chart-cache hit/miss instants" test_trace_cache_events;
       tc "metrics bindings sorted" test_metrics_bindings_sorted;
-      tc "metrics json keys sorted" test_metrics_json_sorted;
       tc "report stats stage lines sorted" test_report_stats_sorted;
     ]
