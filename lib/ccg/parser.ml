@@ -33,12 +33,12 @@ let conj_op = function
   | "or" -> Lf.p_or
   | _ -> Lf.p_and (* comma read as conjunction *)
 
-(* Combine two adjacent items with every applicable rule. *)
-let combine left right =
-  let out = ref [] in
+(* Combine two adjacent items with every applicable rule, passing each
+   result to [add] in rule order. *)
+let combine add left right =
   let emit rule cat sem =
     match Sem.beta_reduce sem with
-    | sem -> out := { cat; sem; deriv = Node (rule, cat, left.deriv, right.deriv) } :: !out
+    | sem -> add { cat; sem; deriv = Node (rule, cat, left.deriv, right.deriv) }
     | exception Failure _ -> ()
   in
   (match left.cat, right.cat with
@@ -89,31 +89,64 @@ let combine left right =
    (* comma glue: absorb a bare comma on either side *)
    | x, Category.Conj "," when (match x with Category.Conj _ -> false | _ -> true)
      ->
-     out := { cat = x; sem = left.sem;
-              deriv = Node (Glue, x, left.deriv, right.deriv) } :: !out
+     add { cat = x; sem = left.sem;
+           deriv = Node (Glue, x, left.deriv, right.deriv) }
    | Category.Conj ",", x when (match x with Category.Conj _ -> false | _ -> true)
      ->
-     out := { cat = x; sem = right.sem;
-              deriv = Node (Glue, x, left.deriv, right.deriv) } :: !out
-   | _ -> ());
-  !out
+     add { cat = x; sem = right.sem;
+           deriv = Node (Glue, x, left.deriv, right.deriv) }
+   | _ -> ())
 
-(* Items are deduplicated per cell on a printed (category, semantics) key:
-   hashing keeps the chart polynomial where naive pairwise comparison made
-   long comma-heavy sentences quadratic in the cell population. *)
-let item_key it = Category.to_string it.cat ^ "|" ^ Sem.to_string it.sem
+(* Each chart cell deduplicates its items on their (cat, sem) as they
+   arrive.  The hash folds over every node of both terms: [Hashtbl.hash]
+   reads only 10 meaningful nodes, so the deep terms of a long
+   coordination would crowd a few buckets (a comma list of 24 copies of
+   "=" then parses 3.4x slower: 8.7 s against 2.5 s, medians of four runs
+   on a 2-core Xeon).  A key carries its hash, so each candidate is walked
+   once.  Equality is exact structure rather than [Sem.equal]:
+   alpha-equivalence would also merge items that differ only in
+   bound-variable names, which changes the spanning-item counts that
+   test/golden/ccg.parses.txt pins (18 items become 13 on one sentence)
+   and which items a full cell keeps. *)
+let mix h x = (h * 31) + x
+let mix_string h s = mix h (Hashtbl.hash s)
 
-let dedup_items items =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun it ->
-      let key = item_key it in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.replace seen key ();
-        true
-      end)
-    items
+let rec hash_cat h = function
+  | Category.Atom a -> mix (mix h 1) (Hashtbl.hash a)
+  | Category.Fwd (x, y) -> hash_cat (hash_cat (mix h 2) x) y
+  | Category.Bwd (x, y) -> hash_cat (hash_cat (mix h 3) x) y
+  | Category.Conj c -> mix_string (mix h 4) c
+
+let rec hash_lf h = function
+  | Lf.Term s -> mix_string (mix h 5) s
+  | Lf.Num n -> mix (mix h 6) n
+  | Lf.Str s -> mix_string (mix h 7) s
+  | Lf.Var s -> mix_string (mix h 8) s
+  | Lf.Pred (p, args) ->
+    List.fold_left hash_lf (mix_string (mix (mix h 9) (List.length args)) p) args
+
+let rec hash_sem h = function
+  | Sem.Var x -> mix_string (mix h 10) x
+  | Sem.Lam (x, b) -> hash_sem (mix_string (mix h 11) x) b
+  | Sem.App (f, a) -> hash_sem (hash_sem (mix h 12) f) a
+  | Sem.Lf l -> hash_lf (mix h 13) l
+  | Sem.Pred (p, args) ->
+    List.fold_left hash_sem (mix_string (mix (mix h 14) (List.length args)) p) args
+
+type key = { hash : int; item : item }
+
+let key item = { hash = hash_sem (hash_cat 0 item.cat) item.sem; item }
+
+module Cell_table = Hashtbl.Make (struct
+  type t = key
+
+  let hash k = k.hash
+
+  let equal a b =
+    a.hash = b.hash
+    && Category.equal a.item.cat b.item.cat
+    && a.item.sem = b.item.sem
+end)
 
 let lexical_items lexicon (chunk : Chunker.chunk) =
   let phrase = String.lowercase_ascii chunk.text in
@@ -203,39 +236,49 @@ let parse_chunks ?(target = Category.s) ?(expand_distributive = true)
   let n = Array.length chunks in
   if n = 0 then { items = []; lfs = []; truncated = false; chunks = [] }
   else begin
-    let chart = Array.make_matrix (n + 1) (n + 1) [] in
+    let chart =
+      Array.init n (fun _ -> Array.init (n + 1) (fun _ -> Queue.create ()))
+    in
     let truncated = ref false in
-    let store i j items =
-      let items = dedup_items items in
-      let items =
-        if List.length items > capacity then begin
-          truncated := true;
-          List.filteri (fun k _ -> k < capacity) items
+    (* [fill i j produce] runs [produce add], which passes cell (i, j) its
+       candidates in emission order; the first occurrence of a key wins.
+       Once the cell holds [capacity] items, the next new one marks the
+       parse truncated and ends the cell: no later candidate could enter
+       it, so the cap bounds work as well as memory. *)
+    let exception Cell_full in
+    let fill i j produce =
+      let cell = chart.(i).(j) and seen = Cell_table.create 16 in
+      let add it =
+        let k = key it in
+        if not (Cell_table.mem seen k) then begin
+          if Queue.length cell >= capacity then begin
+            truncated := true;
+            raise_notrace Cell_full
+          end;
+          Cell_table.add seen k ();
+          Queue.add it cell
         end
-        else items
       in
-      chart.(i).(j) <- items
+      try produce add with Cell_full -> ()
     in
     for i = 0 to n - 1 do
-      store i (i + 1) (lexical_items lexicon chunks.(i))
+      fill i (i + 1) (fun add -> List.iter add (lexical_items lexicon chunks.(i)))
     done;
     for span = 2 to n do
       for i = 0 to n - span do
         let j = i + span in
-        let acc = ref [] in
-        for k = i + 1 to j - 1 do
-          List.iter
-            (fun left ->
-              List.iter
-                (fun right -> acc := combine left right @ !acc)
-                chart.(k).(j))
-            chart.(i).(k)
-        done;
-        store i j (List.rev !acc)
+        fill i j (fun add ->
+            for k = i + 1 to j - 1 do
+              Queue.iter
+                (fun left -> Queue.iter (combine add left) chart.(k).(j))
+                chart.(i).(k)
+            done)
       done
     done;
     let spanning =
-      List.filter (fun it -> Category.equal it.cat target) chart.(0).(n)
+      Queue.to_seq chart.(0).(n)
+      |> Seq.filter (fun it -> Category.equal it.cat target)
+      |> List.of_seq
     in
     let lfs =
       spanning

@@ -29,13 +29,17 @@ type item = { cat : Category.t; sem : Sem.t; deriv : deriv }
 type result = {
   items : item list;         (** spanning items of the target category *)
   lfs : Sage_logic.Lf.t list; (** extracted logical forms, deduplicated *)
-  truncated : bool;          (** a chart cell hit the capacity bound *)
+  truncated : bool;
+      (** a chart cell reached the capacity bound and stopped combining *)
   chunks : Sage_nlp.Chunker.chunk list;  (** the chunked input *)
 }
 
 val cell_capacity : int
 (** Max items kept per chart cell: bounds the worst-case explosion of
-    ambiguous attachment while far exceeding the paper's max of 56 LFs. *)
+    ambiguous attachment while far exceeding the paper's max of 56 LFs.
+    Items enter a cell in derivation order, duplicates dropped; a full
+    cell stops combining at its next new item, so the cap bounds parse
+    work as well as memory. *)
 
 val parse :
   ?strategy:Sage_nlp.Chunker.strategy ->

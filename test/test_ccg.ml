@@ -237,6 +237,28 @@ let test_no_labeling_breaks_parsing () =
   in
   check Alcotest.int "zero LFs without labeling" 0 (List.length r.Parser.lfs)
 
+(* An icmp sentence with its "=" replaced by a comma list of n copies:
+   the readings of the list multiply with every copy, so only the cell
+   capacity bounds the chart.  A full cell stops combining, which bounds
+   the work; allocation is deterministic, so the bound is on minor words
+   rather than time. *)
+let test_parse_comma_list_bounded () =
+  let sentence n =
+    Printf.sprintf
+      "If code %s 0, identifies the octet where an error was detected."
+      (String.concat ", " (List.init n (fun _ -> "=")))
+  in
+  let before = Gc.minor_words () in
+  let r = parse (sentence 8) in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "8 copies truncated" true r.Parser.truncated;
+  check Alcotest.(list string) "8 copies: no LFs" [] (lf_strings r);
+  if words >= 50e6 then
+    Alcotest.failf "8 copies allocated %.1f M minor words (bound 50 M)"
+      (words /. 1e6);
+  check Alcotest.bool "12 copies truncated" true
+    (parse (sentence 12)).Parser.truncated
+
 let suite =
   [
     tc "category parse/print" test_category_parse;
@@ -266,4 +288,5 @@ let suite =
     tc "parse: empty input" test_parse_empty;
     tc "derivation printing (Appendix B)" test_derivation_printing;
     tc "parse: no labeling breaks parsing (Table 8)" test_no_labeling_breaks_parsing;
+    tc "parse: comma list of '=' stays bounded" test_parse_comma_list_bounded;
   ]

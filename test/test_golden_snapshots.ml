@@ -77,6 +77,53 @@ let test_trace_text_snapshot c () =
 
 let trace_snapshot_corpora = [ "icmp"; "igmp" ]
 
+(* The chart parser's own output, below winnowing and the chart cache:
+   for every sentence of every corpus, the spanning-item count, the
+   truncation flag and the logical forms in order.  No corpus sentence
+   fills a cell at the default capacity, so sentence E follows at the
+   capacities `bench ablate-cap` sweeps: those runs pin which items a
+   full cell keeps. *)
+module P = Sage.Pipeline
+module Parser = Sage_ccg.Parser
+
+let ccg_parses () =
+  let b = Buffer.create 65536 in
+  let record label (r : Parser.result) =
+    Printf.bprintf b "%s\n  items=%d truncated=%b lfs=%d\n" label
+      (List.length r.items) r.truncated (List.length r.lfs);
+    List.iter
+      (fun lf -> Printf.bprintf b "  %s\n" (Sage_logic.Lf.to_string lf))
+      r.lfs
+  in
+  List.iter
+    (fun c ->
+      let spec = Lazy.force c.C.spec in
+      Printf.bprintf b "## %s\n" c.C.name;
+      List.iter
+        (fun (s : P.sentence_report) ->
+          record s.sentence
+            (Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary
+               s.sentence))
+        (C.run_of c).P.sentences)
+    C.corpora;
+  let spec = P.icmp_spec () in
+  let sentence_e =
+    "If code = 0, an identifier to aid in matching echos and replies, may \
+     be zero."
+  in
+  Printf.bprintf b "## sentence E by capacity: %s\n" sentence_e;
+  List.iter
+    (fun capacity ->
+      record
+        (Printf.sprintf "capacity %d" capacity)
+        (Parser.parse ~capacity ~lexicon:spec.P.lexicon
+           ~dict:spec.P.dictionary sentence_e))
+    [ 4; 8; 16; 32; 64; 160; 512 ];
+  Buffer.contents b
+
+let test_ccg_parses_snapshot () =
+  compare_snapshot "ccg.parses.txt" (ccg_parses ())
+
 (* The BENCH.md page from a pinned synthetic history: Render.page is a
    pure function of the history (no clocks, no measurement), so the
    exact markdown — sparklines included — snapshots like any report and
@@ -136,4 +183,7 @@ let suite =
         [ tc (c.C.name ^ " trace-text snapshot") (test_trace_text_snapshot c) ]
       else [])
     C.corpora
-  @ [ tc "bench page snapshot" test_bench_page_snapshot ]
+  @ [
+      tc "ccg parses snapshot" test_ccg_parses_snapshot;
+      tc "bench page snapshot" test_bench_page_snapshot;
+    ]
