@@ -936,6 +936,20 @@ let ablate_overgen () =
         (List.length with_exp) (List.length without))
     (base_lfs_of_corpus spec Sage_corpus.Icmp_rfc.text)
 
+(* The eight shipped corpora, each titled by its name: (name, spec,
+   text), with fresh specs per call. *)
+let corpora () =
+  [
+    ("icmp", P.icmp_spec (), Sage_corpus.Icmp_rfc.text);
+    ("icmp-rw", P.icmp_spec (), Sage_corpus.Icmp_rfc.rewritten_text);
+    ("igmp", P.igmp_spec (), Sage_corpus.Igmp_rfc.text);
+    ("ntp", P.ntp_spec (), Sage_corpus.Ntp_rfc.text);
+    ("bfd", P.bfd_spec (), Sage_corpus.Bfd_rfc.text);
+    ("bfd-rw", P.bfd_spec (), Sage_corpus.Bfd_rfc.rewritten_text);
+    ("tcp", P.tcp_spec (), Sage_corpus.Tcp_rfc.text);
+    ("bgp", P.bgp_spec (), Sage_corpus.Bgp_rfc.text);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* timing-parallel: end-to-end corpus pipeline, sequential vs domains  *)
 (* vs chart-cache-warm, with a determinism cross-check.                *)
@@ -946,18 +960,7 @@ let timing_parallel () =
     "Timing: full-corpus pipeline — sequential vs parallel (OCaml 5\n\
      domains) vs chart-cache-warm rerun.  Parallel and cached output is\n\
      verified byte-identical to sequential before timing is reported.";
-  let corpora =
-    [
-      ("icmp", P.icmp_spec (), Sage_corpus.Icmp_rfc.text);
-      ("icmp-rw", P.icmp_spec (), Sage_corpus.Icmp_rfc.rewritten_text);
-      ("igmp", P.igmp_spec (), Sage_corpus.Igmp_rfc.text);
-      ("ntp", P.ntp_spec (), Sage_corpus.Ntp_rfc.text);
-      ("bfd", P.bfd_spec (), Sage_corpus.Bfd_rfc.text);
-      ("bfd-rw", P.bfd_spec (), Sage_corpus.Bfd_rfc.rewritten_text);
-      ("tcp", P.tcp_spec (), Sage_corpus.Tcp_rfc.text);
-      ("bgp", P.bgp_spec (), Sage_corpus.Bgp_rfc.text);
-    ]
-  in
+  let corpora = corpora () in
   let now = Sage_sched.Metrics.now_ns in
   let run_all ?jobs ?cache () =
     List.map
@@ -1018,18 +1021,6 @@ let static_analysis () =
      coverage against the recovered layouts, dead code, width/overflow\n\
      and checksum ordering, per corpus.  Every shipped corpus must be\n\
      free of Error-severity findings.";
-  let corpora =
-    [
-      ("icmp", P.icmp_spec (), Sage_corpus.Icmp_rfc.text);
-      ("icmp-rw", P.icmp_spec (), Sage_corpus.Icmp_rfc.rewritten_text);
-      ("igmp", P.igmp_spec (), Sage_corpus.Igmp_rfc.text);
-      ("ntp", P.ntp_spec (), Sage_corpus.Ntp_rfc.text);
-      ("bfd", P.bfd_spec (), Sage_corpus.Bfd_rfc.text);
-      ("bfd-rw", P.bfd_spec (), Sage_corpus.Bfd_rfc.rewritten_text);
-      ("tcp", P.tcp_spec (), Sage_corpus.Tcp_rfc.text);
-      ("bgp", P.bgp_spec (), Sage_corpus.Bgp_rfc.text);
-    ]
-  in
   Printf.printf "%-10s %8s %8s %10s %12s\n" "corpus" "errors" "warnings"
     "functions" "analysis-ns";
   let total_ns = ref 0L in
@@ -1051,7 +1042,7 @@ let static_analysis () =
         (D.warnings run.P.diagnostics)
         (List.length run.P.codegen.P.functions)
         ns)
-    corpora;
+    (corpora ());
   Printf.printf "\ntotal analysis time: %.2f ms — %s\n"
     (Int64.to_float !total_ns /. 1e6)
     (if !clean then "all corpora Error-free"

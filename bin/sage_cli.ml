@@ -57,10 +57,6 @@ let rewritten_arg =
   in
   Arg.(value & flag & info [ "rewritten" ] ~doc)
 
-let verbose_arg =
-  let doc = "Verbose logging." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
 let jobs_arg =
   let doc =
     "Parallel workers for the sentence-analysis phase (0 = auto-detect one \
@@ -215,10 +211,6 @@ let seeded_ir ~verb seeded funcs =
     refuse_vacuous ~verb f (Fixture.vacuous_ir f funcs);
     Fixture.rewrite f funcs
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
 let spec_of = function
   | Icmp -> P.icmp_spec ()
   | Igmp -> P.igmp_spec ()
@@ -268,8 +260,7 @@ let parse_cmd =
     let doc = "Field name providing context (enables subject supply)." in
     Arg.(value & opt (some string) None & info [ "field" ] ~docv:"FIELD" ~doc)
   in
-  let run proto verbose field sentence =
-    setup_logs verbose;
+  let run proto field sentence =
     let spec = spec_of proto in
     (* chunking *)
     let chunks = Chunker.chunk_sentence ~dict:spec.P.dictionary sentence in
@@ -306,7 +297,7 @@ let parse_cmd =
   let doc = "Chunk, CCG-parse and winnow a single specification sentence." in
   Cmd.v
     (Cmd.info "parse" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ field_arg $ sentence_arg)
+    Term.(const run $ protocol_arg $ field_arg $ sentence_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage derivation                                                     *)
@@ -316,8 +307,7 @@ let derivation_cmd =
   let sentence_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SENTENCE")
   in
-  let run proto verbose sentence =
-    setup_logs verbose;
+  let run proto sentence =
     let spec = spec_of proto in
     let result =
       Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary sentence
@@ -335,7 +325,7 @@ let derivation_cmd =
   let doc = "Show a CCG derivation tree for a sentence (paper Appendix B)." in
   Cmd.v
     (Cmd.info "derivation" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ sentence_arg)
+    Term.(const run $ protocol_arg $ sentence_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage run                                                            *)
@@ -351,9 +341,12 @@ let run_pipeline ?(jobs = 1) ?cache_cap ?trace proto rewritten =
   P.run_document ~jobs ?cache ?trace spec ~title ~text
 
 let run_cmd =
+  let verbose_arg =
+    let doc = "Also print every sentence's parse status." in
+    Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+  in
   let run proto verbose rewritten jobs cache_cap stats analyze fail_on
       trace_file trace_format trace_clock =
-    setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
     let result = run_pipeline ~jobs ?cache_cap ?trace proto rewritten in
     Printf.printf "document  : %s\n" result.P.document.Sage_rfc.Document.title;
@@ -412,8 +405,7 @@ let code_cmd =
     let doc = "Print only this generated function." in
     Arg.(value & opt (some string) None & info [ "f"; "function" ] ~docv:"NAME" ~doc)
   in
-  let run proto verbose rewritten jobs fn =
-    setup_logs verbose;
+  let run proto rewritten jobs fn =
     let result = run_pipeline ~jobs proto rewritten in
     (match fn with
      | None -> print_string result.P.codegen.P.c_code
@@ -430,8 +422,7 @@ let code_cmd =
   let doc = "Print the generated C code (structs, framework, functions)." in
   Cmd.v
     (Cmd.info "code" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ fn_arg)
+    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ fn_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage analyze                                                        *)
@@ -453,9 +444,7 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "prove" ] ~doc)
   in
-  let run proto verbose rewritten jobs cache_cap fail_on prove seeded
-      format =
-    setup_logs verbose;
+  let run proto rewritten jobs cache_cap fail_on prove seeded format =
     let result = run_pipeline ~jobs ?cache_cap proto rewritten in
     let funcs = seeded_ir ~verb:"analyze" seeded result.P.codegen.P.functions in
     let diagnostics =
@@ -509,17 +498,15 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ fail_on_arg $ prove_arg $ seeded_arg "analyze"
-          $ format_arg)
+    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ cache_arg
+          $ fail_on_arg $ prove_arg $ seeded_arg "analyze" $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage ambiguities                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let ambiguities_cmd =
-  let run proto verbose rewritten jobs =
-    setup_logs verbose;
+  let run proto rewritten jobs =
     let result = run_pipeline ~jobs proto rewritten in
     let ambiguous = P.ambiguous_sentences result in
     let zero = P.zero_lf_sentences result in
@@ -559,16 +546,15 @@ let ambiguities_cmd =
   in
   Cmd.v
     (Cmd.info "ambiguities" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg)
+    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage interop                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let interop_cmd =
-  let run verbose rewritten fault_seed fault_plan trace_file trace_format
+  let run rewritten fault_seed fault_plan trace_file trace_format
       trace_clock =
-    setup_logs verbose;
     let faults =
       match fault_plan with
       | None -> None
@@ -655,16 +641,15 @@ let interop_cmd =
      through a seeded fault-injection plan."
   in
   Cmd.v (Cmd.info "interop" ~doc)
-    Term.(const run $ verbose_arg $ rewritten_arg $ fault_seed_arg
-          $ fault_plan_arg $ trace_arg $ trace_format_arg $ trace_clock_arg)
+    Term.(const run $ rewritten_arg $ fault_seed_arg $ fault_plan_arg
+          $ trace_arg $ trace_format_arg $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage corpus                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let corpus_cmd =
-  let run proto verbose rewritten =
-    setup_logs verbose;
+  let run proto rewritten =
     let title, text = corpus_of proto rewritten in
     let doc = Sage_rfc.Document.parse ~title text in
     Fmt.pr "%a@." Sage_rfc.Document.pp doc;
@@ -680,7 +665,7 @@ let corpus_cmd =
   let doc = "Show the pre-processed document structure and recovered structs." in
   Cmd.v
     (Cmd.info "corpus" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg)
+    Term.(const run $ protocol_arg $ rewritten_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage reqs                                                           *)
@@ -701,8 +686,7 @@ let reqs_cmd =
     in
     Arg.(value & flag & info [ "corpus" ] ~doc)
   in
-  let run proto verbose rewritten jobs cache_cap corpus format =
-    setup_logs verbose;
+  let run proto rewritten jobs cache_cap corpus format =
     if corpus then begin
       Printf.printf "%-8s  %5s  %8s  %9s\n" "corpus" "mined" "compiled"
         "checkable";
@@ -742,8 +726,8 @@ let reqs_cmd =
      and cache states."
   in
   Cmd.v (Cmd.info "reqs" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ corpus_arg $ format_arg)
+    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ cache_arg
+          $ corpus_arg $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage fuzz                                                           *)
@@ -781,9 +765,8 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "check-reqs" ] ~doc)
   in
-  let run proto verbose rewritten jobs seed iters seeded check_proofs
+  let run proto rewritten jobs seed iters seeded check_proofs
       check_reqs coverage_out stats trace_file trace_format trace_clock =
-    setup_logs verbose;
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
     let check_reqs = check_reqs || seeded = Some Fixture.Violation in
     let result = run_pipeline ~jobs ?trace proto rewritten in
@@ -840,10 +823,10 @@ let fuzz_cmd =
      fixed seed; exits nonzero when any oracle finding is reported."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ seed_arg $ iters_arg $ seeded_arg "fuzz"
-          $ check_proofs_arg $ check_reqs_arg $ coverage_out_arg $ stats_arg
-          $ trace_arg $ trace_format_arg $ trace_clock_arg)
+    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ seed_arg
+          $ iters_arg $ seeded_arg "fuzz" $ check_proofs_arg $ check_reqs_arg
+          $ coverage_out_arg $ stats_arg $ trace_arg $ trace_format_arg
+          $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage chaos                                                          *)
@@ -934,9 +917,8 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "check-reqs" ] ~doc)
   in
-  let run verbose jobs seed scenario schedule soak seeded check_reqs
+  let run jobs seed scenario schedule soak seeded check_reqs
       corpora_sel stats trace_file trace_format trace_clock =
-    setup_logs verbose;
     if scenario <> None && schedule <> None then
       `Error (true, "--scenario and --schedule cannot be combined")
     else
@@ -1007,19 +989,17 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(ret
-            (const run $ verbose_arg $ jobs_arg $ seed_arg
-             $ scenario_arg $ schedule_arg $ soak_arg $ seeded_arg "chaos"
-             $ check_reqs_arg $ corpus_arg $ stats_arg $ trace_arg
-             $ trace_format_arg $ trace_clock_arg))
+            (const run $ jobs_arg $ seed_arg $ scenario_arg $ schedule_arg
+             $ soak_arg $ seeded_arg "chaos" $ check_reqs_arg $ corpus_arg
+             $ stats_arg $ trace_arg $ trace_format_arg $ trace_clock_arg))
 
 (* ------------------------------------------------------------------ *)
 (* sage report                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let report_cmd =
-  let run proto verbose rewritten jobs cache_cap stats analyze fail_on
-      trace_file trace_format trace_clock =
-    setup_logs verbose;
+  let run proto rewritten jobs cache_cap stats fail_on trace_file
+      trace_format trace_clock =
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
     let result = run_pipeline ~jobs ?cache_cap ?trace proto rewritten in
     print_string (Sage.Report.markdown result);
@@ -1027,8 +1007,8 @@ let report_cmd =
       print_newline ();
       print_string (Sage.Report.stats result)
     end;
-    (* the markdown already carries the findings; --analyze/--fail-on
-       here only select the exit policy *)
+    (* the markdown already carries the findings; --fail-on here only
+       selects the exit policy *)
     analysis_exit ?fail_on result
   in
   let doc =
@@ -1038,9 +1018,9 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
-          $ trace_format_arg $ trace_clock_arg)
+    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ cache_arg
+          $ stats_arg $ fail_on_arg $ trace_arg $ trace_format_arg
+          $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage bench                                                          *)
@@ -1112,9 +1092,8 @@ let bench_cmd =
     Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
   in
-  let run verbose list_targets filter check seeded history_file record date
+  let run list_targets filter check seeded history_file record date
       tolerance window render stats =
-    setup_logs verbose;
     let check = check || seeded <> None in
     if list_targets then begin
       Printf.printf "%-24s %-12s %s\n" "key" "backend" "description";
@@ -1241,9 +1220,9 @@ let bench_cmd =
      page."
   in
   Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const run $ verbose_arg $ list_arg $ filter_arg $ check_arg
-          $ seeded_arg "bench" $ history_arg $ record_arg $ date_arg
-          $ tolerance_arg $ window_arg $ render_arg $ stats_arg)
+    Term.(const run $ list_arg $ filter_arg $ check_arg $ seeded_arg "bench"
+          $ history_arg $ record_arg $ date_arg $ tolerance_arg $ window_arg
+          $ render_arg $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* main                                                                *)

@@ -70,4 +70,4 @@ val to_json : t -> string
 val render_json : ?protocol:string -> t list -> string
 (** [{"protocol": …, "errors": n, "warnings": n, "infos": n,
     "diagnostics": […]}] — machine-readable, stable key order, sorted
-    diagnostics (the artifact the CI static-analysis job uploads). *)
+    diagnostics (the artifact the CI gate keeps per corpus). *)

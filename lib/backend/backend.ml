@@ -6,6 +6,8 @@
 
 include Intf
 
+module Bytes_util = Sage_net.Bytes_util
+
 (* A function prepared for execution on one backend, with enough
    metadata hanging off it for drivers and oracles. *)
 type loaded = {
@@ -28,12 +30,6 @@ let load choice ~layout (func : Ir.func) =
   in
   { choice; func; layout; assigns_checksum = assigns_checksum func; exec }
 
-let hex b =
-  String.concat " "
-    (List.map
-       (fun c -> Printf.sprintf "%02x" (Char.code c))
-       (List.of_seq (Bytes.to_seq b)))
-
 (* First observable difference between two outcomes of the same
    function on the same packet, or [None] if they agree.  The detail
    string names both sides by backend so findings read unambiguously. *)
@@ -50,12 +46,12 @@ let diff (a : outcome) (b : outcome) =
     mismatch "runtime error" (pp a.error) (pp b.error)
   else if not (Bytes.equal a.output b.output) then
     mismatch "output message"
-      (Printf.sprintf "[%s]" (hex a.output))
-      (Printf.sprintf "[%s]" (hex b.output))
+      (Printf.sprintf "[%s]" (Bytes_util.hex a.output))
+      (Printf.sprintf "[%s]" (Bytes_util.hex b.output))
   else if not (Bytes.equal a.reserialized b.reserialized) then
     mismatch "reserialized view"
-      (Printf.sprintf "[%s]" (hex a.reserialized))
-      (Printf.sprintf "[%s]" (hex b.reserialized))
+      (Printf.sprintf "[%s]" (Bytes_util.hex a.reserialized))
+      (Printf.sprintf "[%s]" (Bytes_util.hex b.reserialized))
   else if a.sent <> b.sent then
     let pp l = String.concat "," (List.rev l) in
     mismatch "sent messages" (pp a.sent) (pp b.sent)

@@ -17,8 +17,8 @@ val analysis : Pipeline.run -> string
     plus a severity summary line). *)
 
 val analysis_json : Pipeline.run -> string
-(** The same findings as a stable JSON object — the artifact the CI
-    static-analysis job records per corpus. *)
+(** The same findings as a stable JSON object, the shape of the
+    [analyze --format json] artifact the CI gate keeps per corpus. *)
 
 val rewrite_worklist : Pipeline.run -> string
 (** Only the action items for the spec author (ambiguous + zero-LF

@@ -263,11 +263,6 @@ let run ?trace ?metrics ?(backend = Backend.Interp) ?differential
        Hashtbl.length seen);
   }
 
-let hex b =
-  String.concat " "
-    (List.init (Bytes.length b) (fun i ->
-         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
-
 let summary r =
   let buf = Buffer.create 1024 in
   let covered, points = Coverage.totals r.coverage r.funcs in
@@ -316,6 +311,7 @@ let summary r =
            fd.detail);
       Buffer.add_string buf
         (Printf.sprintf "    shrunk packet (%d bytes, %d steps): %s\n"
-           (Bytes.length fd.shrunk) fd.shrink_steps (hex fd.shrunk)))
+           (Bytes.length fd.shrunk) fd.shrink_steps
+           (Sage_net.Bytes_util.hex fd.shrunk)))
     r.findings;
   Buffer.contents buf

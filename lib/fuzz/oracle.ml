@@ -30,6 +30,7 @@
      their verdicts; the kind carries the RQ id so shrinking pins the
      specific requirement, not just "some requirement". *)
 
+module Bytes_util = Sage_net.Bytes_util
 module Checksum = Sage_net.Checksum
 module Observe = Sage_net.Observe
 module Icmp = Sage_net.Icmp
@@ -56,11 +57,6 @@ let kind_name = function
 
 type violation = { kind : kind; detail : string }
 
-let hex b =
-  String.concat " "
-    (List.init (Bytes.length b) (fun i ->
-         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
-
 (* Protocols whose generated checksum covers the whole message, so the
    reference whole-message verify applies.  (BFD/BGP layouts have no
    checksum; NTP delegates to the UDP encapsulation.) *)
@@ -79,8 +75,8 @@ let check_round_trip ~packet (o : Backend.outcome) =
         kind = Round_trip;
         detail =
           Printf.sprintf "decode/encode not identity: in [%s] out [%s]"
-            (hex packet)
-            (hex o.Backend.reserialized);
+            (Bytes_util.hex packet)
+            (Bytes_util.hex o.Backend.reserialized);
       }
 
 let check_decoder_agreement ~protocol ~packet (o : Backend.outcome) =
@@ -136,7 +132,7 @@ let check_checksum ~protocol (o : Backend.outcome) =
         kind = Checksum;
         detail =
           Printf.sprintf "produced message fails checksum verification: [%s]"
-            (hex o.Backend.output);
+            (Bytes_util.hex o.Backend.output);
       }
   else None
 
@@ -156,7 +152,7 @@ let check_verified_output ~protocol (o : Backend.outcome) =
             detail =
               Printf.sprintf
                 "decodable ICMP output fails checksum verification: [%s]"
-                (hex o.Backend.output);
+                (Bytes_util.hex o.Backend.output);
           }
   else None
 

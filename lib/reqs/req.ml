@@ -133,11 +133,6 @@ let guard_holds ~env ~o = function
    whole-message verify apply. *)
 let whole_message_checksum = [ "ICMP"; "IGMP"; "TCP" ]
 
-let hex b =
-  String.concat " "
-    (List.init (Bytes.length b) (fun i ->
-         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
-
 (* Check one requirement against one execution.  [None] = satisfied
    (or vacuous / unevaluable); [Some detail] = violated.  Runtime
    errors are the never-raise oracle's finding, not ours. *)
@@ -199,7 +194,7 @@ let check ~(env : Backend.env) ~(o : Backend.outcome) (r : t) :
        then
          violated
            (Printf.sprintf "produced message fails checksum verification: [%s]"
-              (hex o.Backend.output))
+              (Sage_net.Bytes_util.hex o.Backend.output))
        else None)
 
 (* First violated requirement, in id order: a deterministic single

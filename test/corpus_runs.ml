@@ -66,6 +66,8 @@ let corpora =
     };
   ]
 
+let find name = List.find (fun c -> c.name = name) corpora
+
 let memo f =
   let tbl : (string, 'a) Hashtbl.t = Hashtbl.create 8 in
   fun c ->

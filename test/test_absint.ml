@@ -292,8 +292,7 @@ let prop_random_ir_total body =
 
 (* ---- SA011: FSM models, wedges, and the seeded fixture ---- *)
 
-let corpus name = List.find (fun c -> c.C.name = name) C.corpora
-let bfd_funcs () = (C.run_of (corpus "bfd")).P.codegen.P.functions
+let bfd_funcs () = (C.run_of (C.find "bfd")).P.codegen.P.functions
 
 let test_bfd_fsm_model_recovered () =
   let funcs = bfd_funcs () in
@@ -346,7 +345,7 @@ let test_untampered_corpora_wedge_free () =
 let test_dead_arms_never_covered () =
   (* bgp is the corpus whose decided guards carry non-empty dead arms
      (the version-mismatch and hold-time error branches) *)
-  let run = C.run_of (corpus "bgp") in
+  let run = C.run_of (C.find "bgp") in
   let targets =
     List.filter_map
       (fun (f : Ir.func) ->
@@ -390,7 +389,7 @@ let test_dead_arms_never_covered () =
 (* ---- proved-function plumbing: fuzz cross-validation + exit codes ---- *)
 
 let test_engine_proof_check_ok () =
-  let run = C.run_of (corpus "icmp") in
+  let run = C.run_of (C.find "icmp") in
   let funcs = run.P.codegen.P.functions in
   let proved = A.proved_functions run.P.diagnostics funcs in
   let targets =

@@ -9,6 +9,7 @@ module Hd = Sage_rfc.Header_diagram
 module A = Sage_analysis.Analyzer
 module D = Sage_analysis.Diagnostic
 module Q = Qcheck_lite
+module C = Corpus_runs
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -310,29 +311,7 @@ let test_sentence_provenance () =
 (* Golden: every shipped corpus is clean of Error-severity findings.   *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_runs =
-  lazy
-    (List.map
-       (fun (name, spec, title, text) ->
-         (name, P.run_document ~jobs:1 (spec ()) ~title ~text))
-       [
-         ("icmp", P.icmp_spec, Sage_corpus.Icmp_rfc.title,
-          Sage_corpus.Icmp_rfc.text);
-         ("icmp-rw", P.icmp_spec, Sage_corpus.Icmp_rfc.title,
-          Sage_corpus.Icmp_rfc.rewritten_text);
-         ("igmp", P.igmp_spec, Sage_corpus.Igmp_rfc.title,
-          Sage_corpus.Igmp_rfc.text);
-         ("ntp", P.ntp_spec, Sage_corpus.Ntp_rfc.title,
-          Sage_corpus.Ntp_rfc.text);
-         ("bfd", P.bfd_spec, Sage_corpus.Bfd_rfc.title,
-          Sage_corpus.Bfd_rfc.text);
-         ("bfd-rw", P.bfd_spec, Sage_corpus.Bfd_rfc.title,
-          Sage_corpus.Bfd_rfc.rewritten_text);
-         ("tcp", P.tcp_spec, Sage_corpus.Tcp_rfc.title,
-          Sage_corpus.Tcp_rfc.text);
-         ("bgp", P.bgp_spec, Sage_corpus.Bgp_rfc.title,
-          Sage_corpus.Bgp_rfc.text);
-       ])
+let corpus_runs () = List.map (fun c -> (c.C.name, C.run_of c)) C.corpora
 
 let test_corpora_error_free () =
   List.iter
@@ -346,7 +325,7 @@ let test_corpora_error_free () =
           (D.to_string (List.hd errs));
       check Alcotest.int (name ^ " fail-on error exit") 0
         (A.exit_code_on ~fail_on:A.Fail_error run.P.diagnostics))
-    (Lazy.force corpus_runs)
+    (corpus_runs ())
 
 let test_corpora_diagnostics_deterministic () =
   List.iter
@@ -365,10 +344,10 @@ let test_corpora_diagnostics_deterministic () =
         (* provenance differs (the pipeline passes sentence_of_stmt), so
            compare the stable parts *)
         run.P.diagnostics again)
-    (Lazy.force corpus_runs)
+    (corpus_runs ())
 
 let test_diagnostics_in_report () =
-  let _, run = List.hd (Lazy.force corpus_runs) in
+  let run = C.run_of (C.find "icmp") in
   let md = Sage.Report.markdown run in
   check Alcotest.bool "markdown has analysis section" true
     (contains ~needle:"## Static analysis" md);
@@ -381,7 +360,7 @@ let test_diagnostics_in_report () =
     (Result.is_ok (Sage_json.Json.parse json))
 
 let test_metrics_have_analysis_stage () =
-  let _, run = List.hd (Lazy.force corpus_runs) in
+  let run = C.run_of (C.find "icmp") in
   let m = run.P.metrics in
   check Alcotest.bool "diagnostics counter" true
     (Sage_sched.Metrics.counter m "diagnostics" > 0);
@@ -438,11 +417,7 @@ let test_seeded_corpus_sanity () =
   check Alcotest.bool "functions still generated" true
     (List.length run.P.codegen.P.functions >= 2);
   check Alcotest.bool "unseeded igmp is clean" true
-    (not
-       (D.has_errors
-          (snd
-             (List.find (fun (n, _) -> n = "igmp") (Lazy.force corpus_runs)))
-            .P.diagnostics))
+    (not (D.has_errors (C.run_of (C.find "igmp")).P.diagnostics))
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz: the analyzer is total on arbitrary IR.                        *)

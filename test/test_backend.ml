@@ -32,8 +32,7 @@ let contains haystack needle =
   in
   nn = 0 || go 0
 
-let corpus name = List.find (fun c -> c.C.name = name) C.corpora
-let run_of name = C.run_of (corpus name)
+let run_of name = C.run_of (C.find name)
 
 let targets_of (run : P.run) =
   List.filter_map
@@ -48,8 +47,7 @@ let layout_of run fn = List.assoc fn run.P.codegen.P.struct_of_function
 let func_of (run : P.run) fn =
   List.find (fun f -> f.Ir.fn_name = fn) run.P.codegen.P.functions
 
-let all_corpora =
-  [ "icmp"; "icmp-rw"; "igmp"; "ntp"; "bfd"; "bfd-rw"; "tcp"; "bgp" ]
+let all_corpora = List.map (fun c -> c.C.name) C.corpora
 
 (* ---- backend selection ---- *)
 

@@ -15,8 +15,6 @@ module Fixture = Sage_fixture.Fixture
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
-let find_corpus name = List.find (fun c -> c.C.name = name) C.corpora
-
 (* The generated stack of an ambiguous original text does not
    interoperate (the paper's §6.5 negative result, pinned by the interop
    suite); its chaos cases run the disambiguated run instead. *)
@@ -27,7 +25,7 @@ let gen_backing = function
 
 let case_of name =
   { Cam.corpus = name;
-    generated_run = lazy (C.run_of (find_corpus (gen_backing name))) }
+    generated_run = lazy (C.run_of (C.find (gen_backing name))) }
 
 let icmp_cases = [ case_of "icmp" ]
 let all_cases = List.map (fun c -> case_of c.C.name) C.corpora
@@ -199,7 +197,7 @@ let test_seeded_wedge_fails_and_shrinks () =
 (* ---- chaos counters surface in Report.stats ---- *)
 
 let test_counters_reach_stats () =
-  let run = C.run_of (find_corpus "icmp-rw") in
+  let run = C.run_of (C.find "icmp-rw") in
   let before = Sage.Report.stats run in
   check Alcotest.bool "no chaos line before" false
     (Astring_contains.contains before "chaos:");

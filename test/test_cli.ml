@@ -90,9 +90,8 @@ let test_chaos_deterministic_across_jobs () =
 
 (* ---- one executor: compiled, checked against the interpreter ---- *)
 
-(* no flag selects the executor: --backend is an unknown option *)
-let test_backend_flag_gone verb () =
-  expect_usage_error (verb ^ " backend") (verb ^ " --backend compiled")
+(* a removed option must be a usage error, never silently accepted *)
+let test_option_gone args () = expect_usage_error args args
 
 let test_fuzz_compiled_reproducible () =
   (* every run executes compiled code and re-checks each iteration on
@@ -228,11 +227,15 @@ let suite =
       test_fuzz_deterministic_across_jobs;
     Alcotest.test_case "fuzz: --coverage-out json" `Slow test_fuzz_coverage_out;
     Alcotest.test_case "malformed --backend: fuzz" `Quick
-      (test_backend_flag_gone "fuzz");
+      (test_option_gone "fuzz --backend compiled");
     Alcotest.test_case "malformed --backend: interop" `Quick
-      (test_backend_flag_gone "interop");
+      (test_option_gone "interop --backend compiled");
     Alcotest.test_case "malformed --backend: chaos" `Quick
-      (test_backend_flag_gone "chaos");
+      (test_option_gone "chaos --backend compiled");
+    Alcotest.test_case "removed option: report --analyze" `Quick
+      (test_option_gone "report --analyze");
+    Alcotest.test_case "removed option: fuzz -v" `Quick
+      (test_option_gone "fuzz -v");
     Alcotest.test_case "fuzz: compiled backend reproducible" `Slow
       test_fuzz_compiled_reproducible;
     Alcotest.test_case "interop: --rewritten passes" `Slow

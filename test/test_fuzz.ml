@@ -34,8 +34,6 @@ let contains haystack needle =
 
 (* ---- shared targets ---- *)
 
-let corpus name = List.find (fun c -> c.C.name = name) C.corpora
-
 let targets_of (run : P.run) =
   List.filter_map
     (fun (f : Ir.func) ->
@@ -44,7 +42,7 @@ let targets_of (run : P.run) =
         (List.assoc_opt f.Ir.fn_name run.P.codegen.P.struct_of_function))
     run.P.codegen.P.functions
 
-let run_of name = C.run_of (corpus name)
+let run_of name = C.run_of (C.find name)
 
 let layout_of run fn =
   List.assoc fn run.P.codegen.P.struct_of_function

@@ -1,4 +1,4 @@
-(* Golden snapshots: the full `report --analyze` artifacts (markdown
+(* Golden snapshots: the full `sage report` artifacts (markdown
    report + static-analysis JSON) for every corpus, compared
    byte-for-byte against checked-in files under test/golden/.  Any
    behaviour change anywhere in the pipeline — chunker, parser,

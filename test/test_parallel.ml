@@ -7,6 +7,7 @@ module P = Sage.Pipeline
 module Pool = Sage_sched.Pool
 module Lru = Sage_sched.Lru
 module Metrics = Sage_sched.Metrics
+module C = Corpus_runs
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -130,17 +131,9 @@ let test_metrics_counters_and_merge () =
 
 (* ---- Pipeline determinism ---- *)
 
-let corpora =
-  [
-    ("icmp", P.icmp_spec, Sage_corpus.Icmp_rfc.text);
-    ("icmp-rw", P.icmp_spec, Sage_corpus.Icmp_rfc.rewritten_text);
-    ("igmp", P.igmp_spec, Sage_corpus.Igmp_rfc.text);
-    ("ntp", P.ntp_spec, Sage_corpus.Ntp_rfc.text);
-    ("bfd", P.bfd_spec, Sage_corpus.Bfd_rfc.text);
-    ("bfd-rw", P.bfd_spec, Sage_corpus.Bfd_rfc.rewritten_text);
-    ("tcp", P.tcp_spec, Sage_corpus.Tcp_rfc.text);
-    ("bgp", P.bgp_spec, Sage_corpus.Bgp_rfc.text);
-  ]
+let run_document ?jobs ?cache ?metrics c =
+  P.run_document ?jobs ?cache ?metrics (Lazy.force c.C.spec) ~title:c.C.title
+    ~text:c.C.text
 
 let artifact run = Sage.Report.markdown run ^ "\x00" ^ run.P.codegen.P.c_code
 
@@ -157,9 +150,10 @@ let lf_strings run =
 
 let test_parallel_matches_sequential () =
   List.iter
-    (fun (name, spec, text) ->
-      let seq = P.run_document ~jobs:1 (spec ()) ~title:name ~text in
-      let par = P.run_document ~jobs:4 (spec ()) ~title:name ~text in
+    (fun c ->
+      let name = c.C.name in
+      let seq = C.run_of c in
+      let par = run_document ~jobs:4 c in
       check Alcotest.string
         (Printf.sprintf "%s: report identical under --jobs 4" name)
         (artifact seq) (artifact par);
@@ -167,16 +161,16 @@ let test_parallel_matches_sequential () =
         (Printf.sprintf "%s: no crashed sentences" name)
         0
         (List.length (P.crashed_sentences par)))
-    corpora
+    C.corpora
 
 let test_cache_rerun_identical_with_hits () =
   let cache = Sage.Chart_cache.create ~capacity:4096 () in
   List.iter
-    (fun (name, spec, text) ->
-      let cold_metrics = Metrics.create () in
-      let cold = P.run_document ~cache ~metrics:cold_metrics (spec ()) ~title:name ~text in
+    (fun c ->
+      let name = c.C.name in
+      let cold = run_document ~cache c in
       let warm_metrics = Metrics.create () in
-      let warm = P.run_document ~cache ~metrics:warm_metrics (spec ()) ~title:name ~text in
+      let warm = run_document ~cache ~metrics:warm_metrics c in
       check Alcotest.string
         (Printf.sprintf "%s: warm rerun byte-identical" name)
         (artifact cold) (artifact warm);
@@ -193,26 +187,24 @@ let test_cache_rerun_identical_with_hits () =
         (Printf.sprintf "%s: no misses on rerun" name)
         0
         (Metrics.counter warm_metrics "cache_misses"))
-    [ List.nth corpora 0 (* icmp *); List.nth corpora 5 (* bfd-rw *) ]
+    [ C.find "icmp"; C.find "bfd-rw" ]
 
 let test_cache_shared_across_jobs () =
   (* a cache warmed sequentially, reused by a parallel run: still
      byte-identical, and the parallel run is all hits *)
-  let name, spec, text = List.nth corpora 2 (* igmp *) in
+  let igmp = C.find "igmp" in
   let cache = Sage.Chart_cache.create ~capacity:1024 () in
-  let cold = P.run_document ~jobs:1 ~cache (spec ()) ~title:name ~text in
+  let cold = run_document ~jobs:1 ~cache igmp in
   let warm_metrics = Metrics.create () in
-  let warm =
-    P.run_document ~jobs:4 ~cache ~metrics:warm_metrics (spec ()) ~title:name ~text
-  in
+  let warm = run_document ~jobs:4 ~cache ~metrics:warm_metrics igmp in
   check Alcotest.string "warm parallel identical" (artifact cold) (artifact warm);
   check Alcotest.bool "nonzero hits" true (Metrics.counter warm_metrics "cache_hits" > 0)
 
 let test_jobs_zero_and_huge_are_safe () =
   (* degenerate worker counts must not change anything either *)
-  let name, spec, text = List.nth corpora 2 (* igmp *) in
-  let seq = P.run_document ~jobs:1 (spec ()) ~title:name ~text in
-  let huge = P.run_document ~jobs:64 (spec ()) ~title:name ~text in
+  let igmp = C.find "igmp" in
+  let seq = C.run_of igmp in
+  let huge = run_document ~jobs:64 igmp in
   check Alcotest.string "jobs=64 identical" (artifact seq) (artifact huge)
 
 let suite =

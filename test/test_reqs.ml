@@ -21,7 +21,7 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 let contains = Astring_contains.contains
 
-let run_of name = C.run_of (List.find (fun c -> c.C.name = name) C.corpora)
+let run_of name = C.run_of (C.find name)
 
 (* ---- RFC 2119 keyword detection ---- *)
 
@@ -401,13 +401,25 @@ let test_reqs_cli_deterministic () =
   checkb "json output" true (contains out1 "\"requirements\"");
   check Alcotest.string "byte-identical across --jobs" out1 out2
 
+(* the table's rows, in order, are exactly the pinned counts: the CI
+   gate takes its corpus list from this table *)
 let test_reqs_cli_corpus_table () =
   let code, out, _ = Cli_harness.run_cli "reqs --corpus" in
   checki "exit 0" 0 code;
-  List.iter
-    (fun (name, _) ->
-      checkb (name ^ " row present") true (contains out name))
-    expected_counts
+  let row line =
+    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+    | [ name; m; c; k ] ->
+      (name, (int_of_string m, int_of_string c, int_of_string k))
+    | _ -> Alcotest.failf "malformed table row %S" line
+  in
+  let rows =
+    match List.filter (( <> ) "") (String.split_on_char '\n' out) with
+    | _header :: rows -> List.map row rows
+    | [] -> []
+  in
+  check
+    Alcotest.(list (pair string (triple int int int)))
+    "rows" expected_counts rows
 
 let suite =
   [

@@ -77,7 +77,7 @@ let seeded_fixtures =
 (* Every corpus, fuzzed clean (the --seeded fixtures above are the
    only way these verbs may exit nonzero on shipped corpora).  Small
    iteration counts: the exit-code contract is what's under test; the
-   zero-violation soak lives in CI's fuzz job. *)
+   zero-violation soak lives in the CI gate (gate.sh). *)
 let clean_corpora =
   List.map
     (fun corpus ->
@@ -92,7 +92,7 @@ let clean_corpora =
         exit_code = 0;
         expect = [ "findings   : 0" ];
       })
-    [ "icmp"; "icmp-rw"; "igmp"; "ntp"; "bfd"; "bfd-rw"; "tcp"; "bgp" ]
+    (List.map (fun c -> c.Corpus_runs.name) Corpus_runs.corpora)
   @ [
       {
         name = "chaos icmp clean";
