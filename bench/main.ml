@@ -961,7 +961,7 @@ let timing_parallel () =
      domains) vs chart-cache-warm rerun.  Parallel and cached output is\n\
      verified byte-identical to sequential before timing is reported.";
   let corpora = corpora () in
-  let now = Sage_sched.Metrics.now_ns in
+  let now = Sage_trace.Trace.now_ns in
   let run_all ?jobs ?cache () =
     List.map
       (fun (title, spec, text) ->
@@ -1025,14 +1025,19 @@ let static_analysis () =
     "functions" "analysis-ns";
   let total_ns = ref 0L in
   let clean = ref true in
+  let module T = Sage_trace.Trace in
   List.iter
     (fun (name, spec, text) ->
-      let metrics = Sage_sched.Metrics.create () in
-      let run = P.run_document ~jobs:1 ~metrics spec ~title:name ~text in
+      let trace = T.create () in
+      let run = P.run_document ~jobs:1 ~trace spec ~title:name ~text in
       let module D = Sage_analysis.Diagnostic in
       let ns =
-        match List.assoc_opt "analysis" (Sage_sched.Metrics.stage_ns metrics) with
-        | Some ns -> ns
+        match
+          List.find_opt
+            (fun r -> r.T.row_name = "phase:static-analysis")
+            (T.profile trace)
+        with
+        | Some r -> r.T.total
         | None -> 0L
       in
       total_ns := Int64.add !total_ns ns;
@@ -1079,25 +1084,12 @@ let trace_profile () =
   List.iter
     (fun (k, v) -> Printf.printf "%-12s %8d\n" k v)
     (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []));
-  (* phase durations from matching Begin/End span ids *)
-  let opens = Hashtbl.create 16 in
-  let durs = ref [] in
-  List.iter
-    (fun (e : T.event) ->
-      match e.T.ph with
-      | T.Begin -> Hashtbl.replace opens e.T.span_id e
-      | T.End -> (
-        match Hashtbl.find_opt opens e.T.span_id with
-        | Some b
-          when String.length b.T.name >= 6 && String.sub b.T.name 0 6 = "phase:"
-          -> durs := (b.T.name, Int64.sub e.T.ts b.T.ts) :: !durs
-        | _ -> ())
-      | T.Instant | T.Counter -> ())
-    events;
   Printf.printf "\n%-24s %12s\n" "phase" "ns";
   List.iter
-    (fun (name, ns) -> Printf.printf "%-24s %12Ld\n" name ns)
-    (List.sort compare !durs);
+    (fun (r : T.row) ->
+      if String.starts_with ~prefix:"phase:" r.T.row_name then
+        Printf.printf "%-24s %12Ld\n" r.T.row_name r.T.total)
+    (T.profile tracer);
   let oc = open_out "BENCH_trace.json" in
   output_string oc (T.to_chrome_json tracer);
   close_out oc;

@@ -79,8 +79,9 @@ let int_at_least min =
 
 let stats_arg =
   let doc =
-    "After the run, print per-stage wall times, counters and the chart \
-     cache hit rate."
+    "After the run's own output, print its profile: per event name of \
+     the run's trace, span calls with total and per-call time, instant \
+     counts and the last counter value, sorted by name."
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
@@ -128,24 +129,36 @@ let trace_clock_arg =
            Sage_trace.Trace.Wall
        & info [ "trace-clock" ] ~docv:"CLOCK" ~doc)
 
-let with_trace ?(clock = Sage_trace.Trace.Wall) trace_file trace_format f =
-  match trace_file with
-  | None -> f None
-  | Some file ->
+(* Runs [f] under one tracer when --trace or --stats asks for one:
+   --trace writes the events to a file, --stats prints their profile
+   after [f]'s own stdout. *)
+let with_trace ?(clock = Sage_trace.Trace.Wall) ?(stats = false) trace_file
+    trace_format f =
+  if trace_file = None && not stats then f None
+  else begin
     let tracer = Sage_trace.Trace.create ~clock () in
     let result = f (Some tracer) in
-    let file =
-      if file <> "" then file
-      else
-        match trace_format with
-        | Sage_trace.Trace.Json -> "sage-trace.json"
-        | Sage_trace.Trace.Text -> "sage-trace.txt"
-    in
-    let oc = open_out file in
-    output_string oc (Sage_trace.Trace.render trace_format tracer);
-    close_out oc;
-    Printf.eprintf "trace: %s -> %s\n%!" (Sage_trace.Trace.summary tracer) file;
+    Option.iter
+      (fun file ->
+        let file =
+          if file <> "" then file
+          else
+            match trace_format with
+            | Sage_trace.Trace.Json -> "sage-trace.json"
+            | Sage_trace.Trace.Text -> "sage-trace.txt"
+        in
+        let oc = open_out file in
+        output_string oc (Sage_trace.Trace.render trace_format tracer);
+        close_out oc;
+        Printf.eprintf "trace: %s -> %s\n%!" (Sage_trace.Trace.summary tracer)
+          file)
+      trace_file;
+    if stats then begin
+      print_newline ();
+      print_string (Sage_trace.Trace.profile_to_text tracer)
+    end;
     result
+  end
 
 (* --analyze: print the static analyzer's findings after the pipeline *)
 let analyze_arg =
@@ -219,16 +232,22 @@ let spec_of = function
   | Tcp -> P.tcp_spec ()
   | Bgp -> P.bgp_spec ()
 
+(* Only icmp and bfd ship a rewritten text; --rewritten on any other
+   protocol is refused rather than quietly running the original. *)
 let corpus_of proto rewritten =
   match proto, rewritten with
   | Icmp, false -> (Sage_corpus.Icmp_rfc.title, Sage_corpus.Icmp_rfc.text)
   | Icmp, true -> (Sage_corpus.Icmp_rfc.title, Sage_corpus.Icmp_rfc.rewritten_text)
-  | Igmp, _ -> (Sage_corpus.Igmp_rfc.title, Sage_corpus.Igmp_rfc.text)
-  | Ntp, _ -> (Sage_corpus.Ntp_rfc.title, Sage_corpus.Ntp_rfc.text)
   | Bfd, false -> (Sage_corpus.Bfd_rfc.title, Sage_corpus.Bfd_rfc.text)
   | Bfd, true -> (Sage_corpus.Bfd_rfc.title, Sage_corpus.Bfd_rfc.rewritten_text)
-  | Tcp, _ -> (Sage_corpus.Tcp_rfc.title, Sage_corpus.Tcp_rfc.text)
-  | Bgp, _ -> (Sage_corpus.Bgp_rfc.title, Sage_corpus.Bgp_rfc.text)
+  | (Igmp | Ntp | Tcp | Bgp), true ->
+    Printf.eprintf
+      "sage: --rewritten: only icmp and bfd have a rewritten text\n";
+    exit 2
+  | Igmp, false -> (Sage_corpus.Igmp_rfc.title, Sage_corpus.Igmp_rfc.text)
+  | Ntp, false -> (Sage_corpus.Ntp_rfc.title, Sage_corpus.Ntp_rfc.text)
+  | Tcp, false -> (Sage_corpus.Tcp_rfc.title, Sage_corpus.Tcp_rfc.text)
+  | Bgp, false -> (Sage_corpus.Bgp_rfc.title, Sage_corpus.Bgp_rfc.text)
 
 (* The eight shipped corpora: name, protocol, rewritten text. *)
 let corpora =
@@ -347,7 +366,7 @@ let run_cmd =
   in
   let run proto verbose rewritten jobs cache_cap stats analyze fail_on
       trace_file trace_format trace_clock =
-    with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
+    with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
     let result = run_pipeline ~jobs ?cache_cap ?trace proto rewritten in
     Printf.printf "document  : %s\n" result.P.document.Sage_rfc.Document.title;
     Printf.printf "sections  : %d\n"
@@ -382,10 +401,6 @@ let run_cmd =
     if analyze then begin
       print_newline ();
       print_string (Sage.Report.analysis result)
-    end;
-    if stats then begin
-      print_newline ();
-      print_string (Sage.Report.stats result)
     end;
     analysis_exit ?fail_on result
   in
@@ -767,7 +782,7 @@ let fuzz_cmd =
   in
   let run proto rewritten jobs seed iters seeded check_proofs
       check_reqs coverage_out stats trace_file trace_format trace_clock =
-    with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
+    with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
     let check_reqs = check_reqs || seeded = Some Fixture.Violation in
     let result = run_pipeline ~jobs ?trace proto rewritten in
     let funcs = seeded_ir ~verb:"fuzz" seeded result.P.codegen.P.functions in
@@ -794,8 +809,7 @@ let fuzz_cmd =
     in
     let reqs = if check_reqs then result.P.requirements else [] in
     let fz =
-      Sage_fuzz.Engine.run ?trace ~metrics:result.P.metrics
-        ~backend:Sage_backend.Backend.Compiled
+      Sage_fuzz.Engine.run ?trace ~backend:Sage_backend.Backend.Compiled
         ?load:(Option.map Fixture.load seeded) ~proved ~reqs ~seed ~iters
         ~protocol:result.P.spec.P.protocol targets
     in
@@ -808,10 +822,6 @@ let fuzz_cmd =
          (Sage_interp.Coverage.to_json fz.Sage_fuzz.Engine.coverage
             fz.Sage_fuzz.Engine.funcs);
        close_out oc);
-    if stats then begin
-      print_newline ();
-      print_string (Sage.Report.stats result)
-    end;
     if fz.Sage_fuzz.Engine.findings = [] then 0 else 1
   in
   let doc =
@@ -923,7 +933,8 @@ let chaos_cmd =
       `Error (true, "--scenario and --schedule cannot be combined")
     else
       `Ok
-        (with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
+        (with_trace ~clock:trace_clock ~stats trace_file trace_format
+         @@ fun trace ->
          let names = if corpora_sel = [] then corpus_names else corpora_sel in
          (* one pipeline run per distinct (protocol, rewritten) backing,
             shared across corpora *)
@@ -964,17 +975,12 @@ let chaos_cmd =
              refuse_vacuous ~verb:"chaos" f
                (Fixture.vacuous_chaos f (List.map snd scenarios)))
            seeded;
-         let metrics = Sage_sched.Metrics.create () in
          let campaign =
-           Sage_chaos.Campaign.run ?trace ~metrics ~soak
+           Sage_chaos.Campaign.run ?trace ~soak
              ?arm:(Option.map Fixture.arm seeded) ~check_reqs ~seed ~scenarios
              ~corpora ()
          in
          print_string (Sage_chaos.Campaign.summary campaign);
-         if stats then begin
-           print_newline ();
-           print_string (Sage_sched.Metrics.summary metrics)
-         end;
          Sage_chaos.Campaign.exit_code campaign)
   in
   let doc =
@@ -1000,13 +1006,9 @@ let chaos_cmd =
 let report_cmd =
   let run proto rewritten jobs cache_cap stats fail_on trace_file
       trace_format trace_clock =
-    with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
+    with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
     let result = run_pipeline ~jobs ?cache_cap ?trace proto rewritten in
     print_string (Sage.Report.markdown result);
-    if stats then begin
-      print_newline ();
-      print_string (Sage.Report.stats result)
-    end;
     (* the markdown already carries the findings; --fail-on here only
        selects the exit policy *)
     analysis_exit ?fail_on result
@@ -1093,7 +1095,7 @@ let bench_cmd =
       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
   in
   let run list_targets filter check seeded history_file record date
-      tolerance window render stats =
+      tolerance window render =
     let check = check || seeded <> None in
     if list_targets then begin
       Printf.printf "%-24s %-12s %s\n" "key" "backend" "description";
@@ -1122,8 +1124,7 @@ let bench_cmd =
             1
           end
           else
-            let metrics = Sage_sched.Metrics.create () in
-            match Sage_bench.Target.run_all ~metrics ~filter () with
+            match Sage_bench.Target.run_all ~filter () with
             | exception Sage_bench.Target.Check_failed msg ->
               Printf.eprintf "sage bench: check failed: %s\n" msg;
               1
@@ -1136,76 +1137,55 @@ let bench_cmd =
                     s.Sage_bench.History.ns s.Sage_bench.History.iters
                     s.Sage_bench.History.backend)
                 current;
-              let history =
-                match record with
-                | None -> history
-                | Some commit ->
-                  let date =
-                    match date with Some d -> d | None -> iso_today ()
-                  in
-                  let record =
-                    { Sage_bench.History.commit; date; entries = current }
-                  in
-                  let history = Sage_bench.History.append history record in
-                  Sage_bench.History.save history_file history;
-                  Printf.printf
-                    "\n(recorded %d entr%s as commit %s (%s) in %s)\n"
-                    (List.length record.Sage_bench.History.entries)
-                    (if List.length record.Sage_bench.History.entries = 1
-                     then "y"
-                     else "ies")
-                    commit date history_file;
-                  history
-              in
-              let code =
-                if not check then 0
-                else begin
-                  let checked =
-                    Option.fold ~none:current
-                      ~some:(fun f -> Fixture.slow f current)
-                      seeded
-                  in
-                  (* a selected target, or a history key the filter
-                     matches: either one absent from the run is MISSING *)
-                  let expected =
-                    List.map
-                      (fun (t : Sage_bench.Target.t) -> t.Sage_bench.Target.key)
-                      selected
-                    @ List.filter
-                        (fun key -> Sage_bench.Target.contains key filter)
-                        (Sage_bench.History.keys history)
-                  in
-                  let report =
-                    Sage_bench.Regress.check
-                      ?default_tolerance:
-                        (Option.map (fun p -> p /. 100.) tolerance)
-                      ~window ~tolerance_of:Sage_bench.Target.tolerance_of
-                      ~history ~expected ~current:checked ()
-                  in
-                  let count f =
-                    List.length (List.filter f report.Sage_bench.Regress.lines)
-                  in
-                  Sage_sched.Metrics.incr metrics "bench.regressions"
-                    ~by:
-                      (count (fun l ->
-                           match l.Sage_bench.Regress.status with
-                           | Sage_bench.Regress.Regressed _ -> true
-                           | _ -> false));
-                  Sage_sched.Metrics.incr metrics "bench.new"
-                    ~by:
-                      (count (fun l ->
-                           l.Sage_bench.Regress.status
-                           = Sage_bench.Regress.New_key));
-                  print_newline ();
-                  print_string (Sage_bench.Regress.render report);
-                  Sage_bench.Regress.exit_code report
-                end
-              in
-              if stats then begin
+              (match record with
+               | None -> ()
+               | Some commit ->
+                 let date =
+                   match date with Some d -> d | None -> iso_today ()
+                 in
+                 let record =
+                   { Sage_bench.History.commit; date; entries = current }
+                 in
+                 Sage_bench.History.save history_file
+                   (Sage_bench.History.append history record);
+                 Printf.printf
+                   "\n(recorded %d entr%s as commit %s (%s) in %s)\n"
+                   (List.length record.Sage_bench.History.entries)
+                   (if List.length record.Sage_bench.History.entries = 1
+                    then "y"
+                    else "ies")
+                   commit date history_file);
+              if not check then 0
+              else begin
+                let checked =
+                  Option.fold ~none:current
+                    ~some:(fun f -> Fixture.slow f current)
+                    seeded
+                in
+                (* a selected target, or a history key the filter
+                   matches: either one absent from the run is MISSING *)
+                let expected =
+                  List.map
+                    (fun (t : Sage_bench.Target.t) -> t.Sage_bench.Target.key)
+                    selected
+                  @ List.filter
+                      (fun key -> Sage_bench.Target.contains key filter)
+                      (Sage_bench.History.keys history)
+                in
+                (* [history] is the file as loaded, without the record
+                   just appended: a new sample must never sit inside its
+                   own baseline window *)
+                let report =
+                  Sage_bench.Regress.check
+                    ?default_tolerance:
+                      (Option.map (fun p -> p /. 100.) tolerance)
+                    ~window ~tolerance_of:Sage_bench.Target.tolerance_of
+                    ~history ~expected ~current:checked ()
+                in
                 print_newline ();
-                print_string (Sage.Report.metrics_stats ~title:"bench" metrics)
-              end;
-              code
+                print_string (Sage_bench.Regress.render report);
+                Sage_bench.Regress.exit_code report
+              end
         end
   in
   let doc =
@@ -1222,7 +1202,7 @@ let bench_cmd =
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(const run $ list_arg $ filter_arg $ check_arg $ seeded_arg "bench"
           $ history_arg $ record_arg $ date_arg $ tolerance_arg $ window_arg
-          $ render_arg $ stats_arg)
+          $ render_arg)
 
 (* ------------------------------------------------------------------ *)
 (* main                                                                *)

@@ -102,7 +102,7 @@ cp "$root/BENCH_history.json" bench/recorded-history.json
 label=$(git -C "$root" rev-parse --short=7 HEAD 2> /dev/null || echo worktree)
 check bench bench/check.txt \
   sage bench --history bench/recorded-history.json --record "$label" \
-  --check --tolerance 150 --stats
+  --check --tolerance 150
 for r in r1 r2; do
   check bench "bench/$r.md" \
     sage bench --history "$root/BENCH_history.json" --render

@@ -126,38 +126,6 @@ let to_string t =
 
 let append t r = { t with records = t.records @ [ normalize_record r ] }
 
-(* Merge two histories: records with the same (commit, date) are fused
-   (right-biased on a key collision), groups are ordered by (date,
-   commit) so the result is independent of argument order whenever the
-   shared records' keys are disjoint. *)
-let merge a b =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  let add r =
-    let k = (r.commit, r.date) in
-    match Hashtbl.find_opt tbl k with
-    | None ->
-      Hashtbl.replace tbl k r.entries;
-      order := k :: !order
-    | Some existing ->
-      let fused =
-        List.fold_left
-          (fun acc (key, s) -> (key, s) :: List.remove_assoc key acc)
-          existing r.entries
-      in
-      Hashtbl.replace tbl k fused
-  in
-  List.iter add a.records;
-  List.iter add b.records;
-  let records =
-    List.rev !order
-    |> List.sort (fun (c1, d1) (c2, d2) -> compare (d1, c1) (d2, c2))
-    |> List.map (fun (commit, date) ->
-           normalize_record
-             { commit; date; entries = Hashtbl.find tbl (commit, date) })
-  in
-  { schema = max a.schema b.schema; records }
-
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)

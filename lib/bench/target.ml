@@ -408,14 +408,8 @@ let run tgt : History.sample =
   { History.ns = !best; iters = !units; backend = tgt.backend }
 
 (* run every (or the filtered subset of) registered target(s), results
-   sorted by key; bumps bench.* counters when given a metrics sink *)
-let run_all ?metrics ?filter:(substr = "") () =
-  let selected = filter substr in
+   sorted by key *)
+let run_all ?filter:(substr = "") () =
   List.map
-    (fun tgt ->
-      let sample = run tgt in
-      (match metrics with
-       | Some m -> Sage_sched.Metrics.incr m "bench.targets"
-       | None -> ());
-      (tgt.key, sample))
-    (List.sort (fun a b -> compare a.key b.key) selected)
+    (fun tgt -> (tgt.key, run tgt))
+    (List.sort (fun a b -> compare a.key b.key) (filter substr))

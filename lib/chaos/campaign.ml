@@ -1,6 +1,5 @@
 module P = Sage.Pipeline
 module Trace = Sage_trace.Trace
-module Metrics = Sage_sched.Metrics
 module Faults = Sage_sim.Faults
 
 (* A campaign runs every (corpus x stack x scenario) case as one
@@ -126,11 +125,8 @@ let run_schedule ?trace ~workload:(w : Workload.t) schedule =
     schedule;
   w.Workload.check ~heal_ticks
 
-let run ?trace ?metrics ?(soak = 0) ?(arm = Fun.id)
+let run ?trace ?(soak = 0) ?(arm = Fun.id)
     ?(check_reqs = false) ~seed ~scenarios ~corpora () =
-  let incr_m ?by name =
-    match metrics with None -> () | Some m -> Metrics.incr ?by m name
-  in
   let stacks = [ Workload.Reference; Workload.Generated ] in
   let results = ref [] in
   let shrunk = ref None in
@@ -202,22 +198,7 @@ let run ?trace ?metrics ?(soak = 0) ?(arm = Fun.id)
               let statics =
                 static_fsm_check ~run:c.generated_run workload violations
               in
-              incr_m ~by:(List.length statics) "chaos.static_fsm_disagreements";
               let violations = violations @ statics in
-              incr_m "chaos.cases";
-              incr_m ~by:(Episode.duration schedule) "chaos.ticks";
-              incr_m ~by:(List.length schedule) "chaos.episodes";
-              incr_m ~by:(List.length violations) "chaos.violations";
-              incr_m
-                ~by:
-                  (List.length
-                     (List.filter
-                        (fun v ->
-                          match v.Oracle.kind with
-                          | Oracle.Requirement _ -> true
-                          | _ -> false)
-                        violations))
-                "chaos.req_violations";
               (if violations <> [] && !shrunk = None then begin
                  (* minimize the first failing schedule: the shrink
                     re-runs are untraced so they don't pollute the
@@ -237,7 +218,6 @@ let run ?trace ?metrics ?(soak = 0) ?(arm = Fun.id)
                      ~candidates:Episode.shrink_candidates ~still_failing
                      schedule
                  in
-                 incr_m ~by:steps "chaos.shrink_steps";
                  shrunk :=
                    Some
                      {

@@ -40,7 +40,6 @@ type t = {
 
 val run :
   ?trace:Sage_trace.Trace.t ->
-  ?metrics:Sage_sched.Metrics.t ->
   ?soak:int ->
   ?arm:(Workload.t -> Workload.t) ->
   ?check_reqs:bool ->
@@ -57,11 +56,7 @@ val run :
     requirements (see {!Sage_reqs.Extract.mine}) on every
     generated-function execution a case performs; a violation is a
     case violation of kind {!Oracle.Requirement} carrying the RQ id
-    and source sentence, deduplicated per RQ id within a case.
-    [metrics] receives the [chaos.*] counters
-    ([chaos.cases], [chaos.ticks], [chaos.episodes], [chaos.violations],
-    [chaos.req_violations], [chaos.shrink_steps]) that
-    {!Sage.Report.stats} surfaces.  [trace]
+    and source sentence, deduplicated per RQ id within a case.  [trace]
     records ["chaos-case"] and ["chaos-episode"] instants (category
     ["chaos"]); shrink re-runs are untraced. *)
 

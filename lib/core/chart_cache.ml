@@ -1,5 +1,4 @@
 module Lru = Sage_sched.Lru
-module Metrics = Sage_sched.Metrics
 
 type t = Sage_ccg.Parser.result Lru.t
 
@@ -32,27 +31,21 @@ let key ~protocol chunks =
     chunks;
   Buffer.contents buf
 
-let parse ?cache ?metrics ?trace ~protocol ~lexicon chunks =
+let parse ?cache ?trace ~protocol ~lexicon chunks =
   let module Trace = Sage_trace.Trace in
-  let timed stage f =
-    match metrics with Some m -> Metrics.time m stage f | None -> f ()
-  in
-  let bump name = match metrics with Some m -> Metrics.incr m name | None -> () in
   let do_parse () =
     Trace.with_span ~cat:"cache" trace "ccg-parse" @@ fun () ->
-    timed "parse" (fun () -> Sage_ccg.Parser.parse_chunks ~lexicon chunks)
+    Sage_ccg.Parser.parse_chunks ~lexicon chunks
   in
   match cache with
   | None -> do_parse ()
   | Some cache ->
     let k = key ~protocol chunks in
-    (match timed "cache_hit" (fun () -> Lru.find cache k) with
+    (match Lru.find cache k with
      | Some result ->
-       bump "cache_hits";
        Trace.instant ~cat:"cache" trace "cache-hit";
        result
      | None ->
-       bump "cache_misses";
        Trace.instant ~cat:"cache" trace "cache-miss";
        let result = do_parse () in
        Lru.add cache k result;

@@ -29,20 +29,18 @@ val key : protocol:string -> Sage_nlp.Chunker.chunk list -> string
 
 val parse :
   ?cache:t ->
-  ?metrics:Sage_sched.Metrics.t ->
   ?trace:Sage_trace.Trace.t ->
   protocol:string ->
   lexicon:Sage_ccg.Lexicon.t ->
   Sage_nlp.Chunker.chunk list ->
   Sage_ccg.Parser.result
 (** [parse_chunks] through the cache.  Without [cache] it just parses.
-    With [metrics], the parse is timed under stage ["parse"] (cache
-    hits under ["cache_hit"]) and the ["cache_hits"] / ["cache_misses"]
-    counters are bumped.  With [trace], each actual parse runs inside a
-    ["ccg-parse"] span and every lookup emits a ["cache-hit"] or
-    ["cache-miss"] instant. *)
+    With [trace], each actual parse runs inside a ["ccg-parse"] span
+    and every lookup emits a ["cache-hit"] or ["cache-miss"] instant:
+    the [--stats] profile counts parses and lookups from these. *)
 
 val hits : t -> int
 val misses : t -> int
+(** Lookups over the cache's lifetime, across every run sharing it. *)
 val stats : t -> string
 (** Human-readable one-liner (see {!Sage_sched.Lru.stats}). *)

@@ -120,15 +120,7 @@ type run = {
   codegen : codegen_report;
   diagnostics : Sage_analysis.Diagnostic.t list;
   requirements : Sage_reqs.Req.t list;
-  metrics : Sage_sched.Metrics.t;
 }
-
-(* stage-metric helpers over an optional metrics sink *)
-let timed metrics stage f =
-  match metrics with Some m -> Sage_sched.Metrics.time m stage f | None -> f ()
-
-let bump ?by metrics name =
-  match metrics with Some m -> Sage_sched.Metrics.incr ?by m name | None -> ()
 
 let status_label = function
   | Annotated_non_actionable -> "annotated-non-actionable"
@@ -172,8 +164,7 @@ let drop_terminator chunks =
   | _ -> chunks
 
 let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
-    ?metrics ?trace sentence =
-  bump metrics "sentences";
+    ?trace sentence =
   let annotated =
     List.exists (prefix_matches sentence) spec.annotated_non_actionable
   in
@@ -189,27 +180,16 @@ let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
   else begin
     ignore struct_def;
     let parse chunks =
-      let r =
-        Chart_cache.parse ?cache ?metrics ?trace ~protocol:spec.protocol
-          ~lexicon:spec.lexicon chunks
-      in
-      bump ~by:(List.length r.Sage_ccg.Parser.items) metrics "chart_items";
-      bump ~by:(List.length r.Sage_ccg.Parser.lfs) metrics "base_lfs";
-      r
+      Chart_cache.parse ?cache ?trace ~protocol:spec.protocol
+        ~lexicon:spec.lexicon chunks
     in
     let chunks =
-      timed metrics "chunk" (fun () ->
-          drop_terminator
-            (Chunker.chunk_sentence ?strategy ~dict:spec.dictionary sentence))
+      drop_terminator
+        (Chunker.chunk_sentence ?strategy ~dict:spec.dictionary sentence)
     in
     let result = parse chunks in
     let winnowed lfs =
-      let tr =
-        timed metrics "winnow" (fun () ->
-            Winnow.winnow ~extra_checks:spec.extra_checks lfs)
-      in
-      bump ~by:(tr.Winnow.base - List.length tr.Winnow.survivors) metrics
-        "winnow_killed";
+      let tr = Winnow.winnow ~extra_checks:spec.extra_checks lfs in
       Trace.instant ~cat:"pipeline"
         ~args:
           [
@@ -287,8 +267,8 @@ let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
 (* Per-sentence span wrapper: the Begin event carries the sentence's
    provenance (clipped text, message, field), the End event its outcome
    (status + LF count before winnowing). *)
-let analyze_sentence spec ?message ?field ?struct_def ?strategy ?cache ?metrics
-    ?trace sentence =
+let analyze_sentence spec ?message ?field ?struct_def ?strategy ?cache ?trace
+    sentence =
   let span_args =
     ("sentence", Trace.Str (clip sentence))
     :: ((match message with Some m -> [ ("message", Trace.Str m) ] | None -> [])
@@ -297,7 +277,7 @@ let analyze_sentence spec ?message ?field ?struct_def ?strategy ?cache ?metrics
   let sp = Trace.span ~cat:"pipeline" ~args:span_args trace "sentence" in
   match
     analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
-      ?metrics ?trace sentence
+      ?trace sentence
   with
   | report ->
     Trace.close trace sp
@@ -416,9 +396,7 @@ type analysis_job = {
   job_sentence : string;
 }
 
-let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
-  let m = match metrics with Some m -> m | None -> Sage_sched.Metrics.create () in
-  let metrics = Some m in
+let run_document ?(jobs = 1) ?cache ?trace spec ~title ~text =
   Trace.with_span ~cat:"pipeline"
     ~args:
       [
@@ -429,9 +407,7 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
     trace "document"
   @@ fun () ->
   let prepass_span = Trace.span ~cat:"pipeline" trace "phase:prepass" in
-  let document =
-    timed metrics "doc_parse" (fun () -> Document.parse ~title text)
-  in
+  let document = Document.parse ~title text in
   (* ---- phase 1: prepass ---- *)
   let rev_jobs = ref [] and n_jobs = ref 0 in
   let new_job job =
@@ -506,7 +482,7 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
            whole document run *)
         match
           analyze_sentence spec ~message:job.job_msg ?field:job.job_field
-            ?struct_def:job.job_struct_def ?cache ?metrics ?trace
+            ?struct_def:job.job_struct_def ?cache ?trace
             job.job_sentence
         with
         | report -> report
@@ -548,9 +524,7 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
         let placement =
           match report.status with
           | Parsed lf | Subject_supplied lf ->
-            (match
-               timed metrics "codegen" (fun () -> Generate.gen_sentence ctx lf)
-             with
+            (match Generate.gen_sentence ctx lf with
              | Ok pl ->
                List.iter
                  (fun s -> provenance := (s, report.sentence) :: !provenance)
@@ -611,10 +585,7 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
           let stmts =
             List.concat_map
               (fun lf ->
-                match
-                  timed metrics "codegen" (fun () ->
-                      Generate.gen_sentence ctx lf)
-                with
+                match Generate.gen_sentence ctx lf with
                 | Ok pl -> pl.Generate.stmts
                 | Error reason ->
                   non_actionable := (Lf.to_string lf, reason) :: !non_actionable;
@@ -645,19 +616,18 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
           | Pseudo_block block -> handle_pseudo block)
         plan.plan_works;
       let assembled =
-        timed metrics "assemble" (fun () ->
-            Assemble.assemble ~protocol:spec.protocol
-              ~variants:
-                (List.map
-                   (fun (vname, role) ->
-                     {
-                       Assemble.variant_message = vname;
-                       variant_role = role;
-                       fixed_assignments =
-                         fixed_assignments_for_variant plan.plan_section vname;
-                     })
-                   plan.plan_variants)
-              ~items:(List.rev !items))
+        Assemble.assemble ~protocol:spec.protocol
+          ~variants:
+            (List.map
+               (fun (vname, role) ->
+                 {
+                   Assemble.variant_message = vname;
+                   variant_role = role;
+                   fixed_assignments =
+                     fixed_assignments_for_variant plan.plan_section vname;
+                 })
+               plan.plan_variants)
+          ~items:(List.rev !items)
       in
       (match struct_def with
        | Some sd ->
@@ -674,9 +644,8 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
     ~args:[ ("functions", Trace.Int (List.length functions)) ];
   let c_code =
     Trace.with_span ~cat:"pipeline" trace "phase:render" @@ fun () ->
-    timed metrics "render" (fun () ->
-        Sage_codegen.C_printer.render_program ~protocol:spec.protocol ~structs
-          ~funcs:functions)
+    Sage_codegen.C_printer.render_program ~protocol:spec.protocol ~structs
+      ~funcs:functions
   in
   (* ---- phase 4: static analysis over the generated IR ---- *)
   let analysis4_span =
@@ -690,15 +659,9 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
       Option.map snd (List.find_opt (fun (s', _) -> s' = s) provenance)
   in
   let diagnostics =
-    timed metrics "analysis" (fun () ->
-        Sage_analysis.Analyzer.analyze_program ~sentence_of_stmt
-          ~struct_of_function functions)
+    Sage_analysis.Analyzer.analyze_program ~sentence_of_stmt
+      ~struct_of_function functions
   in
-  bump ~by:(List.length diagnostics) metrics "diagnostics";
-  bump ~by:(Sage_analysis.Diagnostic.errors diagnostics) metrics "diag_errors";
-  bump
-    ~by:(Sage_analysis.Diagnostic.warnings diagnostics)
-    metrics "diag_warnings";
   List.iter
     (fun (d : Sage_analysis.Diagnostic.t) ->
       Trace.instant ~cat:"analysis"
@@ -718,21 +681,9 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
   (* ---- phase 5: requirement mining over sentences + generated IR ---- *)
   let requirements =
     Trace.with_span ~cat:"pipeline" trace "phase:reqs" @@ fun () ->
-    timed metrics "reqs" (fun () ->
-        Sage_reqs.Extract.mine ~protocol:spec.protocol
-          ~sources:(List.rev !req_sources) ~funcs:functions ~provenance)
+    Sage_reqs.Extract.mine ~protocol:spec.protocol
+      ~sources:(List.rev !req_sources) ~funcs:functions ~provenance
   in
-  bump ~by:(List.length requirements) metrics "reqs.mined";
-  bump
-    ~by:
-      (List.length
-         (List.filter
-            (fun r -> r.Sage_reqs.Req.rule <> None)
-            requirements))
-    metrics "reqs.compiled";
-  bump
-    ~by:(List.length (List.filter Sage_reqs.Req.checkable requirements))
-    metrics "reqs.checkable";
   Trace.counter ~cat:"pipeline" trace "requirements"
     (List.length requirements);
   Trace.counter ~cat:"pipeline" trace "sentences" (Array.length job_array);
@@ -752,7 +703,6 @@ let run_document ?(jobs = 1) ?cache ?metrics ?trace spec ~title ~text =
       };
     diagnostics;
     requirements;
-    metrics = m;
   }
 
 let run spec ~title ~text = run_document ~jobs:1 spec ~title ~text

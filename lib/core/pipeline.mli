@@ -80,10 +80,6 @@ type run = {
           (RQ001... in document order), compiled to checkable rules
           where their logical forms lower, and anchored to the
           generated functions via statement provenance *)
-  metrics : Sage_sched.Metrics.t;
-      (** stage wall times and counters collected during the run (always
-          populated; pass [?metrics] to {!run_document} to accumulate
-          several runs into one record) *)
 }
 
 val analyze_sentence :
@@ -93,14 +89,12 @@ val analyze_sentence :
   ?struct_def:Sage_rfc.Header_diagram.t ->
   ?strategy:Sage_nlp.Chunker.strategy ->
   ?cache:Chart_cache.t ->
-  ?metrics:Sage_sched.Metrics.t ->
   ?trace:Sage_trace.Trace.t ->
   string ->
   sentence_report
 (** Parse and winnow one sentence (with subject-supply retry for field
     descriptions).  [cache] memoizes the CCG chart on the post-chunking
-    token sequence; [metrics] accumulates stage times ("chunk", "parse",
-    "winnow") and counters.  [trace] wraps the analysis in a
+    token sequence.  [trace] wraps the analysis in a
     ["sentence"] span whose Begin event carries provenance (clipped
     sentence text, message, field) and whose End event carries the
     outcome (status, LF count before winnowing), with ["winnow"]
@@ -113,7 +107,6 @@ val run : spec -> title:string -> text:string -> run
 val run_document :
   ?jobs:int ->
   ?cache:Chart_cache.t ->
-  ?metrics:Sage_sched.Metrics.t ->
   ?trace:Sage_trace.Trace.t ->
   spec ->
   title:string ->
@@ -123,10 +116,8 @@ val run_document :
     [1]) is the number of workers the sentence-analysis phase may use;
     when OCaml 5 domains are unavailable the run silently degrades to
     sequential.  The output is {e deterministic}: for a given input it is
-    byte-identical whatever [jobs] is and whether or not [cache] is warm
-    (timings in [metrics] of course vary).  [cache] may be shared across
-    runs and protocols; [metrics] defaults to a fresh record, returned in
-    the [run].
+    byte-identical whatever [jobs] is and whether or not [cache] is warm.
+    [cache] may be shared across runs and protocols.
 
     [trace] records the run as structured events: a ["document"] span
     enclosing ["phase:prepass"] / ["phase:analysis"] /
@@ -136,7 +127,9 @@ val run_document :
     cache hit/miss instants, one ["diagnostic"] instant per
     static-analysis finding and final sentence/function/diagnostic
     counters.  Tracing never changes the run's output — with [trace]
-    absent every emission helper is a no-op. *)
+    absent every emission helper is a no-op.  These events are the
+    run's only measurement: {!Sage_trace.Trace.profile} turns them into
+    per-stage calls and times (the [--stats] view). *)
 
 val ambiguous_sentences : run -> sentence_report list
 val zero_lf_sentences : run -> sentence_report list

@@ -28,75 +28,6 @@ let summary run =
     (List.length run.Pipeline.codegen.Pipeline.non_actionable)
     (List.length run.Pipeline.codegen.Pipeline.functions)
 
-(* The subsystem counter blocks below are shared between [stats] (a
-   pipeline run's metrics) and [metrics_stats] (a bare metrics sink,
-   e.g. `sage bench --stats`): each block renders only when its
-   subsystem actually ran. *)
-let counter_blocks buf m =
-  let hits = Sage_sched.Metrics.counter m "cache_hits" in
-  let misses = Sage_sched.Metrics.counter m "cache_misses" in
-  if hits + misses > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf "\nchart cache: %d hits / %d misses (%.1f%% hit rate)\n"
-         hits misses
-         (100.0 *. float_of_int hits /. float_of_int (hits + misses)));
-  let cov_points = Sage_sched.Metrics.counter m "fuzz.coverage.points" in
-  if cov_points > 0 then begin
-    let cov = Sage_sched.Metrics.counter m "fuzz.coverage.covered" in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\nfuzz: %d iterations, %d findings, %d/%d IR statements covered \
-          (%.1f%%)\n"
-         (Sage_sched.Metrics.counter m "fuzz.iterations")
-         (Sage_sched.Metrics.counter m "fuzz.findings")
-         cov cov_points
-         (100.0 *. float_of_int cov /. float_of_int cov_points))
-  end;
-  let chaos_ticks = Sage_sched.Metrics.counter m "chaos.ticks" in
-  if chaos_ticks > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\nchaos: %d cases, %d episodes, %d violations over %d ticks\n"
-         (Sage_sched.Metrics.counter m "chaos.cases")
-         (Sage_sched.Metrics.counter m "chaos.episodes")
-         (Sage_sched.Metrics.counter m "chaos.violations")
-         chaos_ticks);
-  let reqs_mined = Sage_sched.Metrics.counter m "reqs.mined" in
-  if reqs_mined > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\nrequirements: %d mined, %d compiled to rules, %d checkable\n"
-         reqs_mined
-         (Sage_sched.Metrics.counter m "reqs.compiled")
-         (Sage_sched.Metrics.counter m "reqs.checkable"));
-  let bench_targets = Sage_sched.Metrics.counter m "bench.targets" in
-  if bench_targets > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\nbench: %d target(s) measured, %d regressed, %d new baseline(s)\n"
-         bench_targets
-         (Sage_sched.Metrics.counter m "bench.regressions")
-         (Sage_sched.Metrics.counter m "bench.new"))
-
-let stats run =
-  let m = run.Pipeline.metrics in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "# Stage metrics: %s\n\n"
-       run.Pipeline.document.Sage_rfc.Document.title);
-  Buffer.add_string buf (Sage_sched.Metrics.summary m);
-  counter_blocks buf m;
-  Buffer.contents buf
-
-(* Metrics-only stats: the same rendering for commands that have a
-   metrics sink but no pipeline run attached (`sage bench --stats`). *)
-let metrics_stats ?(title = "metrics") m =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "# Stage metrics: %s\n\n" title);
-  Buffer.add_string buf (Sage_sched.Metrics.summary m);
-  counter_blocks buf m;
-  Buffer.contents buf
-
 let rewrite_worklist run =
   let buf = Buffer.create 512 in
   let ambiguous = Pipeline.ambiguous_sentences run in

@@ -23,15 +23,3 @@ val analysis_json : Pipeline.run -> string
 val rewrite_worklist : Pipeline.run -> string
 (** Only the action items for the spec author (ambiguous + zero-LF
     sentences), empty string when the spec is clean. *)
-
-val stats : Pipeline.run -> string
-(** The run's stage metrics (wall time per stage, counters, chart-cache
-    hit rate).  Timing-dependent, so deliberately {e not} part of
-    {!markdown}: the markdown report stays byte-identical across
-    sequential, parallel and cache-warm runs. *)
-
-val metrics_stats : ?title:string -> Sage_sched.Metrics.t -> string
-(** The same stage-metrics rendering (summary plus the per-subsystem
-    counter blocks: cache, fuzz, chaos, requirements, bench) for a bare
-    metrics sink with no pipeline run attached — what
-    [sage bench --stats] prints. *)

@@ -23,7 +23,6 @@
 module Ir = Sage_codegen.Ir
 module Coverage = Sage_interp.Coverage
 module Trace = Sage_trace.Trace
-module Metrics = Sage_sched.Metrics
 module Backend = Sage_backend.Backend
 
 type finding = {
@@ -79,7 +78,7 @@ let shrink ~protocol ~env ?alt ?reqs prog ~kind packet =
       | _ -> None)
     packet
 
-let run ?trace ?metrics ?(backend = Backend.Interp) ?differential
+let run ?trace ?(backend = Backend.Interp) ?differential
     ?(load = Backend.load) ?(proved = []) ?(reqs = []) ~seed ~iters ~protocol targets =
   let differential =
     match differential with
@@ -216,17 +215,7 @@ let run ?trace ?metrics ?(backend = Backend.Interp) ?differential
          (fun () -> iteration slot)
      done);
   let funcs = List.map fst targets in
-  let covered, points = Coverage.totals coverage funcs in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.incr ~by:iters m "fuzz.iterations";
-    Metrics.incr ~by:!executions m "fuzz.executions";
-    Metrics.incr ~by:!rejected m "fuzz.rejected";
-    Metrics.incr ~by:!interesting m "fuzz.corpus";
-    Metrics.incr ~by:(List.length !findings) m "fuzz.findings";
-    Metrics.incr ~by:covered m "fuzz.coverage.covered";
-    Metrics.incr ~by:points m "fuzz.coverage.points");
+  let covered, _ = Coverage.totals coverage funcs in
   Trace.counter ~cat:"fuzz" trace "fuzz.coverage.covered" covered;
   let findings = List.rev !findings in
   (* static/dynamic cross-validation: a never-raise finding on an
@@ -238,11 +227,6 @@ let run ?trace ?metrics ?(backend = Backend.Interp) ?differential
       (fun fd -> fd.kind = Oracle.Never_raise && List.mem fd.fn proved)
       findings
   in
-  (match metrics with
-   | None -> ()
-   | Some m ->
-     Metrics.incr ~by:(List.length proof_violations) m
-       "fuzz.proof_violations");
   {
     protocol;
     seed;

@@ -32,7 +32,6 @@ type result = {
 
 val run :
   ?trace:Sage_trace.Trace.t ->
-  ?metrics:Sage_sched.Metrics.t ->
   ?backend:Sage_backend.Backend.choice ->
   ?differential:bool ->
   ?load:
@@ -67,8 +66,7 @@ val run :
     the last oracle on every checked iteration of that function.
 
     Emits [fuzz-iteration] spans, [coverage-hit] / [finding] instants
-    and a coverage counter to [trace]; bumps [fuzz.*] counters on
-    [metrics]. *)
+    and a coverage counter to [trace]. *)
 
 val shrink :
   protocol:string ->

@@ -5,7 +5,7 @@
     mutexes are real; on earlier compilers ([backend_seq.ml]) [spawn]
     degenerates to immediate in-line execution and mutexes are free,
     so every caller compiles and runs — just without parallelism.
-    {!Pool} and {!Metrics} are written against this signature only. *)
+    {!Pool} and {!Lru} are written against this signature only. *)
 
 val available : bool
 (** Whether true parallel execution is compiled in (OCaml >= 5). *)

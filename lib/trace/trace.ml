@@ -38,10 +38,12 @@ type t = {
   mutable ticks : int64;
 }
 
+let now_ns () = Monotonic_clock.now ()
+
 let create ?(clock = Wall) () =
   {
     clock;
-    start_ns = Sage_sched.Metrics.now_ns ();
+    start_ns = now_ns ();
     lock = Sage_sched.Sched_backend.mutex ();
     rev_events = [];
     count = 0;
@@ -54,7 +56,7 @@ let clock t = t.clock
 (* Must be called under [t.lock]. *)
 let stamp t =
   match t.clock with
-  | Wall -> Int64.sub (Sage_sched.Metrics.now_ns ()) t.start_ns
+  | Wall -> Int64.sub (now_ns ()) t.start_ns
   | Logical ->
     t.ticks <- Int64.add t.ticks 1L;
     t.ticks
@@ -208,11 +210,6 @@ type format =
   | Json
   | Text
 
-let format_of_string = function
-  | "json" -> Some Json
-  | "text" -> Some Text
-  | _ -> None
-
 let render fmt t =
   match fmt with Json -> to_chrome_json t | Text -> to_text t
 
@@ -223,3 +220,87 @@ let summary t =
   Printf.sprintf "%d events (%d spans, %d worker%s)" (List.length evs) spans
     (List.length tids)
     (if List.length tids = 1 then "" else "s")
+
+(* --- profile ---------------------------------------------------------- *)
+
+type row = {
+  row_name : string;
+  calls : int;
+  total : int64;
+  instants : int;
+  last : int option;
+}
+
+(* One pass in emission order.  A Begin waits in [opens] under its span
+   id until its End arrives; a Begin an exception left open never does,
+   so it adds nothing.  Rows are sorted by name: hashtable order must
+   never reach the printout. *)
+let profile t =
+  let rows = Hashtbl.create 32 and opens = Hashtbl.create 32 in
+  let update name f =
+    let r =
+      match Hashtbl.find_opt rows name with
+      | Some r -> r
+      | None ->
+        { row_name = name; calls = 0; total = 0L; instants = 0; last = None }
+    in
+    Hashtbl.replace rows name (f r)
+  in
+  List.iter
+    (fun ev ->
+      match ev.ph with
+      | Begin -> Hashtbl.replace opens ev.span_id ev.ts
+      | End -> (
+        match Hashtbl.find_opt opens ev.span_id with
+        | None -> ()
+        | Some t0 ->
+          Hashtbl.remove opens ev.span_id;
+          update ev.name (fun r ->
+              {
+                r with
+                calls = r.calls + 1;
+                total = Int64.add r.total (Int64.sub ev.ts t0);
+              }))
+      | Instant ->
+        update ev.name (fun r -> { r with instants = r.instants + 1 })
+      | Counter -> (
+        match List.assoc_opt "value" ev.args with
+        | Some (Int v) -> update ev.name (fun r -> { r with last = Some v })
+        | Some (Str _) | None -> ()))
+    (events t);
+  Hashtbl.fold (fun _ r acc -> r :: acc) rows []
+  |> List.sort (fun a b -> String.compare a.row_name b.row_name)
+
+let pretty_ns ns =
+  let ns = Int64.to_float ns in
+  if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
+  else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
+  else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
+  else Printf.sprintf "%.0f ns" ns
+
+let profile_to_text t =
+  let duration d =
+    match t.clock with
+    | Wall -> pretty_ns d
+    | Logical -> Printf.sprintf "%Ld ticks" d
+  in
+  let rows = profile t in
+  let width =
+    List.fold_left (fun w r -> max w (String.length r.row_name)) 4 rows
+  in
+  let buf = Buffer.create 1024 in
+  let line = Printf.bprintf buf "%-*s %8s %12s %12s %8s %8s\n" width in
+  line "name" "calls" "total" "per call" "instants" "counter";
+  List.iter
+    (fun r ->
+      let spans = r.calls > 0 in
+      let cell present s = if present then s else "-" in
+      line r.row_name
+        (cell spans (string_of_int r.calls))
+        (cell spans (duration r.total))
+        (cell spans
+           (duration (Int64.div r.total (Int64.of_int (max 1 r.calls)))))
+        (cell (r.instants > 0) (string_of_int r.instants))
+        (match r.last with Some v -> string_of_int v | None -> "-"))
+    rows;
+  Buffer.contents buf

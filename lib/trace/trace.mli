@@ -10,11 +10,14 @@
 
     Events carry a timestamp from one of two clocks:
     - {!Wall} — elapsed nanoseconds since the tracer's creation, on
-      the monotonic clock ({!Sage_sched.Metrics.now_ns}), the default,
-      for real profiling;
+      the monotonic clock ({!now_ns}), the default, for real
+      profiling;
     - {!Logical} — a sequence number incremented under the tracer
       mutex, for tests that need byte-identical trace files across
-      runs (same inputs + [--jobs 1] ⇒ identical bytes). *)
+      runs (same inputs + [--jobs 1] ⇒ identical bytes).
+
+    The buffer is also the run's only measurement: {!profile}
+    aggregates it per event name, and [--stats] prints that view. *)
 
 (** A typed event argument. *)
 type arg =
@@ -41,6 +44,12 @@ type event = {
 type clock =
   | Wall
   | Logical
+
+val now_ns : unit -> int64
+(** Nanoseconds on the monotonic clock: never steps backwards (an NTP
+    adjustment cannot make a span negative), with an arbitrary origin,
+    so only differences mean anything.  Reading it does not
+    allocate. *)
 
 type t
 
@@ -98,11 +107,27 @@ type format =
   | Json
   | Text
 
-val format_of_string : string -> format option
-(** ["json"] / ["text"], for CLI parsing. *)
-
 val render : format -> t -> string
 
 val summary : t -> string
 (** One-line count summary (["412 events (23 spans, 3 workers)"]) for
     status output on stderr. *)
+
+(** One profile row: everything the buffer holds under one event name. *)
+type row = {
+  row_name : string;
+  calls : int;  (** spans closed, Begin matched to End by span id *)
+  total : int64;  (** summed span durations, in the tracer's clock units *)
+  instants : int;  (** instant events *)
+  last : int option;  (** the last counter sample, if any *)
+}
+
+val profile : t -> row list
+(** Aggregate the buffer per event name, rows sorted by name.  A Begin
+    whose span never closed (an exception escaped between {!span} and
+    {!close}) adds nothing. *)
+
+val profile_to_text : t -> string
+(** {!profile} as a table: calls, total and per-call time (ns units
+    under {!Wall}, ticks under {!Logical}), instants and the last
+    counter value per name, ["-"] where a name has none. *)

@@ -92,3 +92,7 @@ let traced_run_of =
           ~text:c.text
       in
       (run, trace))
+
+(* The profile row a traced run recorded under [name], if any. *)
+let profile_row trace name =
+  List.find_opt (fun r -> r.Trace.row_name = name) (Trace.profile trace)

@@ -360,12 +360,16 @@ let test_diagnostics_in_report () =
     (Result.is_ok (Sage_json.Json.parse json))
 
 let test_metrics_have_analysis_stage () =
-  let run = C.run_of (C.find "icmp") in
-  let m = run.P.metrics in
-  check Alcotest.bool "diagnostics counter" true
-    (Sage_sched.Metrics.counter m "diagnostics" > 0);
-  check Alcotest.bool "analysis stage timed" true
-    (List.mem_assoc "analysis" (Sage_sched.Metrics.stage_ns m))
+  let run, trace = C.traced_run_of (C.find "icmp") in
+  (match C.profile_row trace "diagnostics" with
+   | Some r ->
+     check Alcotest.(option int) "diagnostics counter"
+       (Some (List.length run.P.diagnostics)) r.Sage_trace.Trace.last
+   | None -> Alcotest.fail "no diagnostics row");
+  match C.profile_row trace "phase:static-analysis" with
+  | Some r ->
+    check Alcotest.int "analysis stage timed once" 1 r.Sage_trace.Trace.calls
+  | None -> Alcotest.fail "no phase:static-analysis row"
 
 (* ------------------------------------------------------------------ *)
 (* Seeded under-specified corpus: IGMP minus its checksum sentence.    *)

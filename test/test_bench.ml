@@ -19,10 +19,7 @@ let check = Alcotest.check
 (* Generators.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* two disjoint key pools, so merge commutativity can be tested on
-   histories that cannot collide on (commit, date, key) *)
-let pool_a = [ "nlp"; "ccg-parse"; "winnow"; "codegen" ]
-let pool_b = [ "analysis-dataflow"; "interp/iter"; "sim-pps"; "fuzz/iter" ]
+let key_pool = [ "nlp"; "ccg-parse"; "winnow"; "codegen" ]
 
 (* what a JSON printer must escape (every byte below 0x20, the quote,
    the backslash) and multibyte UTF-8 (é, →, 😀) that it must not *)
@@ -85,22 +82,19 @@ let history_arb pool =
     (fun records -> List.fold_left H.append H.empty records)
     (Q.list_of ~max_len:4 (record_arb pool))
 
-let history_pair_arb =
-  Q.pair (history_arb pool_a) (history_arb pool_b)
-
 (* ------------------------------------------------------------------ *)
 (* History properties.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let prop_roundtrip =
-  Q.test "history parse/print round-trip" ~count:150 (history_arb pool_a)
+  Q.test "history parse/print round-trip" ~count:150 (history_arb key_pool)
     (fun h ->
       let s = H.to_string h in
       Result.is_ok (Json.parse s) && H.of_string s = Ok h)
 
 let prop_append_monotonic =
   Q.test "append preserves the existing trajectory" ~count:150
-    (Q.pair (history_arb pool_a) (record_arb pool_a))
+    (Q.pair (history_arb key_pool) (record_arb key_pool))
     (fun (h, r) ->
       let h' = H.append h r in
       let n = List.length h.H.records in
@@ -109,16 +103,6 @@ let prop_append_monotonic =
       && List.for_all
            (fun (key, s) -> H.latest h' key = Some s)
            r.H.entries)
-
-let prop_merge_commutes =
-  Q.test "merge commutes on disjoint key pools" ~count:150 history_pair_arb
-    (fun (a, b) -> H.to_string (H.merge a b) = H.to_string (H.merge b a))
-
-let prop_merge_key_union =
-  Q.test "merge covers the union of keys" ~count:150 history_pair_arb
-    (fun (a, b) ->
-      H.keys (H.merge a b)
-      = List.sort_uniq compare (H.keys a @ H.keys b))
 
 (* ------------------------------------------------------------------ *)
 (* History unit tests: baseline / queries.                             *)
@@ -493,12 +477,31 @@ let test_cli_missing_history_key () =
          && Cli_harness.contains line "MISSING")
        (String.split_on_char '\n' out))
 
+let test_cli_record_checks_loaded_history () =
+  (* --record appends after the check, so a key the loaded history
+     lacks is new, never compared with its own sample *)
+  let file = Filename.temp_file "sage-bench-record" ".json" in
+  H.save file H.empty;
+  let code, out, _ =
+    Cli_harness.run_cli
+      (Printf.sprintf
+         "bench --filter icmp-encode --history %s --record t1 --check"
+         (Filename.quote file))
+  in
+  let recorded = H.load file in
+  Sys.remove file;
+  check Alcotest.int "exit 0" 0 code;
+  check Alcotest.bool "icmp-encode is new" true
+    (Cli_harness.contains out "new (baseline recorded)");
+  match recorded with
+  | Ok h ->
+    check Alcotest.(list string) "still recorded" [ "icmp-encode" ] (H.keys h)
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
     prop_roundtrip;
     prop_append_monotonic;
-    prop_merge_commutes;
-    prop_merge_key_union;
     tc "baseline is the median of the window" test_baseline_median;
     tc "latest/best/trajectory/keys" test_queries;
     tc "save/load is atomic and lossless" test_save_load_atomic;
@@ -531,4 +534,6 @@ let suite =
     tc "sage bench --filter with no match" test_cli_bad_filter;
     tc "sage bench --check fails on a retired history key"
       test_cli_missing_history_key;
+    tc "sage bench --record checks the history as loaded"
+      test_cli_record_checks_loaded_history;
   ]

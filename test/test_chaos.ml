@@ -194,22 +194,32 @@ let test_seeded_wedge_fails_and_shrinks () =
       (E.to_string s.Cam.schedule);
     check Alcotest.bool "took shrink steps" true (s.Cam.steps > 0)
 
-(* ---- chaos counters surface in Report.stats ---- *)
+(* ---- a campaign's events reach the --stats profile ---- *)
 
-let test_counters_reach_stats () =
-  let run = C.run_of (C.find "icmp-rw") in
-  let before = Sage.Report.stats run in
-  check Alcotest.bool "no chaos line before" false
-    (Astring_contains.contains before "chaos:");
+let test_events_reach_profile () =
+  let module T = Sage_trace.Trace in
+  let trace = T.create ~clock:T.Logical () in
   let t =
-    Cam.run ~metrics:run.P.metrics ~seed:7
+    Cam.run ~trace ~seed:7
       ~scenarios:[ ("flaky", Option.get (Sc.find "flaky")) ]
       ~corpora:icmp_cases ()
   in
   check Alcotest.int "exit 0" 0 (Cam.exit_code t);
-  let after = Sage.Report.stats run in
-  check Alcotest.bool "chaos line after" true
-    (Astring_contains.contains after "chaos: 2 cases")
+  let instants name =
+    match C.profile_row trace name with Some r -> r.T.instants | None -> 0
+  in
+  check Alcotest.int "one chaos-case instant per case"
+    (List.length t.Cam.results) (instants "chaos-case");
+  (* every episode is entered once; a crash episode also restarts *)
+  let episode_events (r : Cam.case_result) =
+    List.fold_left
+      (fun n ep ->
+        n + match ep with E.Crash_restart _ -> 2 | _ -> 1)
+      0 r.Cam.schedule
+  in
+  check Alcotest.int "chaos-episode instants"
+    (List.fold_left (fun n r -> n + episode_events r) 0 t.Cam.results)
+    (instants "chaos-episode")
 
 (* ---- generated stacks run the production executor ---- *)
 
@@ -254,7 +264,7 @@ let suite =
     tc "soak stretches the heal window" test_soak_stretches_heal;
     tc "seeded wedge fails with one shrunk schedule"
       test_seeded_wedge_fails_and_shrinks;
-    tc "chaos counters reach Report.stats" test_counters_reach_stats;
+    tc "chaos events reach the stats profile" test_events_reach_profile;
     tc "generated workloads run compiled code"
       test_generated_workloads_run_compiled;
     tc "campaign summary golden snapshot" test_campaign_snapshot;

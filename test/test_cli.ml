@@ -93,6 +93,53 @@ let test_chaos_deterministic_across_jobs () =
 (* a removed option must be a usage error, never silently accepted *)
 let test_option_gone args () = expect_usage_error args args
 
+(* only icmp and bfd ship a rewritten text: any other protocol must
+   not quietly run its original text instead *)
+let test_rewritten_needs_a_text () =
+  List.iter
+    (fun proto ->
+      let code, out, err = run_cli ("run --rewritten -p " ^ proto) in
+      checki (proto ^ ": exit 2") 2 code;
+      checkb (proto ^ ": no output") true (out = "");
+      checkb (proto ^ ": names icmp and bfd") true
+        (contains err "icmp" && contains err "bfd"))
+    [ "igmp"; "ntp"; "tcp"; "bgp" ]
+
+(* --stats appends the profile of the run's trace: the verb's own
+   stdout comes first, byte for byte, then rows sorted by name *)
+let test_stats_appends_profile () =
+  List.iter
+    (fun args ->
+      let c1, plain, _ = run_cli args in
+      let c2, stats, _ = run_cli (args ^ " --stats") in
+      checki (args ^ ": same exit") c1 c2;
+      checkb (args ^ ": stdout is a prefix") true
+        (String.starts_with ~prefix:plain stats);
+      let n = String.length plain in
+      match
+        String.split_on_char '\n' (String.sub stats n (String.length stats - n))
+      with
+      | "" :: header :: rows ->
+        checkb (args ^ ": profile header") true
+          (String.starts_with ~prefix:"name " header);
+        let names =
+          List.filter_map
+            (fun l ->
+              match String.split_on_char ' ' l with
+              | w :: _ when w <> "" -> Some w
+              | _ -> None)
+            rows
+        in
+        checkb (args ^ ": has rows") true (names <> []);
+        checkb (args ^ ": rows sorted") true (List.sort compare names = names)
+      | _ -> Alcotest.failf "%s: no profile after the output" args)
+    [
+      "run -p icmp";
+      "report -p icmp";
+      "fuzz --seed 42 --iters 50";
+      "chaos --seed 7 --corpus icmp";
+    ]
+
 let test_fuzz_compiled_reproducible () =
   (* every run executes compiled code and re-checks each iteration on
      the interpreter: same seed, no disagreement, byte-identical
@@ -236,6 +283,12 @@ let suite =
       (test_option_gone "report --analyze");
     Alcotest.test_case "removed option: fuzz -v" `Quick
       (test_option_gone "fuzz -v");
+    Alcotest.test_case "removed option: bench --stats" `Quick
+      (test_option_gone "bench --stats");
+    Alcotest.test_case "--rewritten needs a rewritten text" `Quick
+      test_rewritten_needs_a_text;
+    Alcotest.test_case "--stats appends the profile" `Slow
+      test_stats_appends_profile;
     Alcotest.test_case "fuzz: compiled backend reproducible" `Slow
       test_fuzz_compiled_reproducible;
     Alcotest.test_case "interop: --rewritten passes" `Slow

@@ -17,7 +17,6 @@ module Hd = Sage_rfc.Header_diagram
 module Checksum = Sage_net.Checksum
 module Icmp = Sage_net.Icmp
 module Trace = Sage_trace.Trace
-module Metrics = Sage_sched.Metrics
 module P = Sage.Pipeline
 module C = Corpus_runs
 
@@ -484,9 +483,9 @@ let test_observe_agrees_with_view () =
 
 let small_iters = 400
 
-let engine_result ?trace ?metrics ?(seed = 42) ?(iters = small_iters) name =
+let engine_result ?trace ?(seed = 42) ?(iters = small_iters) name =
   let run = run_of name in
-  Engine.run ?trace ?metrics ~seed ~iters ~protocol:run.P.spec.P.protocol
+  Engine.run ?trace ~seed ~iters ~protocol:run.P.spec.P.protocol
     (targets_of run)
 
 let test_engine_deterministic () =
@@ -524,15 +523,18 @@ let test_engine_empty_targets () =
     (Invalid_argument "Sage_fuzz.Engine.run: no targets") (fun () ->
       ignore (Engine.run ~seed:1 ~iters:1 ~protocol:"ICMP" []))
 
+(* the run's counts, read back from the profile of its trace *)
 let test_engine_metrics () =
-  let m = Metrics.create () in
-  let r = engine_result ~metrics:m "icmp" in
-  checki "fuzz.iterations" small_iters (Metrics.counter m "fuzz.iterations");
-  checki "fuzz.executions" r.Engine.executions
-    (Metrics.counter m "fuzz.executions");
-  checki "fuzz.findings" 0 (Metrics.counter m "fuzz.findings");
-  checkb "fuzz.coverage.points > 0" true
-    (Metrics.counter m "fuzz.coverage.points" > 0)
+  let tracer = Trace.create ~clock:Trace.Logical () in
+  let r = engine_result ~trace:tracer "icmp" in
+  let row = C.profile_row tracer in
+  checki "fuzz-iteration spans" small_iters
+    (match row "fuzz-iteration" with Some x -> x.Trace.calls | None -> 0);
+  checkb "no finding instants" true (row "finding" = None);
+  let covered, points = Coverage.totals r.Engine.coverage r.Engine.funcs in
+  checkb "coverage points > 0" true (points > 0);
+  check Alcotest.(option int) "fuzz.coverage.covered" (Some covered)
+    (Option.bind (row "fuzz.coverage.covered") (fun x -> x.Trace.last))
 
 let test_engine_trace () =
   let tracer = Trace.create ~clock:Trace.Logical () in

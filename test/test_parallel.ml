@@ -6,7 +6,6 @@
 module P = Sage.Pipeline
 module Pool = Sage_sched.Pool
 module Lru = Sage_sched.Lru
-module Metrics = Sage_sched.Metrics
 module C = Corpus_runs
 
 let check = Alcotest.check
@@ -111,28 +110,41 @@ let test_lru_shared_across_pool_workers () =
   Array.iteri (fun i v -> check Alcotest.string "value" keys.(i) v) results;
   check Alcotest.bool "no over-capacity" true (Lru.length c <= 64)
 
-(* ---- Metrics ---- *)
+(* ---- Chart cache under workers ---- *)
 
-let test_metrics_counters_and_merge () =
-  let m = Metrics.create () in
-  Metrics.incr m "a";
-  Metrics.incr ~by:4 m "a";
-  check Alcotest.int "a" 5 (Metrics.counter m "a");
-  check Alcotest.int "absent" 0 (Metrics.counter m "nope");
-  let v = Metrics.time m "stage" (fun () -> 11) in
-  check Alcotest.int "time passes value" 11 v;
-  check Alcotest.(list (pair string int)) "calls" [ ("stage", 1) ] (Metrics.stage_calls m);
-  let dst = Metrics.create () in
-  Metrics.incr ~by:2 dst "a";
-  Metrics.merge_into dst m;
-  check Alcotest.int "merged" 7 (Metrics.counter dst "a");
-  check Alcotest.(list (pair string int)) "merged calls" [ ("stage", 1) ]
-    (Metrics.stage_calls dst)
+let test_cache_counts_agree_with_trace () =
+  (* the --stats profile counts cache lookups from trace instants: with
+     workers racing on one shared cache, every lookup must still emit
+     exactly one instant and every miss exactly one parse span *)
+  let igmp = C.find "igmp" in
+  let cache = Sage.Chart_cache.create ~capacity:1024 () in
+  let trace = Sage_trace.Trace.create () in
+  for _ = 1 to 2 do
+    ignore
+      (P.run_document ~jobs:4 ~cache ~trace (Lazy.force igmp.C.spec)
+         ~title:igmp.C.title ~text:igmp.C.text)
+  done;
+  let row name =
+    List.find_opt
+      (fun r -> r.Sage_trace.Trace.row_name = name)
+      (Sage_trace.Trace.profile trace)
+  in
+  let instants name =
+    match row name with Some r -> r.Sage_trace.Trace.instants | None -> 0
+  in
+  let hits = Sage.Chart_cache.hits cache
+  and misses = Sage.Chart_cache.misses cache in
+  check Alcotest.bool "warm pass hits" true (hits > 0);
+  check Alcotest.bool "cold pass misses" true (misses > 0);
+  check Alcotest.int "cache-hit instants" hits (instants "cache-hit");
+  check Alcotest.int "cache-miss instants" misses (instants "cache-miss");
+  check Alcotest.int "one parse per miss" misses
+    (match row "ccg-parse" with Some r -> r.Sage_trace.Trace.calls | None -> 0)
 
 (* ---- Pipeline determinism ---- *)
 
-let run_document ?jobs ?cache ?metrics c =
-  P.run_document ?jobs ?cache ?metrics (Lazy.force c.C.spec) ~title:c.C.title
+let run_document ?jobs ?cache c =
+  P.run_document ?jobs ?cache (Lazy.force c.C.spec) ~title:c.C.title
     ~text:c.C.text
 
 let artifact run = Sage.Report.markdown run ^ "\x00" ^ run.P.codegen.P.c_code
@@ -169,8 +181,9 @@ let test_cache_rerun_identical_with_hits () =
     (fun c ->
       let name = c.C.name in
       let cold = run_document ~cache c in
-      let warm_metrics = Metrics.create () in
-      let warm = run_document ~cache ~metrics:warm_metrics c in
+      let hits0 = Sage.Chart_cache.hits cache
+      and misses0 = Sage.Chart_cache.misses cache in
+      let warm = run_document ~cache c in
       check Alcotest.string
         (Printf.sprintf "%s: warm rerun byte-identical" name)
         (artifact cold) (artifact warm);
@@ -179,14 +192,14 @@ let test_cache_rerun_identical_with_hits () =
         (Printf.sprintf "%s: identical LFs" name)
         (lf_strings cold) (lf_strings warm);
       (* the warm run must actually hit: every sentence was just parsed *)
-      let hits = Metrics.counter warm_metrics "cache_hits" in
+      let hits = Sage.Chart_cache.hits cache - hits0 in
       check Alcotest.bool
         (Printf.sprintf "%s: nonzero cache hits on rerun (%d)" name hits)
         true (hits > 0);
       check Alcotest.int
         (Printf.sprintf "%s: no misses on rerun" name)
         0
-        (Metrics.counter warm_metrics "cache_misses"))
+        (Sage.Chart_cache.misses cache - misses0))
     [ C.find "icmp"; C.find "bfd-rw" ]
 
 let test_cache_shared_across_jobs () =
@@ -195,10 +208,10 @@ let test_cache_shared_across_jobs () =
   let igmp = C.find "igmp" in
   let cache = Sage.Chart_cache.create ~capacity:1024 () in
   let cold = run_document ~jobs:1 ~cache igmp in
-  let warm_metrics = Metrics.create () in
-  let warm = run_document ~jobs:4 ~cache ~metrics:warm_metrics igmp in
+  let hits0 = Sage.Chart_cache.hits cache in
+  let warm = run_document ~jobs:4 ~cache igmp in
   check Alcotest.string "warm parallel identical" (artifact cold) (artifact warm);
-  check Alcotest.bool "nonzero hits" true (Metrics.counter warm_metrics "cache_hits" > 0)
+  check Alcotest.bool "nonzero hits" true (Sage.Chart_cache.hits cache > hits0)
 
 let test_jobs_zero_and_huge_are_safe () =
   (* degenerate worker counts must not change anything either *)
@@ -218,7 +231,8 @@ let suite =
     tc "lru: hit/miss counters" test_lru_counters;
     tc "lru: find_or_add computes once" test_lru_find_or_add;
     tc "lru: shared across pool workers" test_lru_shared_across_pool_workers;
-    tc "metrics: counters, time, merge, json" test_metrics_counters_and_merge;
+    tc "chart cache: trace counts agree under workers"
+      test_cache_counts_agree_with_trace;
     tc "determinism: --jobs 4 = sequential, all corpora"
       test_parallel_matches_sequential;
     tc "determinism: cache-warm rerun identical, nonzero hits"

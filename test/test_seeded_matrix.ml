@@ -6,7 +6,8 @@
    fixture-internals tests (what exactly was tampered, how the finding
    shrinks) stay with the suites of the oracles they exercise.
 
-   A row's [name] is its stable test id; [args] is what runs. *)
+   A row's [name] is its stable test id; [args] is what runs, after
+   [setup] (a command that must exit 0) when a row has one. *)
 
 module Fixture = Sage_fixture.Fixture
 
@@ -15,6 +16,7 @@ let contains = Cli_harness.contains
 
 type row = {
   name : string;
+  setup : string option;
   args : string;
   exit_code : int;
   expect : string list;  (** substrings that must appear on stdout *)
@@ -24,18 +26,21 @@ let seeded_fixtures =
   [
     {
       name = "fuzz --seeded-bug";
+      setup = None;
       args = "fuzz --seed 42 --iters 300 --seeded bug";
       exit_code = 1;
       expect = [ "findings   : 1" ];
     };
     {
       name = "fuzz --seeded-divergence";
+      setup = None;
       args = "fuzz --seed 42 --iters 300 --seeded divergence";
       exit_code = 1;
       expect = [ "findings   : 1"; "backend-agreement" ];
     };
     {
       name = "fuzz --seeded-violation";
+      setup = None;
       args = "fuzz -p bfd --seed 42 --iters 300 --seeded violation";
       exit_code = 1;
       expect =
@@ -50,22 +55,28 @@ let seeded_fixtures =
     };
     {
       name = "chaos --seeded-wedge";
+      setup = None;
       args = "chaos --seed 7 --corpus icmp --seeded wedge";
       exit_code = 1;
       expect = [ "FAIL"; "crash:1;heal:48" ];
     };
     {
       name = "analyze --seeded-wedge";
+      setup = None;
       args = "analyze -p bfd --seeded wedge --prove";
       exit_code = 1;
       expect = [ "SA011"; "wedge" ];
     };
-    (* record-then-check against a private history makes the baseline
-       the just-measured value, so the verdict is deterministic on any
-       machine: untampered delta is 0 (PASS), the seeded 3x tamper is
-       +200% (FAIL) — machine speed cancels out *)
+    (* --check gates against the history as loaded, so the private
+       history first gets an untampered baseline measured on this
+       machine: the seeded 3x tamper then reads +200% (FAIL) against
+       it, and machine speed cancels out *)
     {
       name = "bench --seeded-regression";
+      setup =
+        Some
+          "bench --filter winnow --history sage-bench-seeded.json --record \
+           baseline --date 2026-01-01";
       args =
         "bench --filter winnow --history sage-bench-seeded.json --record \
          selftest --date 2026-01-01 --seeded regression";
@@ -85,6 +96,7 @@ let clean_corpora =
       let proto = if rw then Filename.chop_suffix corpus "-rw" else corpus in
       {
         name = Printf.sprintf "fuzz %s clean" corpus;
+        setup = None;
         args =
           Printf.sprintf "fuzz -p %s%s --seed 42 --iters 120 --check-reqs"
             proto
@@ -96,18 +108,21 @@ let clean_corpora =
   @ [
       {
         name = "chaos icmp clean";
+        setup = None;
         args = "chaos --seed 7 --corpus icmp";
         exit_code = 0;
         expect = [ "chaos campaign: seed 7"; "failed: 0" ];
       };
       {
         name = "chaos bfd clean --check-reqs";
+        setup = None;
         args = "chaos --seed 7 --corpus bfd --check-reqs";
         exit_code = 0;
         expect = [ "failed: 0" ];
       };
       {
         name = "bench winnow clean check";
+        setup = None;
         args =
           "bench --filter winnow --history sage-bench-clean.json --record \
            selftest --date 2026-01-01 --check";
@@ -117,6 +132,13 @@ let clean_corpora =
     ]
 
 let check_row row () =
+  Option.iter
+    (fun setup ->
+      let code, _, err = run_cli setup in
+      if code <> 0 then
+        Alcotest.failf "%s: setup %S exited %d\nstderr:\n%s" row.name setup
+          code err)
+    row.setup;
   let code, out, err = run_cli row.args in
   Alcotest.(check int)
     (Printf.sprintf "%s: exit %d" row.name row.exit_code)

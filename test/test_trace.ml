@@ -1,15 +1,14 @@
 (* Tracing layer tests: tracer unit behaviour, fuzzed properties
    (balanced spans, monotone clocks, always-well-formed Chrome JSON),
    full-corpus end-to-end trace structure, the tracing-changes-nothing
-   guarantee, and the sorted-output invariants that keep metric lines
-   and golden snapshots stable (the promise documented on
-   {!Sage_sched.Metrics.sorted_bindings}). *)
+   guarantee, and the profile view over the buffer: its aggregation,
+   its agreement with the run it measured, and its rows sorted by name
+   (hashtable order must never reach [--stats]). *)
 
 module Trace = Sage_trace.Trace
 module Json = Sage_json.Json
 module P = Sage.Pipeline
 module Report = Sage.Report
-module Metrics = Sage_sched.Metrics
 module Q = Qcheck_lite
 module C = Corpus_runs
 
@@ -135,11 +134,6 @@ let test_wall_clock_monotone () =
   check Alcotest.bool "non-negative" true
     (List.for_all (fun ev -> Int64.compare ev.Trace.ts 0L >= 0) evs);
   check Alcotest.bool "non-decreasing" true (monotone evs)
-
-let test_format_of_string () =
-  check Alcotest.bool "json" true (Trace.format_of_string "json" = Some Trace.Json);
-  check Alcotest.bool "text" true (Trace.format_of_string "text" = Some Trace.Text);
-  check Alcotest.bool "unknown" true (Trace.format_of_string "yaml" = None)
 
 let test_render_dispatch () =
   let t = Trace.create ~clock:Trace.Logical () in
@@ -421,50 +415,99 @@ let test_trace_cache_events () =
   check Alcotest.bool "first parse misses" true (List.mem "cache-miss" names);
   check Alcotest.bool "second parse hits" true (List.mem "cache-hit" names)
 
-(* ---- sorted-output invariants (metrics feed snapshots and bench) ---- *)
+(* ---- the profile view ---- *)
+
+let row_to_string (r : Trace.row) =
+  Printf.sprintf "%s calls=%d total=%Ld instants=%d last=%s" r.Trace.row_name
+    r.Trace.calls r.Trace.total r.Trace.instants
+    (match r.Trace.last with Some v -> string_of_int v | None -> "-")
+
+let test_profile_unit () =
+  let t = Trace.create ~clock:Trace.Logical () in
+  let tr = Some t in
+  let sp = Trace.span tr "a" in (* tick 1 *)
+  Trace.instant tr "i"; (* 2 *)
+  Trace.close tr sp; (* 3: a spans 2 ticks *)
+  Trace.with_span tr "a" ignore; (* 4-5: 1 tick *)
+  (* same-name nesting: ends pair with their own Begin by span id *)
+  Trace.with_span tr "n" (fun () -> Trace.with_span tr "n" ignore); (* 6-9 *)
+  Trace.counter tr "c" 5;
+  Trace.counter tr "c" 7;
+  Trace.instant tr "i";
+  (* a span an exception escaped before its close: Begin only *)
+  (try
+     let (_ : Trace.span) = Trace.span tr "open" in
+     raise Exit
+   with Exit -> ());
+  check
+    Alcotest.(list string)
+    "rows"
+    [
+      "a calls=2 total=3 instants=0 last=-";
+      "c calls=0 total=0 instants=0 last=7";
+      "i calls=0 total=0 instants=2 last=-";
+      "n calls=2 total=4 instants=0 last=-";
+    ]
+    (List.map row_to_string (Trace.profile t));
+  let line = Printf.sprintf "%-4s %8s %12s %12s %8s %8s\n" in
+  check Alcotest.string "printout"
+    (line "name" "calls" "total" "per call" "instants" "counter"
+    ^ line "a" "2" "3 ticks" "1 ticks" "-" "-"
+    ^ line "c" "-" "-" "-" "-" "7"
+    ^ line "i" "-" "-" "-" "2" "-"
+    ^ line "n" "2" "4 ticks" "2 ticks" "-" "-")
+    (Trace.profile_to_text t)
+
+let test_profile_matches_run () =
+  let run, trace = C.traced_run_of (C.find "icmp") in
+  let row name =
+    match C.profile_row trace name with
+    | Some r -> r
+    | None -> Alcotest.failf "no %s row" name
+  in
+  check Alcotest.int "sentence spans" (List.length run.P.sentences)
+    (row "sentence").Trace.calls;
+  check Alcotest.int "diagnostic instants" (List.length run.P.diagnostics)
+    (row "diagnostic").Trace.instants;
+  check
+    Alcotest.(option int)
+    "requirements counter"
+    (Some (List.length run.P.requirements))
+    (row "requirements").Trace.last
+
+(* ---- sorted-output invariants (the profile feeds --stats) ---- *)
 
 let is_sorted keys = List.sort compare keys = keys
 
 let test_metrics_bindings_sorted () =
-  let m = Metrics.create () in
-  (* insert deliberately out of order: hashtable iteration order must
-     never leak into the readers *)
+  let t = Trace.create () in
+  (* emit deliberately out of order: hashtable iteration order must
+     never leak into the rows *)
   List.iter
-    (fun s -> Metrics.add_ns m s 10L)
+    (fun s -> Trace.with_span (Some t) s ignore)
     [ "winnow"; "chunk"; "parse"; "render"; "codegen" ];
-  List.iter (fun c -> Metrics.incr m c) [ "zeta"; "alpha"; "cache-hit" ];
-  check Alcotest.bool "stage_ns sorted" true
-    (is_sorted (List.map fst (Metrics.stage_ns m)));
-  check Alcotest.bool "stage_calls sorted" true
-    (is_sorted (List.map fst (Metrics.stage_calls m)));
-  check Alcotest.bool "counters sorted" true
-    (is_sorted (List.map fst (Metrics.counters m)))
+  List.iter (Trace.instant (Some t)) [ "zeta"; "alpha"; "cache-hit" ];
+  Trace.counter (Some t) "sentences" 3;
+  let names = List.map (fun r -> r.Trace.row_name) (Trace.profile t) in
+  check Alcotest.int "one row per name" 9 (List.length names);
+  check Alcotest.bool "rows sorted" true (is_sorted names)
 
 let test_report_stats_sorted () =
-  let run = C.run_of (List.hd C.corpora) in
-  let stats = Report.stats run in
-  (* the stage table lines (between the "stage total calls ..." header
-     and the next blank line) must be alphabetically sorted by name *)
-  let lines = String.split_on_char '\n' stats in
-  let rec after_header = function
+  (* the table `report --stats` prints under its header line *)
+  let _, trace = C.traced_run_of (List.hd C.corpora) in
+  let lines =
+    match String.split_on_char '\n' (Trace.profile_to_text trace) with
+    | _header :: rows -> List.filter (fun l -> l <> "") rows
     | [] -> []
-    | l :: tl when String.length l >= 6 && String.sub l 0 6 = "stage " -> tl
-    | _ :: tl -> after_header tl
   in
-  let rec take acc = function
-    | [] -> List.rev acc
-    | "" :: _ -> List.rev acc
-    | l :: tl -> take (l :: acc) tl
-  in
-  let stage_lines = take [] (after_header lines) in
   let first_word l =
     match String.split_on_char ' ' (String.trim l) with
     | w :: _ -> w
     | [] -> ""
   in
-  let stages = List.map first_word stage_lines in
-  check Alcotest.bool "has stage lines" true (stages <> []);
-  check Alcotest.bool "stage lines sorted" true (is_sorted stages)
+  let names = List.map first_word lines in
+  check Alcotest.bool "has rows" true (List.mem "phase:static-analysis" names);
+  check Alcotest.bool "rows sorted" true (is_sorted names)
 
 (* ---- suite ---- *)
 
@@ -489,7 +532,6 @@ let suite =
     tc "with_span value and exception safety" test_with_span_value_and_exception;
     tc "logical clock counts 1..n" test_logical_clock_sequence;
     tc "wall clock monotone" test_wall_clock_monotone;
-    tc "format_of_string" test_format_of_string;
     tc "render dispatches on format" test_render_dispatch;
     tc "summary counts" test_summary;
     tc "chrome json structure" test_chrome_trace_shape;
@@ -515,6 +557,8 @@ let suite =
   @ [
       tc "trace bytes deterministic at jobs 1" test_trace_deterministic_jobs1;
       tc "pipeline counters present" test_trace_counters_present;
+      tc "profile: spans, instants, counters" test_profile_unit;
+      tc "profile: icmp counts match the run" test_profile_matches_run;
       tc "worker spans under jobs 2" test_trace_worker_spans;
       tc "chart-cache hit/miss instants" test_trace_cache_events;
       tc "metrics bindings sorted" test_metrics_bindings_sorted;
