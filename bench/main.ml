@@ -1,17 +1,15 @@
 (* The evaluation harness: regenerates every table and figure of the paper
-   (§2, §6, §7) from this reproduction, plus the ablations and three
-   printed experiments (timing-parallel, static-analysis, trace).  Timed
+   (§2, §6, §7) from this reproduction, plus the ablations.  Timed
    benchmark keys live in the lib/bench registry and run through
    `sage bench`.
 
    Usage:
-     bench/main.exe              run every table, figure and experiment
+     bench/main.exe              run every table, figure and ablation
      bench/main.exe <target>...  the named targets: table2..table11, fig5,
                                  fig6, fig7, e2e-pcap, e2e-interop,
                                  generality, bfd, extensions, stats,
                                  ablate-order, ablate-cap, ablate-overgen,
-                                 ablate-assoc, timing-parallel,
-                                 static-analysis, trace
+                                 ablate-assoc
 *)
 
 module P = Sage.Pipeline
@@ -51,22 +49,13 @@ let contains haystack needle =
 let truncate_sentence n s = if String.length s <= n then s else String.sub s 0 (n - 3) ^ "..."
 
 (* cached pipeline runs *)
-let icmp_orig =
-  lazy (P.run (P.icmp_spec ()) ~title:"icmp" ~text:Sage_corpus.Icmp_rfc.text)
-
-let icmp_rewr =
-  lazy (P.run (P.icmp_spec ()) ~title:"icmp" ~text:Sage_corpus.Icmp_rfc.rewritten_text)
-
-let igmp_run =
-  lazy (P.run (P.igmp_spec ()) ~title:"igmp" ~text:Sage_corpus.Igmp_rfc.text)
-
-let ntp_run = lazy (P.run (P.ntp_spec ()) ~title:"ntp" ~text:Sage_corpus.Ntp_rfc.text)
-
-let bfd_orig =
-  lazy (P.run (P.bfd_spec ()) ~title:"bfd" ~text:Sage_corpus.Bfd_rfc.text)
-
-let bfd_rewr =
-  lazy (P.run (P.bfd_spec ()) ~title:"bfd" ~text:Sage_corpus.Bfd_rfc.rewritten_text)
+let run_of name = lazy (P.run_corpus (P.find_corpus name))
+let icmp_orig = run_of "icmp"
+let icmp_rewr = run_of "icmp-rw"
+let igmp_run = run_of "igmp"
+let ntp_run = run_of "ntp"
+let bfd_orig = run_of "bfd"
+let bfd_rewr = run_of "bfd-rw"
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: student error categories.                                  *)
@@ -254,9 +243,10 @@ let table7 () =
 (* Table 8: disabling the dictionary / NP labeling.                    *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_sentences spec text =
-  let doc = Doc.parse ~title:"t" text in
-  Doc.sentences_with_context doc
+(* the sentences of a corpus that no human marked non-actionable *)
+let corpus_sentences (c : P.corpus) =
+  let spec = c.P.spec () in
+  Doc.sentences_with_context (Doc.parse ~title:c.P.title c.P.text)
   |> List.filter (fun (s, _, _) ->
          not
            (List.exists
@@ -275,7 +265,7 @@ let table8 () =
     "Table 8: Effect of disabling the domain dictionary and noun-phrase\n\
      labeling on the number of logical forms (ICMP corpus)";
   let spec = P.icmp_spec () in
-  let sentences = corpus_sentences spec Sage_corpus.Icmp_rfc.text in
+  let sentences = corpus_sentences (P.find_corpus "icmp") in
   let count ?strategy ?dict s =
     let dict = Option.value ~default:spec.P.dictionary dict in
     (Parser.parse ?strategy ~lexicon:spec.P.lexicon ~dict s).Parser.lfs
@@ -416,8 +406,9 @@ let fig5 () =
 (* Figure 6: individual effect of each check family.                   *)
 (* ------------------------------------------------------------------ *)
 
-let base_lfs_of_corpus spec text =
-  corpus_sentences spec text
+let base_lfs_of_corpus (c : P.corpus) =
+  let spec = c.P.spec () in
+  corpus_sentences c
   |> List.filter_map (fun (s, _, _) ->
          let r = Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary s in
          if List.length r.Parser.lfs >= 2 then Some (s, r.Parser.lfs) else None)
@@ -427,8 +418,7 @@ let fig6 () =
     "Figure 6: Effect of individual disambiguation checks on RFC 792\n\
      (left: average LFs filtered per multi-LF sentence; right: number of\n\
      sentences affected)";
-  let spec = P.icmp_spec () in
-  let sentences = base_lfs_of_corpus spec Sage_corpus.Icmp_rfc.text in
+  let sentences = base_lfs_of_corpus (P.find_corpus "icmp") in
   let n = List.length sentences in
   Printf.printf "multi-LF sentences: %d (paper: 42)\n\n" n;
   Printf.printf "%-22s %12s %10s %10s\n" "check family" "avg removed" "stderr"
@@ -762,8 +752,7 @@ let ablate_order () =
   header
     "Ablation: winnowing check order — applying associativity first vs the\n\
      paper's order (Figure 5).  Final survivor counts should agree.";
-  let spec = P.icmp_spec () in
-  let sentences = base_lfs_of_corpus spec Sage_corpus.Icmp_rfc.text in
+  let sentences = base_lfs_of_corpus (P.find_corpus "icmp") in
   Printf.printf "%-64s %6s %6s %6s\n" "sentence" "base" "paper" "assoc1";
   List.iter
     (fun (s, lfs) ->
@@ -804,7 +793,7 @@ let extensions () =
     "7 Extensions: TCP (RFC 793 excerpt) with the BFD-level lexicon —\n\
      header format and simple constraints parse today; state-machine prose\n\
      is the measurable gap";
-  let run = P.run (P.tcp_spec ()) ~title:"tcp" ~text:Sage_corpus.Tcp_rfc.text in
+  let run = P.run_corpus (P.find_corpus "tcp") in
   Printf.printf
     "sentences %d, parsed %d, zero-LF %d, ambiguous %d, annotated %d\n\n"
     (List.length run.P.sentences)
@@ -836,7 +825,7 @@ let extensions () =
   Printf.printf
     "\nBGP (RFC 4271 OPEN + FSM prose): the FSM is specified in prose, the\n\
      state-management style SAGE already parses\n\n";
-  let bgp = P.run (P.bgp_spec ()) ~title:"bgp" ~text:Sage_corpus.Bgp_rfc.text in
+  let bgp = P.run_corpus (P.find_corpus "bgp") in
   Printf.printf "sentences %d, parsed %d, zero-LF %d, codegen failures %d\n"
     (List.length bgp.P.sentences)
     (List.length (P.parsed_sentences bgp))
@@ -934,167 +923,7 @@ let ablate_overgen () =
       in
       Printf.printf "%-64s %6d %6d\n" (truncate_sentence 64 s)
         (List.length with_exp) (List.length without))
-    (base_lfs_of_corpus spec Sage_corpus.Icmp_rfc.text)
-
-(* The eight shipped corpora, each titled by its name: (name, spec,
-   text), with fresh specs per call. *)
-let corpora () =
-  [
-    ("icmp", P.icmp_spec (), Sage_corpus.Icmp_rfc.text);
-    ("icmp-rw", P.icmp_spec (), Sage_corpus.Icmp_rfc.rewritten_text);
-    ("igmp", P.igmp_spec (), Sage_corpus.Igmp_rfc.text);
-    ("ntp", P.ntp_spec (), Sage_corpus.Ntp_rfc.text);
-    ("bfd", P.bfd_spec (), Sage_corpus.Bfd_rfc.text);
-    ("bfd-rw", P.bfd_spec (), Sage_corpus.Bfd_rfc.rewritten_text);
-    ("tcp", P.tcp_spec (), Sage_corpus.Tcp_rfc.text);
-    ("bgp", P.bgp_spec (), Sage_corpus.Bgp_rfc.text);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* timing-parallel: end-to-end corpus pipeline, sequential vs domains  *)
-(* vs chart-cache-warm, with a determinism cross-check.                *)
-(* ------------------------------------------------------------------ *)
-
-let timing_parallel () =
-  header
-    "Timing: full-corpus pipeline — sequential vs parallel (OCaml 5\n\
-     domains) vs chart-cache-warm rerun.  Parallel and cached output is\n\
-     verified byte-identical to sequential before timing is reported.";
-  let corpora = corpora () in
-  let now = Sage_trace.Trace.now_ns in
-  let run_all ?jobs ?cache () =
-    List.map
-      (fun (title, spec, text) ->
-        Sage.Report.markdown (P.run_document ?jobs ?cache spec ~title ~text))
-      corpora
-  in
-  let timed_pass f =
-    let t0 = now () in
-    let r = f () in
-    (r, Int64.to_float (Int64.sub (now ()) t0))
-  in
-  let jobs = Sage_sched.Pool.default_jobs () in
-  let seq_reports, seq_ns =
-    timed_pass (fun () -> run_all ~jobs:1 ())
-  in
-  let par_reports, par_ns = timed_pass (fun () -> run_all ~jobs ()) in
-  let cache = Sage.Chart_cache.create () in
-  let (_ : string list) = run_all ~jobs:1 ~cache () in
-  let cached_reports, cached_ns =
-    timed_pass (fun () -> run_all ~jobs:1 ~cache ())
-  in
-  let identical a b = List.for_all2 String.equal a b in
-  Printf.printf "corpora: %d documents; host workers: %d%s\n\n"
-    (List.length corpora) jobs
-    (if Sage_sched.Pool.available then ""
-     else " (no domain support: sequential fallback)");
-  Printf.printf "%-36s %10.0f ms\n" "sequential (jobs=1)" (seq_ns /. 1e6);
-  Printf.printf "%-36s %10.0f ms   (output %s)\n"
-    (Printf.sprintf "parallel (jobs=%d)" jobs)
-    (par_ns /. 1e6)
-    (if identical seq_reports par_reports then "identical" else "DIFFERS!");
-  Printf.printf "%-36s %10.0f ms   (output %s; %s)\n" "chart-cache-warm rerun"
-    (cached_ns /. 1e6)
-    (if identical seq_reports cached_reports then "identical" else "DIFFERS!")
-    (Sage.Chart_cache.stats cache);
-  Printf.printf "\nspeedup: parallel %.2fx, cache-warm %.2fx\n" (seq_ns /. par_ns)
-    (seq_ns /. cached_ns);
-  if jobs <= 1 then
-    Printf.printf
-      "(single-core host or sequential fallback: domain parallelism cannot\n\
-      \ show a speedup here; on a multicore OCaml 5 host the analysis phase\n\
-      \ scales with the number of cores, and the cache speedup above is the\n\
-      \ hardware-independent part)\n";
-  if not (identical seq_reports par_reports && identical seq_reports cached_reports)
-  then begin
-    Printf.eprintf "DETERMINISM VIOLATION: parallel or cached output differs\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* static-analysis: findings per corpus and the cost of the pass.      *)
-(* ------------------------------------------------------------------ *)
-
-let static_analysis () =
-  header
-    "Static analysis over the generated code (Table 4 flavor): field\n\
-     coverage against the recovered layouts, dead code, width/overflow\n\
-     and checksum ordering, per corpus.  Every shipped corpus must be\n\
-     free of Error-severity findings.";
-  Printf.printf "%-10s %8s %8s %10s %12s\n" "corpus" "errors" "warnings"
-    "functions" "analysis-ns";
-  let total_ns = ref 0L in
-  let clean = ref true in
-  let module T = Sage_trace.Trace in
-  List.iter
-    (fun (name, spec, text) ->
-      let trace = T.create () in
-      let run = P.run_document ~jobs:1 ~trace spec ~title:name ~text in
-      let module D = Sage_analysis.Diagnostic in
-      let ns =
-        match
-          List.find_opt
-            (fun r -> r.T.row_name = "phase:static-analysis")
-            (T.profile trace)
-        with
-        | Some r -> r.T.total
-        | None -> 0L
-      in
-      total_ns := Int64.add !total_ns ns;
-      if D.has_errors run.P.diagnostics then clean := false;
-      Printf.printf "%-10s %8d %8d %10d %12Ld\n" name
-        (D.errors run.P.diagnostics)
-        (D.warnings run.P.diagnostics)
-        (List.length run.P.codegen.P.functions)
-        ns)
-    (corpora ());
-  Printf.printf "\ntotal analysis time: %.2f ms — %s\n"
-    (Int64.to_float !total_ns /. 1e6)
-    (if !clean then "all corpora Error-free"
-     else "ERROR-SEVERITY FINDINGS PRESENT");
-  if not !clean then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* trace: profile one full pipeline run with the structured tracer.    *)
-(* ------------------------------------------------------------------ *)
-
-let trace_profile () =
-  header
-    "Structured trace of one full ICMP pipeline run (lib/trace): event\n\
-     counts per category and wall time per phase span.  The Chrome-trace\n\
-     JSON is written to BENCH_trace.json (load in chrome://tracing or\n\
-     https://ui.perfetto.dev).";
-  let module T = Sage_trace.Trace in
-  let tracer = T.create () in
-  let spec = P.icmp_spec () in
-  let (_ : P.run) =
-    P.run_document ~jobs:1 ~trace:tracer spec ~title:"icmp"
-      ~text:Sage_corpus.Icmp_rfc.text
-  in
-  let events = T.events tracer in
-  (* category tally printed in sorted order: hashtable iteration order
-     is unspecified and must never leak into benchmark output *)
-  let tally = Hashtbl.create 8 in
-  List.iter
-    (fun (e : T.event) ->
-      Hashtbl.replace tally e.T.cat
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tally e.T.cat)))
-    events;
-  Printf.printf "%-12s %8s\n" "category" "events";
-  List.iter
-    (fun (k, v) -> Printf.printf "%-12s %8d\n" k v)
-    (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []));
-  Printf.printf "\n%-24s %12s\n" "phase" "ns";
-  List.iter
-    (fun (r : T.row) ->
-      if String.starts_with ~prefix:"phase:" r.T.row_name then
-        Printf.printf "%-24s %12Ld\n" r.T.row_name r.T.total)
-    (T.profile tracer);
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc (T.to_chrome_json tracer);
-  close_out oc;
-  Printf.printf "\n(%d events written to BENCH_trace.json)\n"
-    (T.event_count tracer)
+    (base_lfs_of_corpus (P.find_corpus "icmp"))
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
@@ -1125,9 +954,6 @@ let targets =
     ("ablate-cap", ablate_cap);
     ("ablate-overgen", ablate_overgen);
     ("ablate-assoc", ablate_assoc);
-    ("timing-parallel", timing_parallel);
-    ("static-analysis", static_analysis);
-    ("trace", trace_profile);
   ]
 
 let () =

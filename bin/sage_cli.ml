@@ -25,30 +25,32 @@ open Cmdliner
 (* Common arguments.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type protocol = Icmp | Igmp | Ntp | Bfd | Tcp | Bgp
+(* "a, b or c" *)
+let enumerate conj = function
+  | [] -> ""
+  | [ x ] -> x
+  | xs ->
+    let rev = List.rev xs in
+    String.concat ", " (List.rev (List.tl rev)) ^ " " ^ conj ^ " " ^ List.hd rev
 
-let protocol_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "icmp" -> Ok Icmp
-    | "igmp" -> Ok Igmp
-    | "ntp" -> Ok Ntp
-    | "bfd" -> Ok Bfd
-    | "tcp" -> Ok Tcp
-    | "bgp" -> Ok Bgp
-    | other -> Error (`Msg (Printf.sprintf "unknown protocol %S" other))
-  in
-  let print ppf p =
-    Fmt.string ppf
-      (match p with
-       | Icmp -> "icmp" | Igmp -> "igmp" | Ntp -> "ntp" | Bfd -> "bfd"
-       | Tcp -> "tcp" | Bgp -> "bgp")
-  in
-  Arg.conv (parse, print)
+(* the -p values: the protocols of the corpus table, in its order *)
+let protocols =
+  List.fold_left
+    (fun acc (c : P.corpus) ->
+      if List.mem c.P.proto acc then acc else acc @ [ c.P.proto ])
+    [] P.corpora
 
+(* None when -p is absent, so that a verb can refuse an explicit one *)
 let protocol_arg =
-  let doc = "Protocol corpus to use: icmp, igmp, ntp, bfd, tcp or bgp." in
-  Arg.(value & opt protocol_conv Icmp & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
+  let parse s =
+    let s = String.lowercase_ascii s in
+    if List.mem s protocols then Ok s
+    else Error (`Msg (Printf.sprintf "unknown protocol %S" s))
+  in
+  let doc = "Protocol corpus to use: " ^ enumerate "or" protocols ^ "." in
+  Arg.(value
+       & opt (some ~none:(List.hd protocols) (conv (parse, Fmt.string))) None
+       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
 
 let rewritten_arg =
   let doc =
@@ -56,6 +58,32 @@ let rewritten_arg =
      RFC text."
   in
   Arg.(value & flag & info [ "rewritten" ] ~doc)
+
+(* -p and --rewritten pick one row of the corpus table; --rewritten on a
+   protocol without a rewritten text is refused rather than quietly
+   running the original *)
+let select proto rewritten =
+  let proto = Option.value proto ~default:(List.hd protocols) in
+  match
+    List.find_opt
+      (fun (c : P.corpus) -> c.P.proto = proto && c.P.rewritten = rewritten)
+      P.corpora
+  with
+  | Some c -> c
+  | None ->
+    let rewritable =
+      List.filter_map
+        (fun (c : P.corpus) -> if c.P.rewritten then Some c.P.proto else None)
+        P.corpora
+    in
+    Printf.eprintf "sage: --rewritten: only %s have a rewritten text\n"
+      (enumerate "and" rewritable);
+    exit 2
+
+let corpus_arg = Term.(const select $ protocol_arg $ rewritten_arg)
+
+let spec_arg =
+  Term.(const (fun proto -> (select proto false).P.spec ()) $ protocol_arg)
 
 let jobs_arg =
   let doc =
@@ -224,40 +252,6 @@ let seeded_ir ~verb seeded funcs =
     refuse_vacuous ~verb f (Fixture.vacuous_ir f funcs);
     Fixture.rewrite f funcs
 
-let spec_of = function
-  | Icmp -> P.icmp_spec ()
-  | Igmp -> P.igmp_spec ()
-  | Ntp -> P.ntp_spec ()
-  | Bfd -> P.bfd_spec ()
-  | Tcp -> P.tcp_spec ()
-  | Bgp -> P.bgp_spec ()
-
-(* Only icmp and bfd ship a rewritten text; --rewritten on any other
-   protocol is refused rather than quietly running the original. *)
-let corpus_of proto rewritten =
-  match proto, rewritten with
-  | Icmp, false -> (Sage_corpus.Icmp_rfc.title, Sage_corpus.Icmp_rfc.text)
-  | Icmp, true -> (Sage_corpus.Icmp_rfc.title, Sage_corpus.Icmp_rfc.rewritten_text)
-  | Bfd, false -> (Sage_corpus.Bfd_rfc.title, Sage_corpus.Bfd_rfc.text)
-  | Bfd, true -> (Sage_corpus.Bfd_rfc.title, Sage_corpus.Bfd_rfc.rewritten_text)
-  | (Igmp | Ntp | Tcp | Bgp), true ->
-    Printf.eprintf
-      "sage: --rewritten: only icmp and bfd have a rewritten text\n";
-    exit 2
-  | Igmp, false -> (Sage_corpus.Igmp_rfc.title, Sage_corpus.Igmp_rfc.text)
-  | Ntp, false -> (Sage_corpus.Ntp_rfc.title, Sage_corpus.Ntp_rfc.text)
-  | Tcp, false -> (Sage_corpus.Tcp_rfc.title, Sage_corpus.Tcp_rfc.text)
-  | Bgp, false -> (Sage_corpus.Bgp_rfc.title, Sage_corpus.Bgp_rfc.text)
-
-(* The eight shipped corpora: name, protocol, rewritten text. *)
-let corpora =
-  [ ("icmp", Icmp, false); ("icmp-rw", Icmp, true);
-    ("igmp", Igmp, false); ("ntp", Ntp, false);
-    ("bfd", Bfd, false); ("bfd-rw", Bfd, true);
-    ("tcp", Tcp, false); ("bgp", Bgp, false) ]
-
-let corpus_names = List.map (fun (name, _, _) -> name) corpora
-
 let status_string = function
   | P.Parsed _ -> "parsed (1 LF)"
   | P.Subject_supplied _ -> "parsed (subject supplied)"
@@ -279,8 +273,7 @@ let parse_cmd =
     let doc = "Field name providing context (enables subject supply)." in
     Arg.(value & opt (some string) None & info [ "field" ] ~docv:"FIELD" ~doc)
   in
-  let run proto field sentence =
-    let spec = spec_of proto in
+  let run spec field sentence =
     (* chunking *)
     let chunks = Chunker.chunk_sentence ~dict:spec.P.dictionary sentence in
     Printf.printf "chunks   : %s\n"
@@ -316,7 +309,7 @@ let parse_cmd =
   let doc = "Chunk, CCG-parse and winnow a single specification sentence." in
   Cmd.v
     (Cmd.info "parse" ~doc)
-    Term.(const run $ protocol_arg $ field_arg $ sentence_arg)
+    Term.(const run $ spec_arg $ field_arg $ sentence_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage derivation                                                     *)
@@ -326,8 +319,7 @@ let derivation_cmd =
   let sentence_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SENTENCE")
   in
-  let run proto sentence =
-    let spec = spec_of proto in
+  let run spec sentence =
     let result =
       Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary sentence
     in
@@ -344,30 +336,28 @@ let derivation_cmd =
   let doc = "Show a CCG derivation tree for a sentence (paper Appendix B)." in
   Cmd.v
     (Cmd.info "derivation" ~doc)
-    Term.(const run $ protocol_arg $ sentence_arg)
+    Term.(const run $ spec_arg $ sentence_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage run                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_pipeline ?(jobs = 1) ?cache_cap ?trace proto rewritten =
-  let spec = spec_of proto in
-  let title, text = corpus_of proto rewritten in
+let run_pipeline ?(jobs = 1) ?cache_cap ?trace corpus =
   let jobs = if jobs <= 0 then Sage_sched.Pool.default_jobs () else jobs in
   let cache =
     Option.map (fun capacity -> Sage.Chart_cache.create ~capacity ()) cache_cap
   in
-  P.run_document ~jobs ?cache ?trace spec ~title ~text
+  P.run_corpus ~jobs ?cache ?trace corpus
 
 let run_cmd =
   let verbose_arg =
     let doc = "Also print every sentence's parse status." in
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
   in
-  let run proto verbose rewritten jobs cache_cap stats analyze fail_on
-      trace_file trace_format trace_clock =
+  let run corpus verbose jobs cache_cap stats analyze fail_on trace_file
+      trace_format trace_clock =
     with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ~jobs ?cache_cap ?trace proto rewritten in
+    let result = run_pipeline ~jobs ?cache_cap ?trace corpus in
     Printf.printf "document  : %s\n" result.P.document.Sage_rfc.Document.title;
     Printf.printf "sections  : %d\n"
       (List.length result.P.document.Sage_rfc.Document.sections);
@@ -407,8 +397,8 @@ let run_cmd =
   let doc = "Run the full pipeline (parse, winnow, generate) over a corpus." in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(const run $ protocol_arg $ verbose_arg $ rewritten_arg $ jobs_arg
-          $ cache_arg $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
+    Term.(const run $ corpus_arg $ verbose_arg $ jobs_arg $ cache_arg
+          $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
           $ trace_format_arg $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -420,24 +410,28 @@ let code_cmd =
     let doc = "Print only this generated function." in
     Arg.(value & opt (some string) None & info [ "f"; "function" ] ~docv:"NAME" ~doc)
   in
-  let run proto rewritten jobs fn =
-    let result = run_pipeline ~jobs proto rewritten in
-    (match fn with
-     | None -> print_string result.P.codegen.P.c_code
-     | Some name ->
-       (match P.find_function result name with
-        | Some f -> print_endline (Sage_codegen.C_printer.render_func f)
-        | None ->
-          Printf.eprintf "no function %S; available:\n" name;
-          List.iter
-            (fun f -> Printf.eprintf "  %s\n" f.Sage_codegen.Ir.fn_name)
-            result.P.codegen.P.functions));
-    0
+  let run corpus jobs fn =
+    let result = run_pipeline ~jobs corpus in
+    match fn with
+    | None ->
+      print_string result.P.codegen.P.c_code;
+      0
+    | Some name ->
+      (match P.find_function result name with
+       | Some f ->
+         print_endline (Sage_codegen.C_printer.render_func f);
+         0
+       | None ->
+         Printf.eprintf "no function %S; available:\n" name;
+         List.iter
+           (fun f -> Printf.eprintf "  %s\n" f.Sage_codegen.Ir.fn_name)
+           result.P.codegen.P.functions;
+         2)
   in
   let doc = "Print the generated C code (structs, framework, functions)." in
   Cmd.v
     (Cmd.info "code" ~doc)
-    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ fn_arg)
+    Term.(const run $ corpus_arg $ jobs_arg $ fn_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage analyze                                                        *)
@@ -459,8 +453,8 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "prove" ] ~doc)
   in
-  let run proto rewritten jobs cache_cap fail_on prove seeded format =
-    let result = run_pipeline ~jobs ?cache_cap proto rewritten in
+  let run corpus jobs cache_cap fail_on prove seeded format =
+    let result = run_pipeline ~jobs ?cache_cap corpus in
     let funcs = seeded_ir ~verb:"analyze" seeded result.P.codegen.P.functions in
     let diagnostics =
       (* a fixture changes the program under analysis, so it
@@ -513,16 +507,16 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc)
-    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ cache_arg
-          $ fail_on_arg $ prove_arg $ seeded_arg "analyze" $ format_arg)
+    Term.(const run $ corpus_arg $ jobs_arg $ cache_arg $ fail_on_arg
+          $ prove_arg $ seeded_arg "analyze" $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage ambiguities                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let ambiguities_cmd =
-  let run proto rewritten jobs =
-    let result = run_pipeline ~jobs proto rewritten in
+  let run corpus jobs =
+    let result = run_pipeline ~jobs corpus in
     let ambiguous = P.ambiguous_sentences result in
     let zero = P.zero_lf_sentences result in
     if ambiguous = [] && zero = [] then begin
@@ -561,7 +555,7 @@ let ambiguities_cmd =
   in
   Cmd.v
     (Cmd.info "ambiguities" ~doc)
-    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg)
+    Term.(const run $ corpus_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage interop                                                        *)
@@ -583,7 +577,7 @@ let interop_cmd =
     in
     let under_faults = Option.is_some faults in
     with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ?trace Icmp rewritten in
+    let result = run_pipeline ?trace (select None rewritten) in
     let stack = Sage_sim.Generated_stack.of_run ?trace result in
     let service = Sage_sim.Icmp_service.generated stack in
     let net = Sage_sim.Network.default_topology ~service ?faults ?trace () in
@@ -643,9 +637,9 @@ let interop_cmd =
   let fault_plan_arg =
     let doc =
       "Inject faults into the simulated wire.  Comma-separated rules of the \
-       form $(i,KIND[:ARGS]\\@PROBABILITY), e.g. \
-       'drop\\@0.1,dup\\@0.05,delay:3\\@0.2,corrupt:8:0x04\\@0.02,\
-       truncate:20\\@0.1,reorder\\@0.1'.  Runs are reproducible for a fixed \
+       form $(i,KIND[:ARGS]@PROBABILITY), e.g. \
+       'drop@0.1,dup@0.05,delay:3@0.2,corrupt:8:0x04@0.02,\
+       truncate:20@0.1,reorder@0.1'.  Runs are reproducible for a fixed \
        $(b,--fault-seed)."
     in
     Arg.(value & opt (some string) None & info [ "fault-plan" ] ~docv:"PLAN" ~doc)
@@ -664,9 +658,8 @@ let interop_cmd =
 (* ------------------------------------------------------------------ *)
 
 let corpus_cmd =
-  let run proto rewritten =
-    let title, text = corpus_of proto rewritten in
-    let doc = Sage_rfc.Document.parse ~title text in
+  let run (corpus : P.corpus) =
+    let doc = Sage_rfc.Document.parse ~title:corpus.P.title corpus.P.text in
     Fmt.pr "%a@." Sage_rfc.Document.pp doc;
     List.iter
       (fun (s : Sage_rfc.Document.section) ->
@@ -680,7 +673,7 @@ let corpus_cmd =
   let doc = "Show the pre-processed document structure and recovered structs." in
   Cmd.v
     (Cmd.info "corpus" ~doc)
-    Term.(const run $ protocol_arg $ rewritten_arg)
+    Term.(const run $ corpus_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage reqs                                                           *)
@@ -702,21 +695,37 @@ let reqs_cmd =
     Arg.(value & flag & info [ "corpus" ] ~doc)
   in
   let run proto rewritten jobs cache_cap corpus format =
-    if corpus then begin
+    (* --corpus prints one text table over every corpus: a flag that
+       picks a corpus or a format would be ignored *)
+    let ignored =
+      List.filter_map
+        (fun (given, flag) -> if given then Some flag else None)
+        [ (proto <> None, "-p"); (rewritten, "--rewritten");
+          (format = `Json, "--format json") ]
+    in
+    if corpus && ignored <> [] then begin
+      Printf.eprintf
+        "sage reqs: --corpus prints one text table over every corpus; it \
+         takes no %s\n"
+        (enumerate "or" ignored);
+      2
+    end
+    else if corpus then begin
       Printf.printf "%-8s  %5s  %8s  %9s\n" "corpus" "mined" "compiled"
         "checkable";
       List.iter
-        (fun (name, proto, rewritten) ->
-          let result = run_pipeline ~jobs ?cache_cap proto rewritten in
+        (fun (c : P.corpus) ->
+          let result = run_pipeline ~jobs ?cache_cap c in
           let mined, compiled, checkable =
             Sage_reqs.Render.summary_counts result.P.requirements
           in
-          Printf.printf "%-8s  %5d  %8d  %9d\n" name mined compiled checkable)
-        corpora;
+          Printf.printf "%-8s  %5d  %8d  %9d\n" c.P.name mined compiled
+            checkable)
+        P.corpora;
       0
     end
     else begin
-      let result = run_pipeline ~jobs ?cache_cap proto rewritten in
+      let result = run_pipeline ~jobs ?cache_cap (select proto rewritten) in
       let protocol = result.P.spec.P.protocol in
       (match format with
        | `Text ->
@@ -780,11 +789,11 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "check-reqs" ] ~doc)
   in
-  let run proto rewritten jobs seed iters seeded check_proofs
-      check_reqs coverage_out stats trace_file trace_format trace_clock =
+  let run corpus jobs seed iters seeded check_proofs check_reqs coverage_out
+      stats trace_file trace_format trace_clock =
     with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
     let check_reqs = check_reqs || seeded = Some Fixture.Violation in
-    let result = run_pipeline ~jobs ?trace proto rewritten in
+    let result = run_pipeline ~jobs ?trace corpus in
     let funcs = seeded_ir ~verb:"fuzz" seeded result.P.codegen.P.functions in
     let proved =
       (* static pass over the very functions being fuzzed (tampering
@@ -833,8 +842,8 @@ let fuzz_cmd =
      fixed seed; exits nonzero when any oracle finding is reported."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ seed_arg
-          $ iters_arg $ seeded_arg "fuzz" $ check_proofs_arg $ check_reqs_arg
+    Term.(const run $ corpus_arg $ jobs_arg $ seed_arg $ iters_arg
+          $ seeded_arg "fuzz" $ check_proofs_arg $ check_reqs_arg
           $ coverage_out_arg $ stats_arg $ trace_arg $ trace_format_arg
           $ trace_clock_arg)
 
@@ -844,15 +853,17 @@ let fuzz_cmd =
 
 let chaos_cmd =
   let chaos_corpus_conv =
+    let name (c : P.corpus) = c.P.name in
     let parse s =
-      if List.mem s corpus_names then Ok s
-      else
+      match List.find_opt (fun c -> name c = s) P.corpora with
+      | Some c -> Ok c
+      | None ->
         Error
           (`Msg
              (Printf.sprintf "unknown corpus %S (choose from %s)" s
-                (String.concat ", " corpus_names)))
+                (String.concat ", " (List.map name P.corpora))))
     in
-    Arg.conv (parse, Fmt.string)
+    Arg.conv (parse, Fmt.using name Fmt.string)
   in
   let corpus_arg =
     let doc =
@@ -935,34 +946,10 @@ let chaos_cmd =
       `Ok
         (with_trace ~clock:trace_clock ~stats trace_file trace_format
          @@ fun trace ->
-         let names = if corpora_sel = [] then corpus_names else corpora_sel in
-         (* one pipeline run per distinct (protocol, rewritten) backing,
-            shared across corpora *)
-         let runs : (string, P.run) Hashtbl.t = Hashtbl.create 8 in
-         let pipeline_of name =
-           match Hashtbl.find_opt runs name with
-           | Some r -> r
-           | None ->
-             let _, proto, rewritten =
-               List.find (fun (n, _, _) -> n = name) corpora
-             in
-             let r = run_pipeline ~jobs ?trace proto rewritten in
-             Hashtbl.replace runs name r;
-             r
-         in
-         (* the generated stack of an ambiguous original text does not
-            interoperate (§6.5); its cases run the disambiguated text *)
-         let gen_backing = function
-           | "icmp" -> "icmp-rw"
-           | "bfd" -> "bfd-rw"
-           | c -> c
-         in
          let corpora =
-           List.map
-             (fun name ->
-               { Sage_chaos.Campaign.corpus = name;
-                 generated_run = lazy (pipeline_of (gen_backing name)) })
-             names
+           Sage_chaos.Campaign.cases
+             ~run:(fun c -> run_pipeline ~jobs ?trace c)
+             (if corpora_sel = [] then P.corpora else corpora_sel)
          in
          let scenarios =
            match (scenario, schedule) with
@@ -1004,10 +991,10 @@ let chaos_cmd =
 (* ------------------------------------------------------------------ *)
 
 let report_cmd =
-  let run proto rewritten jobs cache_cap stats fail_on trace_file
-      trace_format trace_clock =
+  let run corpus jobs cache_cap stats fail_on trace_file trace_format
+      trace_clock =
     with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ~jobs ?cache_cap ?trace proto rewritten in
+    let result = run_pipeline ~jobs ?cache_cap ?trace corpus in
     print_string (Sage.Report.markdown result);
     (* the markdown already carries the findings; --fail-on here only
        selects the exit policy *)
@@ -1020,9 +1007,8 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ cache_arg
-          $ stats_arg $ fail_on_arg $ trace_arg $ trace_format_arg
-          $ trace_clock_arg)
+    Term.(const run $ corpus_arg $ jobs_arg $ cache_arg $ stats_arg
+          $ fail_on_arg $ trace_arg $ trace_format_arg $ trace_clock_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage bench                                                          *)

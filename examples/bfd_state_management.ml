@@ -15,9 +15,7 @@ let state_name code =
 
 let () =
   print_endline "Parsing RFC 5880 6.8.6 (rewritten per Table 5)...";
-  let run =
-    P.run (P.bfd_spec ()) ~title:"BFD" ~text:Sage_corpus.Bfd_rfc.rewritten_text
-  in
+  let run = P.run_corpus (P.find_corpus "bfd-rw") in
   Printf.printf "  %d sentences, %d parsed, %d ambiguous\n\n"
     (List.length run.P.sentences)
     (List.length (P.parsed_sentences run))

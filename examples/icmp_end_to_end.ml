@@ -38,9 +38,7 @@ let describe label = function
 
 let () =
   print_endline "Generating the ICMP implementation from the rewritten RFC...";
-  let run =
-    P.run (P.icmp_spec ()) ~title:"ICMP" ~text:Sage_corpus.Icmp_rfc.rewritten_text
-  in
+  let run = P.run_corpus (P.find_corpus "icmp-rw") in
   let service = Svc.generated (Gs.of_run run) in
   let net = Net.default_topology ~service () in
   let client = Net.client_addr net in

@@ -17,7 +17,7 @@ let a = Addr.of_string_exn
 
 let () =
   print_endline "Parsing RFC 1059 Appendices A and B...";
-  let run = P.run (P.ntp_spec ()) ~title:"NTP" ~text:Sage_corpus.Ntp_rfc.text in
+  let run = P.run_corpus (P.find_corpus "ntp") in
   Printf.printf "  %d sentences, %d parsed\n\n"
     (List.length run.P.sentences)
     (List.length (P.parsed_sentences run));

@@ -47,9 +47,7 @@ let () =
 
   print_endline "";
   print_endline "=== 3. Code generation ====================================";
-  let run =
-    P.run spec ~title:"ICMP (rewritten)" ~text:Sage_corpus.Icmp_rfc.rewritten_text
-  in
+  let run = P.run_corpus (P.find_corpus "icmp-rw") in
   (match P.find_function run "icmp_echo_reply_receiver" with
    | Some f -> print_endline (Sage_codegen.C_printer.render_func f)
    | None -> print_endline "function not found");

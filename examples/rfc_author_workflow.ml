@@ -16,12 +16,10 @@ let hr () =
   print_endline "----------------------------------------------------------------"
 
 let () =
-  let spec = P.icmp_spec () in
-
   hr ();
   print_endline "PASS 1: the original RFC 792 text";
   hr ();
-  let pass1 = P.run spec ~title:"RFC 792" ~text:Sage_corpus.Icmp_rfc.text in
+  let pass1 = P.run_corpus (P.find_corpus "icmp") in
   print_endline (Sage.Report.summary pass1);
   print_newline ();
   print_string (Sage.Report.rewrite_worklist pass1);
@@ -29,10 +27,7 @@ let () =
   hr ();
   print_endline "PASS 2: after the human rewrites";
   hr ();
-  let pass2 =
-    P.run spec ~title:"RFC 792 (rewritten)"
-      ~text:Sage_corpus.Icmp_rfc.rewritten_text
-  in
+  let pass2 = P.run_corpus (P.find_corpus "icmp-rw") in
   print_endline (Sage.Report.summary pass2);
   let worklist = Sage.Report.rewrite_worklist pass2 in
   print_endline

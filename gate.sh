@@ -2,27 +2,25 @@
 # The CI gate.  `dune build @gate` runs it from the build context with
 # the freshly built binaries; a local run and CI run the same checks.
 #
-#   gate.sh SAGE BENCH_MAIN OUT
+#   gate.sh SAGE OUT
 #
 # One pass over the corpora that `sage reqs --corpus` lists proves,
 # fuzzes, requirement-checks and traces each one; then chaos, --jobs
-# and --trace determinism, the timing-parallel experiment and the bench
-# trajectory run once, and every JSON file written is re-read by
-# Python's json.tool.  Artifacts go to OUT, emptied first.  Every check
+# and --trace determinism and the bench trajectory run once, and every
+# JSON file written is re-read by Python's json.tool.  Artifacts go to OUT, emptied first.  Every check
 # runs even after one fails; the gate exits 1 when any failed, naming
 # the corpus and command in the log.
 set -u -o pipefail
 exec 2>&1
 
-root=$PWD sage_exe=$PWD/$1 bench_exe=$PWD/$2
-rm -rf "$3" && mkdir -p "$3" && cd "$3" || exit 1
+root=$PWD sage_exe=$PWD/$1
+rm -rf "$2" && mkdir -p "$2" && cd "$2" || exit 1
 out=$PWD
 mkdir -p proofs fuzz reqs traces chaos determinism bench
 failures=0
 json=() # every JSON file the gate writes, re-read by name at the end
 
 sage () { "$sage_exe" "$@"; }
-bench_main () { "$bench_exe" "$@"; }
 
 fail () {
   echo "gate: FAIL [$1] $2"
@@ -90,8 +88,6 @@ check icmp determinism/run-traced.txt \
 same icmp determinism/run-plain.txt determinism/run-traced.txt
 check bfd reqs/bfd.json sage reqs -p bfd --format json
 json+=(determinism/run-traced.json reqs/bfd.json)
-check pipeline determinism/timing-parallel.txt \
-  bench_main timing-parallel
 
 # The bench trajectory: record this tree into a copy of the committed
 # history and gate it there; the committed page must render from the

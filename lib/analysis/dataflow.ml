@@ -92,8 +92,6 @@ let flow ?(on_expr = fun ~assigned:_ _ -> ()) assigned stmts =
   in
   go assigned stmts
 
-let definitely_assigned stmts = fst (flow [] stmts)
-
 let assigned_anywhere stmts =
   List.rev
     (Ir.fold_stmts

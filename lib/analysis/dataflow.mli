@@ -29,8 +29,6 @@ type reads = {
           any field — a read barrier for dead-store purposes *)
 }
 
-val no_reads : reads
-
 val reads_of_expr : Ir.expr -> reads
 
 val reads_lvalue : reads -> Ir.lvalue -> bool
@@ -51,8 +49,6 @@ val flow :
     [Discard]).  [If] merges branches by intersection; a diverging
     branch is exempt.  [on_expr] is called on each evaluated expression
     with the definite set at that program point. *)
-
-val definitely_assigned : Ir.stmt list -> Ir.lvalue list
 
 val assigned_anywhere : Ir.stmt list -> Ir.lvalue list
 (** Every lvalue assigned by any statement on any path, in first-write

@@ -21,25 +21,6 @@ let severity_name = function
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
-let catalog =
-  [
-    ("SA000", "the analyzer itself failed on this function (internal)");
-    ("SA001", "header field not definitely assigned (field coverage)");
-    ("SA002", "local variable read before any assignment");
-    ("SA003", "assignment overwritten before any read (dead store)");
-    ("SA004", "statement unreachable or ineffective after Discard/Send");
-    ("SA005", "constant exceeds the field's bit width");
-    ("SA006", "header field written after the checksum assignment");
-    ("SA007", "packet access not provably in bounds for all packet lengths");
-    ("SA008", "assigned value range exceeds the field's bit width");
-    ("SA009", "branch condition statically decided (dead or redundant)");
-    ("SA010", "checksum window does not cover every written header field");
-    ("SA011", "FSM wedge state: no out-edge to a recovering state");
-    ("SA012", "interp/compiled slot layout inconsistency");
-  ]
-
-let describe_code code = List.assoc_opt code catalog
-
 (* (function, code, stmt id) leads so `analyze --format json` output is
    byte-identical however the diagnostics were produced (whatever
    --jobs, whatever check emitted first); severity/field/text break the

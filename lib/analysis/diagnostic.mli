@@ -40,11 +40,6 @@ val v :
 val severity_name : severity -> string
 (** ["error"], ["warning"], ["info"]. *)
 
-val catalog : (string * string) list
-(** Every code the analyzer can emit, with a one-line description. *)
-
-val describe_code : string -> string option
-
 val sort : t list -> t list
 (** Deterministic order: function, then code, then statement id
     (program-level findings without one last), then severity (errors

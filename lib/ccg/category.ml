@@ -5,9 +5,7 @@ type t = Atom of atom | Fwd of t * t | Bwd of t * t | Conj of string
 let n = Atom N
 let np = Atom NP
 let s = Atom S
-let pp_ = Atom PP
 let fwd x y = Fwd (x, y)
-let bwd x y = Bwd (x, y)
 
 let rec equal a b =
   match a, b with

@@ -18,14 +18,9 @@ type t =
 val n : t
 val np : t
 val s : t
-val pp_ : t
-(** The PP atom ([pp] is taken by the printer). *)
 
 val fwd : t -> t -> t
 (** [fwd x y] = [Fwd (x, y)], printed [x/y]. *)
-
-val bwd : t -> t -> t
-(** [bwd x y] = [Bwd (x, y)], printed [x\y]. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -58,6 +58,3 @@ val entries_for_chunk : t -> Sage_nlp.Chunker.chunk -> entry list
     will fail, surfacing the vocabulary gap). *)
 
 val add : t -> entry list -> t
-val make_entry : origin -> string -> string -> Sem.t -> entry
-(** [make_entry origin phrase cat_string sem]; raises [Invalid_argument]
-    if [cat_string] does not parse. *)

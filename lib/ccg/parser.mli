@@ -34,13 +34,6 @@ type result = {
   chunks : Sage_nlp.Chunker.chunk list;  (** the chunked input *)
 }
 
-val cell_capacity : int
-(** Max items kept per chart cell: bounds the worst-case explosion of
-    ambiguous attachment while far exceeding the paper's max of 56 LFs.
-    Items enter a cell in derivation order, duplicates dropped; a full
-    cell stops combining at its next new item, so the cap bounds parse
-    work as well as memory. *)
-
 val parse :
   ?strategy:Sage_nlp.Chunker.strategy ->
   ?target:Category.t ->
@@ -69,5 +62,3 @@ val parse_chunks :
 val pp_deriv : Format.formatter -> deriv -> unit
 (** Render a derivation tree, one combinator step per line (cf. the
     paper's Appendix B / Figure 7). *)
-
-val rule_name : rule -> string

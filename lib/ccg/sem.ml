@@ -10,7 +10,6 @@ type t =
 let var x = Var x
 let lam x b = Lam (x, b)
 let lam2 x y b = Lam (x, Lam (y, b))
-let lam3 x y z b = Lam (x, Lam (y, Lam (z, b)))
 let app f a = App (f, a)
 let lf l = Lf l
 let pred n args = Pred (n, args)

@@ -18,7 +18,6 @@ type t =
 val var : string -> t
 val lam : string -> t -> t
 val lam2 : string -> string -> t -> t
-val lam3 : string -> string -> string -> t -> t
 val app : t -> t -> t
 val lf : Sage_logic.Lf.t -> t
 val pred : string -> t list -> t

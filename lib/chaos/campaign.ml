@@ -8,7 +8,33 @@ module Faults = Sage_sim.Faults
    shrinks the failing schedule to a minimal one that still trips the
    same oracle (reusing the fuzzer's greedy minimizer). *)
 
-type corpus_case = { corpus : string; generated_run : P.run Lazy.t }
+type corpus_case = { corpus : P.corpus; generated_run : P.run Lazy.t }
+
+(* an original text whose protocol has a rewritten text runs the
+   rewritten text's generated stack; each backing run is made once, on
+   first use *)
+let cases ~run corpora =
+  let backing (c : P.corpus) =
+    match
+      List.find_opt
+        (fun (rw : P.corpus) -> rw.P.rewritten && rw.P.proto = c.P.proto)
+        P.corpora
+    with
+    | Some rw -> rw
+    | None -> c
+  in
+  let runs = Hashtbl.create 8 in
+  let run_of (c : P.corpus) =
+    match Hashtbl.find_opt runs c.P.name with
+    | Some r -> r
+    | None ->
+      let r = run c in
+      Hashtbl.replace runs c.P.name r;
+      r
+  in
+  List.map
+    (fun c -> { corpus = c; generated_run = lazy (run_of (backing c)) })
+    corpora
 
 type case_result = {
   corpus : string;
@@ -146,7 +172,9 @@ let run ?trace ?(soak = 0) ?(arm = Fun.id)
           List.iter
             (fun (scenario, schedule) ->
               let schedule = Episode.extend_heal schedule ~by:soak in
-              let label = case_label_of ~corpus:c.corpus ~stack ~scenario in
+              let label =
+                case_label_of ~corpus:c.corpus.P.name ~stack ~scenario
+              in
               let cseed = case_seed ~seed label in
               (* [make] returns the workload plus a reader of the
                  requirement violations its executions accumulated,
@@ -231,7 +259,8 @@ let run ?trace ?(soak = 0) ?(arm = Fun.id)
                      }
                end);
               results :=
-                { corpus = c.corpus; stack; scenario; schedule; violations }
+                { corpus = c.corpus.P.name; stack; scenario; schedule;
+                  violations }
                 :: !results)
             scenarios)
         stacks)

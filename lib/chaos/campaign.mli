@@ -9,11 +9,22 @@
     {!summary} output. *)
 
 type corpus_case = {
-  corpus : string;  (** CLI corpus spelling, e.g. ["bfd-rw"] *)
+  corpus : Sage.Pipeline.corpus;
   generated_run : Sage.Pipeline.run Lazy.t;
       (** pipeline run backing the generated stack; only forced for
           generated-stack cases (see {!Workload.for_corpus}) *)
 }
+
+val cases :
+  run:(Sage.Pipeline.corpus -> Sage.Pipeline.run) ->
+  Sage.Pipeline.corpus list ->
+  corpus_case list
+(** One case per corpus.  Where the table has a rewritten text of the
+    same protocol, the generated stack runs [run] of that text: the
+    generated stack of an ambiguous original text does not interoperate
+    (§6.5, pinned by the interop suite), and chaos asserts the recovery
+    of functioning stacks.  [run] is called lazily, once per distinct
+    backing corpus. *)
 
 type case_result = {
   corpus : string;
@@ -59,14 +70,6 @@ val run :
     and source sentence, deduplicated per RQ id within a case.  [trace]
     records ["chaos-case"] and ["chaos-episode"] instants (category
     ["chaos"]); shrink re-runs are untraced. *)
-
-val run_schedule :
-  ?trace:Sage_trace.Trace.t ->
-  workload:Workload.t ->
-  Episode.schedule ->
-  Oracle.violation list
-(** Interpret one schedule against one workload and evaluate its
-    oracles.  Exposed for tests and for the shrinker. *)
 
 val failed : t -> bool
 val exit_code : t -> int

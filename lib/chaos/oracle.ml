@@ -23,16 +23,9 @@ let kind_name = function
   | No_silent_wedge -> "no-silent-wedge"
   | Requirement id -> "requirement " ^ id
 
-let all_kinds =
-  [ Ping_recovery; Traceroute_recovery; Bfd_reconvergence; Igmp_reconvergence;
-    Ntp_reachability; Fsm_recovery; No_silent_wedge ]
-
 type violation = { kind : kind; detail : string }
 
 let v kind fmt = Printf.ksprintf (fun detail -> { kind; detail }) fmt
-
-let pp_violation ppf { kind; detail } =
-  Format.fprintf ppf "%s: %s" (kind_name kind) detail
 
 (* How many post-heal ticks a workload gets to show its first sign of
    life (the wedge budget) and to fully reconverge (the recovery

@@ -46,14 +46,11 @@ type kind =
   | Requirement of string
 
 val kind_name : kind -> string
-val all_kinds : kind list
 
 type violation = { kind : kind; detail : string }
 
 val v : kind -> ('a, unit, string, violation) format4 -> 'a
 (** [v kind fmt ...] builds a violation with a formatted detail. *)
-
-val pp_violation : Format.formatter -> violation -> unit
 
 val wedge_budget : int
 (** Post-heal ticks before silence counts as a wedge. *)

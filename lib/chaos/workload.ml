@@ -611,12 +611,12 @@ let bgp ~stack ~run ?trace ?observer ~seed () =
 (* Corpus dispatch                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let for_corpus ~corpus ~stack ~run ?trace ?observer ~seed () =
-  match corpus with
-  | "icmp" | "icmp-rw" -> Ok (icmp ~stack ~run ?trace ?observer ~seed ())
+let for_corpus ~(corpus : P.corpus) ~stack ~run ?trace ?observer ~seed () =
+  match corpus.P.proto with
+  | "icmp" -> Ok (icmp ~stack ~run ?trace ?observer ~seed ())
   | "igmp" -> Ok (igmp ~stack ~run ?trace ?observer ~seed ())
   | "ntp" -> Ok (ntp ~stack ~run ?trace ?observer ~seed ())
-  | "bfd" | "bfd-rw" -> Ok (bfd ~stack ~run ?trace ?observer ~seed ())
+  | "bfd" -> Ok (bfd ~stack ~run ?trace ?observer ~seed ())
   | "tcp" -> Ok (tcp ~stack ~run ?trace ?observer ~seed ())
   | "bgp" -> Ok (bgp ~stack ~run ?trace ?observer ~seed ())
-  | c -> Error (Printf.sprintf "no chaos workload for corpus %S" c)
+  | _ -> Error (Printf.sprintf "no chaos workload for corpus %S" corpus.P.name)

@@ -36,7 +36,7 @@ type t = {
 }
 
 val for_corpus :
-  corpus:string ->
+  corpus:Sage.Pipeline.corpus ->
   stack:stack ->
   run:Sage.Pipeline.run Lazy.t ->
   ?trace:Sage_trace.Trace.t ->
@@ -44,12 +44,9 @@ val for_corpus :
   seed:int ->
   unit ->
   (t, string) result
-(** Build the workload for a corpus name ("icmp", "icmp-rw", "igmp",
-    "ntp", "bfd", "bfd-rw", "tcp", "bgp").  [run] backs the generated
-    stack and is only forced for [Generated]; for the ambiguous original
-    texts (icmp, bfd) callers pass the disambiguated run — the original
-    texts' interoperation failures are the fuzz/interop tiers' subject,
-    chaos asserts recovery of functioning stacks.  [observer] is handed
+(** Build the workload for a corpus of {!Sage.Pipeline.corpora}, chosen
+    by its protocol.  [run] backs the generated stack and is only forced
+    for [Generated]; {!Campaign.cases} picks it.  [observer] is handed
     to the generated stack, seeing every generated-function execution
     the workload performs (the campaign's requirement-assertion hook);
     reference-stack workloads never invoke it. *)

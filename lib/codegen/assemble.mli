@@ -39,6 +39,3 @@ val message_matches : target:string -> variant:string -> bool
 (** Whether a sentence's target message names this variant (exact match
     after lower-casing, determiner stripping and dropping a trailing
     " message"). *)
-
-val checksum_fields : string list
-(** Field identifiers treated as checksums for the ordering pass. *)

@@ -12,6 +12,3 @@ val render_program :
 (** A complete compilable-looking translation unit. *)
 
 val render_func : Ir.func -> string
-
-val framework_decls : string list
-(** The extern declarations of the static framework API (paper §5.1). *)

@@ -42,10 +42,6 @@ val resolve : dynamic -> string -> resolution option
     sentence a code-generation failure, feeding the iterative discovery of
     non-actionable sentences (§5.2). *)
 
-val static_entries : (string * resolution) list
-(** The pre-defined static context dictionary (exposed for tests and for
-    the §6.1 statistics). *)
-
 val pp_resolution : Format.formatter -> resolution -> unit
 
 val pp : Format.formatter -> dynamic -> unit

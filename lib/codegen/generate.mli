@@ -31,8 +31,4 @@ val expr_of_lf :
 (** Lower an entity/condition LF fragment to an expression (exposed for
     tests). *)
 
-val handler_names : string list
-(** The predicates with registered handlers — the paper's "25 predicate
-    handler functions" statistic (§6.1). *)
-
 val handler_count : int

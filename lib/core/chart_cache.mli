@@ -20,8 +20,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity {!default_capacity}. *)
 
-val default_capacity : int
-
 val key : protocol:string -> Sage_nlp.Chunker.chunk list -> string
 (** The cache key: protocol name plus every chunk's NP label and token
     texts/kinds.  Token byte offsets are excluded so the same sentence

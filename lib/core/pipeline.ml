@@ -86,6 +86,36 @@ let bfd_spec () =
     annotated_non_actionable = Sage_corpus.Bfd_rfc.annotated_non_actionable;
   }
 
+type corpus = {
+  name : string;
+  proto : string;
+  rewritten : bool;
+  spec : unit -> spec;
+  title : string;
+  text : string;
+}
+
+let corpora =
+  let original proto spec title text =
+    { name = proto; proto; rewritten = false; spec; title; text }
+  in
+  let rewritten proto spec title text =
+    { name = proto ^ "-rw"; proto; rewritten = true; spec; title; text }
+  in
+  let open Sage_corpus in
+  [
+    original "icmp" icmp_spec Icmp_rfc.title Icmp_rfc.text;
+    rewritten "icmp" icmp_spec Icmp_rfc.title Icmp_rfc.rewritten_text;
+    original "igmp" igmp_spec Igmp_rfc.title Igmp_rfc.text;
+    original "ntp" ntp_spec Ntp_rfc.title Ntp_rfc.text;
+    original "bfd" bfd_spec Bfd_rfc.title Bfd_rfc.text;
+    rewritten "bfd" bfd_spec Bfd_rfc.title Bfd_rfc.rewritten_text;
+    original "tcp" tcp_spec Tcp_rfc.title Tcp_rfc.text;
+    original "bgp" bgp_spec Bgp_rfc.title Bgp_rfc.text;
+  ]
+
+let find_corpus name = List.find (fun c -> c.name = name) corpora
+
 type status =
   | Annotated_non_actionable
   | Zero_lf
@@ -706,6 +736,9 @@ let run_document ?(jobs = 1) ?cache ?trace spec ~title ~text =
   }
 
 let run spec ~title ~text = run_document ~jobs:1 spec ~title ~text
+
+let run_corpus ?jobs ?cache ?trace (c : corpus) =
+  run_document ?jobs ?cache ?trace (c.spec ()) ~title:c.title ~text:c.text
 
 let ambiguous_sentences run =
   List.filter

@@ -30,6 +30,31 @@ val tcp_spec : unit -> spec
     parse with the BFD-level lexicon; the state-machine prose measures
     what "complex state management" support still requires. *)
 
+(** One shipped corpus: a protocol's spec paired with one of its RFC
+    texts.  Callers pick a row of {!corpora} instead of pairing a spec
+    with a text themselves: the CLI's [-p], [--rewritten] and
+    [--corpus] values, the chaos workloads, the bench targets, the
+    tests and the examples all read the table. *)
+type corpus = {
+  name : string;
+      (** ["icmp"], ["icmp-rw"], ...: the protocol, with ["-rw"] for the
+          rewritten text *)
+  proto : string;  (** the [-p] value: ["icmp"], ["igmp"], ... *)
+  rewritten : bool;
+      (** the text a human rewrote after the Figure 4 feedback loop *)
+  spec : unit -> spec;  (** a fresh spec *)
+  title : string;  (** the document title from [Sage_corpus] *)
+  text : string;
+}
+
+val corpora : corpus list
+(** The eight corpora, in this order: ICMP before and after the Figure 4
+    rewrite, IGMP and NTP (§6.3), BFD before and after (§6.4), and the
+    §7 TCP and BGP excerpts.  Only ICMP and BFD have a rewritten text. *)
+
+val find_corpus : string -> corpus
+(** The corpus with this [name]; raises [Not_found] when there is none. *)
+
 type status =
   | Annotated_non_actionable
       (** human-annotated before the run; tagged @AdvComment *)
@@ -130,6 +155,14 @@ val run_document :
     absent every emission helper is a no-op.  These events are the
     run's only measurement: {!Sage_trace.Trace.profile} turns them into
     per-stage calls and times (the [--stats] view). *)
+
+val run_corpus :
+  ?jobs:int ->
+  ?cache:Chart_cache.t ->
+  ?trace:Sage_trace.Trace.t ->
+  corpus ->
+  run
+(** {!run_document} over a corpus of the table, with a fresh spec. *)
 
 val ambiguous_sentences : run -> sentence_report list
 val zero_lf_sentences : run -> sentence_report list

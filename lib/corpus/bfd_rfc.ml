@@ -1,7 +1,5 @@
 let title = "BIDIRECTIONAL FORWARDING DETECTION (RFC 5880), 4.1 and 6.8.6"
 
-let state_management_section = "Reception of BFD Control Packets"
-
 let dictionary_extension =
   [
     "bfd control packet"; "bfd control packets"; "bfd packet";

@@ -15,8 +15,5 @@ val rewritten_text : string
 val annotated_non_actionable : string list
 val dictionary_extension : string list
 
-val state_management_section : string
-(** Name of the section holding the §6.8.6 sentences. *)
-
 val diagram : string
 (** The §4.1 control-packet ASCII art (exposed for tests). *)

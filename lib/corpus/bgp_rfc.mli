@@ -9,6 +9,3 @@ val title : string
 val text : string
 val annotated_non_actionable : string list
 val dictionary_extension : string list
-
-val fsm_sentences : string list
-(** The FSM-prose sentences, for tests. *)

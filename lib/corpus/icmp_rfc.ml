@@ -1,17 +1,5 @@
 let title = "INTERNET CONTROL MESSAGE PROTOCOL (RFC 792)"
 
-let message_sections =
-  [
-    "Destination Unreachable Message";
-    "Time Exceeded Message";
-    "Parameter Problem Message";
-    "Source Quench Message";
-    "Redirect Message";
-    "Echo or Echo Reply Message";
-    "Timestamp or Timestamp Reply Message";
-    "Information Request or Information Reply Message";
-  ]
-
 let dictionary_extension =
   [
     "internet header + 64 bits of original data datagram";

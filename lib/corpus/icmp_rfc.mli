@@ -29,6 +29,3 @@ val annotated_non_actionable : string list
 val dictionary_extension : string list
 (** Corpus-specific multiword noun phrases added to the term dictionary
     (field labels, message names). *)
-
-val message_sections : string list
-(** The eight message section names, for tests. *)

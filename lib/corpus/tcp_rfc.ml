@@ -29,17 +29,6 @@ let diagram =
   \   |     Data ...\n\
   \   +-+-+-+-+-"
 
-(* field descriptions that parse with today's machinery *)
-let parseable_today =
-  [
-    "The checksum is the 16-bit one's complement of the one's complement \
-     sum of the tcp segment.";
-    "For computing the checksum, the checksum field should be zero.";
-    "If the ack bit is zero, the acknowledgment number field is zero.";
-    "If the urg bit is zero, the urgent pointer field is zero.";
-    "If the rst bit is nonzero, the segment MUST be discarded.";
-  ]
-
 (* state-machine prose that today's grammar cannot handle: the 7-gap *)
 let out_of_reach =
   [

@@ -10,10 +10,3 @@ val title : string
 val text : string
 val annotated_non_actionable : string list
 val dictionary_extension : string list
-
-val parseable_today : string list
-(** Sentences expected to reach exactly one LF. *)
-
-val out_of_reach : string list
-(** Sentences expected to fail (state-machine prose, cross-sentence
-    references) — the measurable §7 gap. *)

@@ -34,8 +34,6 @@ val pred_order_checks : check list
     add one, per §6.3). *)
 
 val icmp_pred_order_checks : check list
-val igmp_extra_pred_order : check list
-val ntp_extra_pred_order : check list
 
 val all_filters : check list
 (** [type_checks @ arg_order_checks @ pred_order_checks] in the order the
@@ -64,6 +62,3 @@ val distribute : Sage_logic.Lf.t -> Sage_logic.Lf.t option
 (** [distribute lf] is the distributed expansion of [lf]'s root if its root
     has the shape [@Is(@And(a,b), c)] (or [@Set]); [None] otherwise.  Used
     by [select_non_distributive] and by tests. *)
-
-val attachment_normal_form : Sage_logic.Lf.t -> Sage_logic.Lf.t
-(** The canonical form used by [merge_isomorphic]. *)

@@ -139,9 +139,6 @@ let deserialize layout b =
 let is_variable_field v name =
   match find_field v name with Some f -> f.Hd.variable | None -> false
 
-let field_names v =
-  List.map (fun (f : Hd.field) -> Hd.c_identifier f.name) (fixed_fields v.layout)
-
 let pp ppf v =
   Fmt.pf ppf "@[<v>%s:@," v.layout.Hd.struct_name;
   List.iter

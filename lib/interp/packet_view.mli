@@ -54,9 +54,6 @@ val mask_of_bits : int -> int64
     hold ([2^bits - 1], or all-ones for [bits >= 64]) — the same mask
     {!set} truncates writes with, reused by the overflow check. *)
 
-val field_names : t -> string list
-(** C identifiers of the fixed fields, in layout order. *)
-
 val is_variable_field : t -> string -> bool
 (** Whether the named field is the layout's variable-length trailing
     field (e.g. "Internet Header + 64 bits of Original Data Datagram") —

@@ -29,7 +29,6 @@ let p_reverse = "@Reverse"
 let p_update = "@Update"
 let p_call = "@Call"
 let p_field = "@Field"
-let p_bitwidth = "@BitWidth"
 
 let term s = Term s
 let num n = Num n

@@ -45,7 +45,6 @@ val p_reverse : string     (** reverse two fields *)
 val p_update : string      (** state-variable update *)
 val p_call : string        (** invoke a named procedure *)
 val p_field : string       (** field reference wrapper *)
-val p_bitwidth : string    (** field width annotation *)
 
 (** {1 Construction helpers} *)
 
@@ -80,9 +79,6 @@ val predicates : t -> string list
 
 val leaves : t -> t list
 (** All leaf nodes in left-to-right order. *)
-
-val subforms : t -> t list
-(** All subtrees including the root, in pre-order. *)
 
 val exists : (t -> bool) -> t -> bool
 (** [exists p lf] is true if any subform satisfies [p]. *)

@@ -59,6 +59,4 @@ let prefix_of_string s =
 let prefix_of_string_exn s =
   match prefix_of_string s with Ok p -> p | Error e -> invalid_arg e
 
-let prefix_to_string p = Printf.sprintf "%s/%d" (to_string p.base) p.bits
-let prefix_bits p = p.bits
 let mem addr p = Int32.equal (Int32.logand addr (mask p.bits)) p.base

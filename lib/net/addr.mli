@@ -27,10 +27,7 @@ val is_multicast : t -> bool
 type prefix
 (** An address block in CIDR notation, e.g. 10.0.1.0/24. *)
 
-val prefix_of_string : string -> (prefix, string) result
 val prefix_of_string_exn : string -> prefix
 val prefix : t -> int -> prefix
-val prefix_to_string : prefix -> string
-val prefix_bits : prefix -> int
 val mem : t -> prefix -> bool
 (** [mem addr p] — does [addr] fall inside block [p]? *)

@@ -15,14 +15,6 @@ let state_name = function
   | Init -> "Init"
   | Up -> "Up"
 
-let state_of_name s =
-  match String.lowercase_ascii s with
-  | "admindown" -> Ok AdminDown
-  | "down" -> Ok Down
-  | "init" -> Ok Init
-  | "up" -> Ok Up
-  | _ -> Error (Printf.sprintf "unknown BFD state %S" s)
-
 type packet = {
   version : int;
   diag : int;
@@ -244,13 +236,5 @@ let pp_packet ppf p =
     (if p.demand then "D" else "")
     (if p.authentication_present then "A" else "")
     p.diag p.detect_mult p.my_discriminator p.your_discriminator
-
-let pp_session ppf s =
-  Fmt.pf ppf
-    "session: state %s, remote %s, local %ld, remote %ld, demand %b/%b, tx %b"
-    (state_name s.session_state)
-    (state_name s.remote_session_state)
-    s.local_discr s.remote_discr s.demand_mode s.remote_demand_mode
-    s.periodic_tx_enabled
 
 let equal_packet a b = Bytes.equal (encode a) (encode b)

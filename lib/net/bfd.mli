@@ -7,7 +7,6 @@ type session_state = AdminDown | Down | Init | Up
 val state_code : session_state -> int
 val state_of_code : int -> (session_state, string) result
 val state_name : session_state -> string
-val state_of_name : string -> (session_state, string) result
 
 type packet = {
   version : int;               (** 1 *)
@@ -70,5 +69,4 @@ val receive_control_packet : session -> packet -> [ `Ok | `Discard of string ]
     rules, used to cross-check SAGE-generated state-management code. *)
 
 val pp_packet : Format.formatter -> packet -> unit
-val pp_session : Format.formatter -> session -> unit
 val equal_packet : packet -> packet -> bool

@@ -67,9 +67,7 @@ val type_echo : int
 val type_time_exceeded : int
 val type_parameter_problem : int
 val type_timestamp : int
-val type_timestamp_reply : int
 val type_information_request : int
-val type_information_reply : int
 
 val encode : message -> bytes
 (** Serialize with the ICMP checksum computed over the entire ICMP message

@@ -33,6 +33,3 @@ val of_bytes : bytes -> (record list, string) result
 
 val magic : int32
 (** 0xa1b2c3d4 *)
-
-val linktype_raw : int32
-(** 101 *)

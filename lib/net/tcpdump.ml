@@ -102,4 +102,3 @@ let inspect_capture_bytes b =
   Result.map inspect_capture (Pcap.of_bytes b)
 
 let clean v = v.warnings = []
-let all_clean vs = List.for_all clean vs

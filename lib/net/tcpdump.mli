@@ -24,5 +24,3 @@ val inspect_capture_bytes : bytes -> (verdict list, string) result
 
 val clean : verdict -> bool
 (** No warnings. *)
-
-val all_clean : verdict list -> bool

@@ -216,8 +216,6 @@ let longest_match dict words =
          0 candidates)
 
 let size dict = Hashtbl.length dict.phrases
-let max_phrase_words dict = dict.max_words
-
 let bfd_state_variables = [
   "bfd.SessionState"; "bfd.RemoteSessionState"; "bfd.LocalDiscr";
   "bfd.RemoteDiscr"; "bfd.LocalDiag"; "bfd.DesiredMinTxInterval";
@@ -225,9 +223,4 @@ let bfd_state_variables = [
   "bfd.RemoteDemandMode"; "bfd.DetectMult"; "bfd.AuthType"; "bfd.RcvAuthSeq";
   "bfd.XmitAuthSeq"; "bfd.AuthSeqKnown";
   "Up"; "Down"; "Init"; "AdminDown";
-]
-
-let ntp_state_variables = [
-  "peer.timer"; "peer.mode"; "peer.hostpoll"; "peer.peerpoll";
-  "sys.poll"; "sys.clock"; "sys.precision"; "sys.stratum";
 ]

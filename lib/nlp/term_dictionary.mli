@@ -30,12 +30,7 @@ val longest_match : t -> string list -> int
 val size : t -> int
 (** Number of distinct phrases. *)
 
-val max_phrase_words : t -> int
-(** Length in words of the longest phrase; bounds the chunker's lookahead. *)
-
 val bfd_state_variables : string list
 (** BFD protocol/connection state variables and values from RFC 5880,
     added for §6.4 (the "state management dictionary"). *)
 
-val ntp_state_variables : string list
-(** NTP peer/system variables from RFC 1059, used in §7 (Table 11). *)

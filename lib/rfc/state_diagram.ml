@@ -159,12 +159,6 @@ let parse text =
     Ok { states; transitions }
   end
 
-let find_state t name =
-  let target = String.lowercase_ascii name in
-  List.find_opt
-    (fun s -> String.lowercase_ascii s.state_name = target)
-    t.states
-
 (* "INIT --(INIT, UP)--> UP" becomes
    @If(@And(@Cmp('eq','state','INIT'), @Cmp('eq','received state','INIT')),
        @Set('state','UP')) — one LF per trigger in the label *)

@@ -37,8 +37,6 @@ type t = { states : state list; transitions : transition list }
 val parse : string -> (t, string) result
 (** Fails only when no state boxes are found at all. *)
 
-val find_state : t -> string -> state option
-
 val to_lfs : t -> Sage_logic.Lf.t list
 (** Each recovered transition as the same logical form the prose "If the
     state is A and <label> is received, the state is set to B" would

@@ -117,9 +117,7 @@ let create_link ?(detect_mult = 3) ?(plan = []) ?(receive = reference_receive)
 
 let endpoint link ~at_a = if at_a then link.a else link.b
 
-let link_tick link = link.tick
 let link_state link ~at_a = (endpoint link ~at_a).session.Bfd.session_state
-let link_alive link ~at_a = (endpoint link ~at_a).alive
 let link_events link = List.rev link.rev_events
 
 let link_up link =
@@ -211,10 +209,3 @@ let detection_timeouts o =
   List.filter_map
     (function Detection_timeout { tick; _ } -> Some tick | _ -> None)
     o.events
-
-let pp_event ppf = function
-  | Came_up t -> Format.fprintf ppf "tick %d: session Up at both ends" t
-  | Detection_timeout { tick; at_a } ->
-    Format.fprintf ppf
-      "tick %d: detection time expired at %s (diag 1, session Down)" tick
-      (if at_a then "A" else "B")

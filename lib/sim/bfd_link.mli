@@ -63,17 +63,10 @@ val step_link : link -> unit
 (** One tick: transmit phase (live endpoints with periodic transmission
     enabled), receive phase, then the §6.8.4 detection-timer phase. *)
 
-val link_tick : link -> int
-
 val link_state : link -> at_a:bool -> Sage_net.Bfd.session_state
 
 val link_up : link -> bool
 (** Both ends currently Up. *)
-
-val link_alive : link -> at_a:bool -> bool
-
-val link_events : link -> event list
-(** Everything so far, in tick order. *)
 
 val set_link_plan : link -> Faults.plan -> unit
 (** Swap both directions' fault plans (PRNG streams untouched — see
@@ -88,13 +81,8 @@ val restart_endpoint : link -> at_a:bool -> unit
 (** Respawn a crashed end as a fresh session (same discriminator, state
     Down, everything to relearn). *)
 
-val outcome_of : link -> outcome
-(** Snapshot the link as a {!run}-style outcome. *)
-
 val came_up : outcome -> bool
 (** The session reached Up at both ends at some point. *)
 
 val detection_timeouts : outcome -> int list
 (** Ticks at which either endpoint's detection time expired. *)
-
-val pp_event : Format.formatter -> event -> unit

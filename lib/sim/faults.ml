@@ -204,7 +204,3 @@ let plan_of_string s =
         | Ok _, Error e -> Error e)
       (Ok []) items
     |> Result.map List.rev
-
-let pp_rule ppf r = Format.pp_print_string ppf (rule_to_string r)
-
-let pp_plan ppf plan = Format.pp_print_string ppf (plan_to_string plan)

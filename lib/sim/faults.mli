@@ -70,10 +70,6 @@ val set_observer : t -> (fault -> unit) -> unit
 val fault_to_string : fault -> string
 (** The plan-syntax spelling of one fault, e.g. ["delay:3"]. *)
 
-val rule_of_string : string -> (rule, string) result
-(** Parse a single [kind[:args]@probability] rule — the grammar shared
-    by [--fault-plan] and the chaos [--schedule] storm episodes. *)
-
 val rule_to_string : rule -> string
 (** Inverse of {!rule_of_string} (probability printed with [%g]). *)
 
@@ -85,5 +81,3 @@ val plan_of_string : string -> (plan, string) result
 val plan_to_string : plan -> string
 (** Inverse of {!plan_of_string}. *)
 
-val pp_rule : Format.formatter -> rule -> unit
-val pp_plan : Format.formatter -> plan -> unit

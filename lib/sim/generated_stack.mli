@@ -85,7 +85,3 @@ val run_state_update :
 (** BFD-style state management: execute the function against a received
     control packet and initial state; returns the final state bindings
     and whether the packet was discarded. *)
-
-val protocol_number : t -> int
-(** The IP protocol number for this stack's protocol (1 for ICMP, 2 for
-    IGMP, 17 for UDP-encapsulated protocols). *)

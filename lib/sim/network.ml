@@ -16,7 +16,7 @@ type t = {
   service : Icmp_service.t;
   hosts : host list;
   router_ifaces : (Addr.prefix * Addr.t) list;  (* subnet -> iface addr *)
-  mutable tos_supported : int;
+  tos_supported : int;
   mutable buffer_full : bool;
   mutable mtu : int;  (* egress MTU: larger DF datagrams trigger code 4 *)
   transit : Addr.t list;
@@ -79,7 +79,6 @@ let unknown_addr _ = a "203.0.113.77"
 
 let router_client_iface t = snd (List.nth t.router_ifaces 0)
 
-let set_tos_supported t v = t.tos_supported <- v
 let set_buffer_full t v = t.buffer_full <- v
 let set_mtu t v = t.mtu <- v
 

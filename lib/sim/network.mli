@@ -54,10 +54,6 @@ val server2_addr : t -> Sage_net.Addr.t
 val unknown_addr : t -> Sage_net.Addr.t
 (** An address in none of the three subnets. *)
 
-val set_tos_supported : t -> int -> unit
-(** The router only handles this type-of-service value (default 0);
-    others trigger Parameter Problem (appendix scenario). *)
-
 val set_buffer_full : t -> bool -> unit
 (** Simulate a full outbound buffer: forwarding triggers Source Quench. *)
 

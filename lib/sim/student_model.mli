@@ -31,11 +31,6 @@ val checksum_interpretations : checksum_interpretation list
 
 val interpretation_name : checksum_interpretation -> string
 
-val compute_checksum : checksum_interpretation -> request:bytes -> reply:bytes -> int
-(** What a student with this interpretation stores in the reply's
-    checksum field.  [request]/[reply] are ICMP messages (no IP header)
-    with the reply's checksum field zeroed. *)
-
 val interoperates : checksum_interpretation -> bool
 (** Whether a reply checksummed this way passes the reference verifier
     (computed, not hard-coded). *)

@@ -311,7 +311,7 @@ let test_sentence_provenance () =
 (* Golden: every shipped corpus is clean of Error-severity findings.   *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_runs () = List.map (fun c -> (c.C.name, C.run_of c)) C.corpora
+let corpus_runs () = List.map (fun c -> (c.P.name, C.run_of c)) P.corpora
 
 let test_corpora_error_free () =
   List.iter
@@ -347,7 +347,7 @@ let test_corpora_diagnostics_deterministic () =
     (corpus_runs ())
 
 let test_diagnostics_in_report () =
-  let run = C.run_of (C.find "icmp") in
+  let run = C.run_of (P.find_corpus "icmp") in
   let md = Sage.Report.markdown run in
   check Alcotest.bool "markdown has analysis section" true
     (contains ~needle:"## Static analysis" md);
@@ -360,7 +360,7 @@ let test_diagnostics_in_report () =
     (Result.is_ok (Sage_json.Json.parse json))
 
 let test_metrics_have_analysis_stage () =
-  let run, trace = C.traced_run_of (C.find "icmp") in
+  let run, trace = C.traced_run_of (P.find_corpus "icmp") in
   (match C.profile_row trace "diagnostics" with
    | Some r ->
      check Alcotest.(option int) "diagnostics counter"
@@ -421,7 +421,7 @@ let test_seeded_corpus_sanity () =
   check Alcotest.bool "functions still generated" true
     (List.length run.P.codegen.P.functions >= 2);
   check Alcotest.bool "unseeded igmp is clean" true
-    (not (D.has_errors (C.run_of (C.find "igmp")).P.diagnostics))
+    (not (D.has_errors (C.run_of (P.find_corpus "igmp")).P.diagnostics))
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz: the analyzer is total on arbitrary IR.                        *)

@@ -32,7 +32,7 @@ let contains haystack needle =
   in
   nn = 0 || go 0
 
-let run_of name = C.run_of (C.find name)
+let run_of name = C.run_of (P.find_corpus name)
 
 let targets_of (run : P.run) =
   List.filter_map
@@ -47,7 +47,7 @@ let layout_of run fn = List.assoc fn run.P.codegen.P.struct_of_function
 let func_of (run : P.run) fn =
   List.find (fun f -> f.Ir.fn_name = fn) run.P.codegen.P.functions
 
-let all_corpora = List.map (fun c -> c.C.name) C.corpora
+let all_corpora = List.map (fun c -> c.P.name) P.corpora
 
 (* ---- backend selection ---- *)
 

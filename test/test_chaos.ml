@@ -15,20 +15,9 @@ module Fixture = Sage_fixture.Fixture
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
-(* The generated stack of an ambiguous original text does not
-   interoperate (the paper's §6.5 negative result, pinned by the interop
-   suite); its chaos cases run the disambiguated run instead. *)
-let gen_backing = function
-  | "icmp" -> "icmp-rw"
-  | "bfd" -> "bfd-rw"
-  | c -> c
-
-let case_of name =
-  { Cam.corpus = name;
-    generated_run = lazy (C.run_of (C.find (gen_backing name))) }
-
-let icmp_cases = [ case_of "icmp" ]
-let all_cases = List.map (fun c -> case_of c.C.name) C.corpora
+let cases = Cam.cases ~run:C.run_of
+let icmp_cases = cases [ P.find_corpus "icmp" ]
+let all_cases = cases P.corpora
 
 (* ---- episode grammar ---- *)
 
@@ -225,15 +214,15 @@ let test_events_reach_profile () =
 
 let test_generated_workloads_run_compiled () =
   List.iter
-    (fun (c : C.corpus) ->
-      let name = c.C.name in
+    (fun (case : Cam.corpus_case) ->
+      let name = case.Cam.corpus.P.name in
       let seen = ref [] in
       let observer ~fn:_ ~env:_ (o : Sage_backend.Backend.outcome) =
         seen := o.Sage_backend.Backend.backend :: !seen
       in
       match
-        W.for_corpus ~corpus:name ~stack:W.Generated
-          ~run:(case_of name).Cam.generated_run ~observer ~seed:1 ()
+        W.for_corpus ~corpus:case.Cam.corpus ~stack:W.Generated
+          ~run:case.Cam.generated_run ~observer ~seed:1 ()
       with
       | Error e -> Alcotest.fail e
       | Ok w ->
@@ -243,7 +232,7 @@ let test_generated_workloads_run_compiled () =
         check Alcotest.bool (name ^ ": ran generated code") true (!seen <> []);
         check Alcotest.bool (name ^ ": only compiled") true
           (List.for_all (( = ) Sage_backend.Backend.Compiled) !seen))
-    C.corpora
+    all_cases
 
 (* ---- byte-exact campaign snapshot ---- *)
 

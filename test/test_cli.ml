@@ -43,10 +43,25 @@ let test_malformed_protocol () =
   expect_usage_error "fuzz protocol" "fuzz -p not-a-protocol"
 let test_unknown_subcommand () = expect_usage_error "subcommand" "frobnicate"
 
+(* every verb's help renders cleanly: a doc string cmdliner cannot
+   parse shows as errors on stderr and as mangled text *)
 let test_help_exits_zero () =
-  let code, out, _err = run_cli "fuzz --help" in
-  checki "help exit 0" 0 code;
-  checkb "help describes the verb" true (contains out "fuzz")
+  List.iter
+    (fun verb ->
+      let code, out, err = run_cli (verb ^ " --help=plain") in
+      checki (verb ^ " --help: exit 0") 0 code;
+      checkb (verb ^ " --help: describes the verb") true (contains out verb);
+      Alcotest.check Alcotest.string (verb ^ " --help: empty stderr") "" err)
+    [ ""; "parse"; "derivation"; "run"; "code"; "analyze"; "ambiguities";
+      "interop"; "corpus"; "reqs"; "fuzz"; "chaos"; "report"; "bench" ]
+
+(* a function the run did not generate is an input fault, not a
+   success: the available names go to stderr *)
+let test_code_unknown_function () =
+  let code, out, err = run_cli "code -p icmp -f no_such_function" in
+  checki "exit 2" 2 code;
+  checkb "no stdout" true (out = "");
+  checkb "lists what exists" true (contains err "icmp_echo_reply_receiver")
 
 let test_fuzz_deterministic_across_jobs () =
   let c1, out1, _ = run_cli "fuzz --seed 42 --iters 300" in
@@ -103,7 +118,18 @@ let test_rewritten_needs_a_text () =
       checkb (proto ^ ": no output") true (out = "");
       checkb (proto ^ ": names icmp and bfd") true
         (contains err "icmp" && contains err "bfd"))
-    [ "igmp"; "ntp"; "tcp"; "bgp" ]
+    [ "igmp"; "ntp"; "tcp"; "bgp" ];
+  (* reqs --corpus runs every corpus into one text table: a flag that
+     picks a corpus or a format is refused, not ignored *)
+  List.iter
+    (fun args ->
+      let code, out, err = run_cli args in
+      checki (args ^ ": exit 2") 2 code;
+      checkb (args ^ ": no output") true (out = "");
+      checkb (args ^ ": one line on stderr") true
+        (err <> "" && not (String.contains (String.trim err) '\n')))
+    [ "reqs --corpus -p ntp --rewritten"; "reqs --corpus -p icmp";
+      "reqs --corpus --rewritten"; "reqs --corpus --format json" ]
 
 (* --stats appends the profile of the run's trace: the verb's own
    stdout comes first, byte for byte, then rows sorted by name *)
@@ -270,6 +296,8 @@ let suite =
     Alcotest.test_case "malformed --protocol" `Quick test_malformed_protocol;
     Alcotest.test_case "unknown subcommand" `Quick test_unknown_subcommand;
     Alcotest.test_case "--help exits 0" `Quick test_help_exits_zero;
+    Alcotest.test_case "code -f: unknown function exits 2" `Quick
+      test_code_unknown_function;
     Alcotest.test_case "fuzz: identical across --jobs" `Slow
       test_fuzz_deterministic_across_jobs;
     Alcotest.test_case "fuzz: --coverage-out json" `Slow test_fuzz_coverage_out;

@@ -15,8 +15,8 @@ let tc name f = Alcotest.test_case name `Quick f
 
 let a = Addr.of_string_exn
 
-let tcp_run =
-  lazy (P.run (P.tcp_spec ()) ~title:"tcp" ~text:Sage_corpus.Tcp_rfc.text)
+let run_of name = Corpus_runs.run_of (P.find_corpus name)
+let tcp_run = lazy (run_of "tcp")
 
 (* ---- TCP (§7) ---- *)
 
@@ -110,8 +110,7 @@ let test_tcp_generated_constraints_execute () =
 
 (* ---- BGP (§7) ---- *)
 
-let bgp_run =
-  lazy (P.run (P.bgp_spec ()) ~title:"bgp" ~text:Sage_corpus.Bgp_rfc.text)
+let bgp_run = lazy (run_of "bgp")
 
 let test_bgp_all_sentences_parse () =
   let run = Lazy.force bgp_run in
@@ -243,8 +242,7 @@ let test_switch_rejects_bad_query () =
 
 let test_generated_query_drives_switch () =
   (* the paper's §6.3 experiment end to end: generated query -> switch *)
-  let run = P.run (P.igmp_spec ()) ~title:"igmp" ~text:Sage_corpus.Igmp_rfc.text in
-  let st = Gs.of_run run in
+  let st = Gs.of_run (run_of "igmp") in
   let query =
     Result.get_ok
       (Gs.build_message

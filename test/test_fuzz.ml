@@ -41,7 +41,7 @@ let targets_of (run : P.run) =
         (List.assoc_opt f.Ir.fn_name run.P.codegen.P.struct_of_function))
     run.P.codegen.P.functions
 
-let run_of name = C.run_of (C.find name)
+let run_of name = C.run_of (P.find_corpus name)
 
 let layout_of run fn =
   List.assoc fn run.P.codegen.P.struct_of_function
@@ -495,13 +495,13 @@ let test_engine_deterministic () =
 
 let test_engine_no_findings_all_corpora () =
   List.iter
-    (fun (c : C.corpus) ->
-      let r = engine_result c.C.name in
+    (fun (c : P.corpus) ->
+      let r = engine_result c.P.name in
       checki
-        (Printf.sprintf "zero findings on %s" c.C.name)
+        (Printf.sprintf "zero findings on %s" c.P.name)
         0
         (List.length r.Engine.findings))
-    C.corpora
+    P.corpora
 
 let test_engine_icmp_coverage_floor () =
   let r = engine_result ~iters:2000 "icmp" in

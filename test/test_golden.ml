@@ -192,8 +192,7 @@ let prop_winnow_stage_counts_monotone =
 let icmp_stack =
   lazy
     (Sage_sim.Generated_stack.of_run
-       (P.run (Lazy.force icmp) ~title:"icmp"
-          ~text:Sage_corpus.Icmp_rfc.rewritten_text))
+       (Corpus_runs.run_of (P.find_corpus "icmp-rw")))
 
 let prop_generated_echo_reply_interoperates =
   QCheck.Test.make ~name:"generated echo reply passes ping checks" ~count:60

@@ -12,6 +12,7 @@
    which rewrites the snapshots in the source tree (the tests run in
    _build/default/test/, so the update path climbs back out). *)
 
+module P = Sage.Pipeline
 module Report = Sage.Report
 module C = Corpus_runs
 
@@ -57,14 +58,14 @@ let compare_snapshot file actual =
     else check Alcotest.string file (read_file path) actual
 
 let test_report_snapshot c () =
-  compare_snapshot (c.C.name ^ ".report.md") (Report.markdown (C.run_of c))
+  compare_snapshot (c.P.name ^ ".report.md") (Report.markdown (C.run_of c))
 
 let test_analysis_snapshot c () =
   let json = Report.analysis_json (C.run_of c) in
   (match Sage_json.Json.parse json with
    | Ok _ -> ()
-   | Error e -> Alcotest.failf "%s analysis json malformed: %s" c.C.name e);
-  compare_snapshot (c.C.name ^ ".analysis.json") json
+   | Error e -> Alcotest.failf "%s analysis json malformed: %s" c.P.name e);
+  compare_snapshot (c.P.name ^ ".analysis.json") json
 
 (* The text trace sink under --trace-clock logical --jobs 1 is
    byte-deterministic, so it snapshots like any other artifact: any
@@ -72,7 +73,7 @@ let test_analysis_snapshot c () =
    diff here. *)
 let test_trace_text_snapshot c () =
   let _run, trace = C.traced_run_of c in
-  compare_snapshot (c.C.name ^ ".trace.txt")
+  compare_snapshot (c.P.name ^ ".trace.txt")
     (Sage_trace.Trace.render Sage_trace.Trace.Text trace)
 
 let trace_snapshot_corpora = [ "icmp"; "igmp" ]
@@ -83,7 +84,6 @@ let trace_snapshot_corpora = [ "icmp"; "igmp" ]
    fills a cell at the default capacity, so sentence E follows at the
    capacities `bench ablate-cap` sweeps: those runs pin which items a
    full cell keeps. *)
-module P = Sage.Pipeline
 module Parser = Sage_ccg.Parser
 
 let ccg_parses () =
@@ -96,16 +96,16 @@ let ccg_parses () =
       r.lfs
   in
   List.iter
-    (fun c ->
-      let spec = Lazy.force c.C.spec in
-      Printf.bprintf b "## %s\n" c.C.name;
+    (fun (c : P.corpus) ->
+      let spec = c.P.spec () in
+      Printf.bprintf b "## %s\n" c.P.name;
       List.iter
         (fun (s : P.sentence_report) ->
           record s.sentence
             (Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary
                s.sentence))
         (C.run_of c).P.sentences)
-    C.corpora;
+    P.corpora;
   let spec = P.icmp_spec () in
   let sentence_e =
     "If code = 0, an identifier to aid in matching echos and replies, may \
@@ -175,14 +175,14 @@ let suite =
   List.concat_map
     (fun c ->
       [
-        tc (c.C.name ^ " report snapshot") (test_report_snapshot c);
-        tc (c.C.name ^ " analysis snapshot") (test_analysis_snapshot c);
+        tc (c.P.name ^ " report snapshot") (test_report_snapshot c);
+        tc (c.P.name ^ " analysis snapshot") (test_analysis_snapshot c);
       ]
       @
-      if List.mem c.C.name trace_snapshot_corpora then
-        [ tc (c.C.name ^ " trace-text snapshot") (test_trace_text_snapshot c) ]
+      if List.mem c.P.name trace_snapshot_corpora then
+        [ tc (c.P.name ^ " trace-text snapshot") (test_trace_text_snapshot c) ]
       else [])
-    C.corpora
+    P.corpora
   @ [
       tc "ccg parses snapshot" test_ccg_parses_snapshot;
       tc "bench page snapshot" test_bench_page_snapshot;

@@ -20,12 +20,9 @@ module Backend = Sage_backend.Backend
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
-let icmp_run =
-  lazy
-    (P.run (P.icmp_spec ()) ~title:"icmp" ~text:Sage_corpus.Icmp_rfc.rewritten_text)
-
-let icmp_orig_run =
-  lazy (P.run (P.icmp_spec ()) ~title:"icmp" ~text:Sage_corpus.Icmp_rfc.text)
+let run_of name = Corpus_runs.run_of (P.find_corpus name)
+let icmp_run = lazy (run_of "icmp-rw")
+let icmp_orig_run = lazy (run_of "icmp")
 
 let stack = lazy (Gs.of_run (Lazy.force icmp_run))
 let gen_net = lazy (Net.default_topology ~service:(Svc.generated (Lazy.force stack)) ())
@@ -283,8 +280,7 @@ let test_generated_to_generated () =
 (* ---- IGMP (§6.3) ---- *)
 
 let test_igmp_interop () =
-  let run = P.run (P.igmp_spec ()) ~title:"igmp" ~text:Sage_corpus.Igmp_rfc.text in
-  let st = Gs.of_run run in
+  let st = Gs.of_run (run_of "igmp") in
   match
     Gs.build_message
       ~params:[ ("all_hosts_group",
@@ -309,8 +305,7 @@ let test_igmp_interop () =
      | Error e -> Alcotest.fail (Sage_net.Decode_error.to_string e))
 
 let test_igmp_report_carries_group () =
-  let run = P.run (P.igmp_spec ()) ~title:"igmp" ~text:Sage_corpus.Igmp_rfc.text in
-  let st = Gs.of_run run in
+  let st = Gs.of_run (run_of "igmp") in
   let group = a "224.9.9.9" in
   match
     Gs.build_message
@@ -332,8 +327,7 @@ let test_igmp_report_carries_group () =
 (* ---- NTP (§6.3): generated packet with both NTP and UDP headers ---- *)
 
 let test_ntp_generated_packet () =
-  let run = P.run (P.ntp_spec ()) ~title:"ntp" ~text:Sage_corpus.Ntp_rfc.text in
-  let st = Gs.of_run run in
+  let st = Gs.of_run (run_of "ntp") in
   match
     Gs.build_message ~src:(a "10.0.1.50") ~dst:(a "192.168.2.10") st
       ~fn:"ntp_ntp_sender"
@@ -353,8 +347,7 @@ let test_ntp_generated_packet () =
 
 (* ---- BFD (§6.4): generated state management vs the reference ---- *)
 
-let bfd_run =
-  lazy (P.run (P.bfd_spec ()) ~title:"bfd" ~text:Sage_corpus.Bfd_rfc.rewritten_text)
+let bfd_run = lazy (run_of "bfd-rw")
 
 let run_generated_bfd ~state packet =
   let st = Gs.of_run (Lazy.force bfd_run) in

@@ -18,13 +18,8 @@ let tc name f = Alcotest.test_case name `Quick f
 
 (* ---- report ---- *)
 
-let icmp_orig =
-  lazy (P.run (P.icmp_spec ()) ~title:"RFC 792" ~text:Sage_corpus.Icmp_rfc.text)
-
-let icmp_rewr =
-  lazy
-    (P.run (P.icmp_spec ()) ~title:"RFC 792 (rewritten)"
-       ~text:Sage_corpus.Icmp_rfc.rewritten_text)
+let icmp_orig = lazy (Corpus_runs.run_of (P.find_corpus "icmp"))
+let icmp_rewr = lazy (Corpus_runs.run_of (P.find_corpus "icmp-rw"))
 
 let contains = Astring_contains.contains
 

@@ -116,13 +116,12 @@ let test_cache_counts_agree_with_trace () =
   (* the --stats profile counts cache lookups from trace instants: with
      workers racing on one shared cache, every lookup must still emit
      exactly one instant and every miss exactly one parse span *)
-  let igmp = C.find "igmp" in
+  let igmp = P.find_corpus "igmp" in
   let cache = Sage.Chart_cache.create ~capacity:1024 () in
   let trace = Sage_trace.Trace.create () in
   for _ = 1 to 2 do
     ignore
-      (P.run_document ~jobs:4 ~cache ~trace (Lazy.force igmp.C.spec)
-         ~title:igmp.C.title ~text:igmp.C.text)
+      (P.run_corpus ~jobs:4 ~cache ~trace igmp)
   done;
   let row name =
     List.find_opt
@@ -143,10 +142,6 @@ let test_cache_counts_agree_with_trace () =
 
 (* ---- Pipeline determinism ---- *)
 
-let run_document ?jobs ?cache c =
-  P.run_document ?jobs ?cache (Lazy.force c.C.spec) ~title:c.C.title
-    ~text:c.C.text
-
 let artifact run = Sage.Report.markdown run ^ "\x00" ^ run.P.codegen.P.c_code
 
 let lf_strings run =
@@ -163,9 +158,9 @@ let lf_strings run =
 let test_parallel_matches_sequential () =
   List.iter
     (fun c ->
-      let name = c.C.name in
+      let name = c.P.name in
       let seq = C.run_of c in
-      let par = run_document ~jobs:4 c in
+      let par = P.run_corpus ~jobs:4 c in
       check Alcotest.string
         (Printf.sprintf "%s: report identical under --jobs 4" name)
         (artifact seq) (artifact par);
@@ -173,17 +168,17 @@ let test_parallel_matches_sequential () =
         (Printf.sprintf "%s: no crashed sentences" name)
         0
         (List.length (P.crashed_sentences par)))
-    C.corpora
+    P.corpora
 
 let test_cache_rerun_identical_with_hits () =
   let cache = Sage.Chart_cache.create ~capacity:4096 () in
   List.iter
     (fun c ->
-      let name = c.C.name in
-      let cold = run_document ~cache c in
+      let name = c.P.name in
+      let cold = P.run_corpus ~cache c in
       let hits0 = Sage.Chart_cache.hits cache
       and misses0 = Sage.Chart_cache.misses cache in
-      let warm = run_document ~cache c in
+      let warm = P.run_corpus ~cache c in
       check Alcotest.string
         (Printf.sprintf "%s: warm rerun byte-identical" name)
         (artifact cold) (artifact warm);
@@ -200,24 +195,24 @@ let test_cache_rerun_identical_with_hits () =
         (Printf.sprintf "%s: no misses on rerun" name)
         0
         (Sage.Chart_cache.misses cache - misses0))
-    [ C.find "icmp"; C.find "bfd-rw" ]
+    [ P.find_corpus "icmp"; P.find_corpus "bfd-rw" ]
 
 let test_cache_shared_across_jobs () =
   (* a cache warmed sequentially, reused by a parallel run: still
      byte-identical, and the parallel run is all hits *)
-  let igmp = C.find "igmp" in
+  let igmp = P.find_corpus "igmp" in
   let cache = Sage.Chart_cache.create ~capacity:1024 () in
-  let cold = run_document ~jobs:1 ~cache igmp in
+  let cold = P.run_corpus ~jobs:1 ~cache igmp in
   let hits0 = Sage.Chart_cache.hits cache in
-  let warm = run_document ~jobs:4 ~cache igmp in
+  let warm = P.run_corpus ~jobs:4 ~cache igmp in
   check Alcotest.string "warm parallel identical" (artifact cold) (artifact warm);
   check Alcotest.bool "nonzero hits" true (Sage.Chart_cache.hits cache > hits0)
 
 let test_jobs_zero_and_huge_are_safe () =
   (* degenerate worker counts must not change anything either *)
-  let igmp = C.find "igmp" in
+  let igmp = P.find_corpus "igmp" in
   let seq = C.run_of igmp in
-  let huge = run_document ~jobs:64 igmp in
+  let huge = P.run_corpus ~jobs:64 igmp in
   check Alcotest.string "jobs=64 identical" (artifact seq) (artifact huge)
 
 let suite =

@@ -9,20 +9,13 @@ let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 
 (* pipeline runs are shared across tests *)
-let icmp_orig =
-  lazy (P.run (P.icmp_spec ()) ~title:"icmp" ~text:Sage_corpus.Icmp_rfc.text)
-
-let icmp_rewr =
-  lazy
-    (P.run (P.icmp_spec ()) ~title:"icmp-rewritten"
-       ~text:Sage_corpus.Icmp_rfc.rewritten_text)
-
-let igmp = lazy (P.run (P.igmp_spec ()) ~title:"igmp" ~text:Sage_corpus.Igmp_rfc.text)
-let ntp = lazy (P.run (P.ntp_spec ()) ~title:"ntp" ~text:Sage_corpus.Ntp_rfc.text)
-let bfd_orig = lazy (P.run (P.bfd_spec ()) ~title:"bfd" ~text:Sage_corpus.Bfd_rfc.text)
-
-let bfd_rewr =
-  lazy (P.run (P.bfd_spec ()) ~title:"bfd-rw" ~text:Sage_corpus.Bfd_rfc.rewritten_text)
+let run_of name = lazy (Corpus_runs.run_of (P.find_corpus name))
+let icmp_orig = run_of "icmp"
+let icmp_rewr = run_of "icmp-rw"
+let igmp = run_of "igmp"
+let ntp = run_of "ntp"
+let bfd_orig = run_of "bfd"
+let bfd_rewr = run_of "bfd-rw"
 
 (* ---- analyze_sentence unit behavior ---- *)
 

@@ -109,8 +109,7 @@ let test_is_pseudo_code () =
 
 (* ---- pipeline integration ---- *)
 
-let ntp_run =
-  lazy (P.run (P.ntp_spec ()) ~title:"ntp" ~text:Sage_corpus.Ntp_rfc.text)
+let ntp_run = lazy (Corpus_runs.run_of (P.find_corpus "ntp"))
 
 let test_pipeline_generates_procedure () =
   let run = Lazy.force ntp_run in

@@ -21,7 +21,7 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 let contains = Astring_contains.contains
 
-let run_of name = C.run_of (C.find name)
+let run_of name = C.run_of (P.find_corpus name)
 
 (* ---- RFC 2119 keyword detection ---- *)
 

@@ -91,20 +91,18 @@ let seeded_fixtures =
    zero-violation soak lives in the CI gate (gate.sh). *)
 let clean_corpora =
   List.map
-    (fun corpus ->
-      let rw = Filename.check_suffix corpus "-rw" in
-      let proto = if rw then Filename.chop_suffix corpus "-rw" else corpus in
+    (fun (c : Sage.Pipeline.corpus) ->
       {
-        name = Printf.sprintf "fuzz %s clean" corpus;
+        name = Printf.sprintf "fuzz %s clean" c.name;
         setup = None;
         args =
           Printf.sprintf "fuzz -p %s%s --seed 42 --iters 120 --check-reqs"
-            proto
-            (if rw then " --rewritten" else "");
+            c.proto
+            (if c.rewritten then " --rewritten" else "");
         exit_code = 0;
         expect = [ "findings   : 0" ];
       })
-    (List.map (fun c -> c.Corpus_runs.name) Corpus_runs.corpora)
+    Sage.Pipeline.corpora
   @ [
       {
         name = "chaos icmp clean";

@@ -24,7 +24,7 @@ let local_discr = 7
 let reception_fn = "bfd_reception_of_bfd_control_packets_sender"
 
 let stack =
-  lazy (Gs.of_run (C.run_of (C.find "bfd")))
+  lazy (Gs.of_run (C.run_of (P.find_corpus "bfd")))
 
 (* the variables both sides track under the same names *)
 let compared_vars =

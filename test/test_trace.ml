@@ -341,12 +341,12 @@ let required_span_names = [ "document"; "phase:prepass"; "phase:analysis";
 let test_corpus_trace_structure c () =
   let _run, trace = C.traced_run_of c in
   let js = Trace.to_chrome_json trace in
-  check_valid_json c.C.name js;
+  check_valid_json c.P.name js;
   let evs = Trace.events trace in
   check Alcotest.bool "events recorded" true (evs <> []);
   List.iter
     (fun name ->
-      check Alcotest.bool (Printf.sprintf "%s has %s span" c.C.name name) true
+      check Alcotest.bool (Printf.sprintf "%s has %s span" c.P.name name) true
         (List.exists
            (fun ev -> ev.Trace.ph = Trace.Begin && ev.Trace.name = name)
            evs))
@@ -364,18 +364,15 @@ let test_corpus_output_unaffected c () =
     plain.P.codegen.P.c_code traced.P.codegen.P.c_code
 
 let test_trace_deterministic_jobs1 () =
-  let c = List.hd C.corpora in
+  let c = List.hd P.corpora in
   let _, first = C.traced_run_of c in
   let second = Trace.create ~clock:Trace.Logical () in
-  let (_ : P.run) =
-    P.run_document ~jobs:1 ~trace:second (Lazy.force c.C.spec) ~title:c.C.title
-      ~text:c.C.text
-  in
+  let (_ : P.run) = P.run_corpus ~jobs:1 ~trace:second c in
   check Alcotest.string "same trace bytes across runs"
     (Trace.to_chrome_json first) (Trace.to_chrome_json second)
 
 let test_trace_counters_present () =
-  let _, trace = C.traced_run_of (List.hd C.corpora) in
+  let _, trace = C.traced_run_of (List.hd P.corpora) in
   let counters =
     List.filter_map
       (fun ev -> if ev.Trace.ph = Trace.Counter then Some ev.Trace.name else None)
@@ -387,12 +384,9 @@ let test_trace_counters_present () =
     [ "sentences"; "functions"; "diagnostics" ]
 
 let test_trace_worker_spans () =
-  let c = List.hd C.corpora in
+  let c = List.hd P.corpora in
   let trace = Trace.create () in
-  let (_ : P.run) =
-    P.run_document ~jobs:2 ~trace (Lazy.force c.C.spec) ~title:c.C.title
-      ~text:c.C.text
-  in
+  let (_ : P.run) = P.run_corpus ~jobs:2 ~trace c in
   let evs = Trace.events trace in
   check Alcotest.bool "worker-0 span" true
     (List.exists (fun ev -> ev.Trace.name = "worker-0") evs);
@@ -400,8 +394,7 @@ let test_trace_worker_spans () =
   check Alcotest.int "balanced under workers" (count Trace.Begin) (count Trace.End)
 
 let test_trace_cache_events () =
-  let c = List.hd C.corpora in
-  let spec = Lazy.force c.C.spec in
+  let spec = (List.hd P.corpora).P.spec () in
   let cache = Sage.Chart_cache.create () in
   let trace = Trace.create ~clock:Trace.Logical () in
   let sentence = "The checksum is zero." in
@@ -459,7 +452,7 @@ let test_profile_unit () =
     (Trace.profile_to_text t)
 
 let test_profile_matches_run () =
-  let run, trace = C.traced_run_of (C.find "icmp") in
+  let run, trace = C.traced_run_of (P.find_corpus "icmp") in
   let row name =
     match C.profile_row trace name with
     | Some r -> r
@@ -494,7 +487,7 @@ let test_metrics_bindings_sorted () =
 
 let test_report_stats_sorted () =
   (* the table `report --stats` prints under its header line *)
-  let _, trace = C.traced_run_of (List.hd C.corpora) in
+  let _, trace = C.traced_run_of (List.hd P.corpora) in
   let lines =
     match String.split_on_char '\n' (Trace.profile_to_text trace) with
     | _header :: rows -> List.filter (fun l -> l <> "") rows
@@ -515,11 +508,11 @@ let corpus_tests =
   List.concat_map
     (fun c ->
       [
-        tc (c.C.name ^ " trace valid + structured") (test_corpus_trace_structure c);
-        tc (c.C.name ^ " output unaffected by tracing")
+        tc (c.P.name ^ " trace valid + structured") (test_corpus_trace_structure c);
+        tc (c.P.name ^ " output unaffected by tracing")
           (test_corpus_output_unaffected c);
       ])
-    C.corpora
+    P.corpora
 
 let suite =
   [
