@@ -85,16 +85,9 @@ let corpus_arg = Term.(const select $ protocol_arg $ rewritten_arg)
 let spec_arg =
   Term.(const (fun proto -> (select proto false).P.spec ()) $ protocol_arg)
 
-let jobs_arg =
-  let doc =
-    "Parallel workers for the sentence-analysis phase (0 = auto-detect one \
-     per core).  Needs OCaml 5 domains; on older compilers the run \
-     degrades to sequential.  Output is byte-identical for any value."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 (* An integer below [min] is a usage error (exit 2): a zero iteration
-   count or baseline window would otherwise pass vacuously. *)
+   count or baseline window would otherwise pass vacuously, and a
+   negative --jobs or a --cache below 1 would run as another value. *)
 let int_at_least min =
   let parse s =
     match int_of_string_opt s with
@@ -104,6 +97,14 @@ let int_at_least min =
       Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
   in
   Arg.conv (parse, Fmt.int)
+
+let jobs_arg =
+  let doc =
+    "Parallel workers for the sentence-analysis phase (0 = auto-detect one \
+     per core).  Needs OCaml 5 domains; on older compilers the run \
+     degrades to sequential.  Output is byte-identical for any value."
+  in
+  Arg.(value & opt (int_at_least 0) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let stats_arg =
   let doc =
@@ -118,7 +119,7 @@ let cache_arg =
     "Memoize CCG charts in an LRU cache of the given capacity (entries); \
      repeated token sequences across sections then parse once."
   in
-  Arg.(value & opt (some int) None & info [ "cache" ] ~docv:"CAP" ~doc)
+  Arg.(value & opt (some (int_at_least 1)) None & info [ "cache" ] ~docv:"CAP" ~doc)
 
 (* --trace[=FILE]: record a structured event trace.  The trace is
    buffered in memory and written only after the run, so stdout stays
@@ -949,7 +950,14 @@ let chaos_cmd =
          let corpora =
            Sage_chaos.Campaign.cases
              ~run:(fun c -> run_pipeline ~jobs ?trace c)
-             (if corpora_sel = [] then P.corpora else corpora_sel)
+             (if corpora_sel = [] then P.corpora
+              else
+                (* a repeated --corpus names the corpus once *)
+                List.fold_left
+                  (fun acc (c : P.corpus) ->
+                    if List.exists (fun (d : P.corpus) -> d.P.name = c.P.name) acc then acc
+                    else acc @ [ c ])
+                  [] corpora_sel)
          in
          let scenarios =
            match (scenario, schedule) with

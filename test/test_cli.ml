@@ -38,7 +38,13 @@ let test_malformed_iters () =
   expect_usage_error "fuzz iters 0" "fuzz --seeded bug --iters 0";
   expect_usage_error "fuzz iters negative" "fuzz --iters=-3"
 
-let test_malformed_jobs () = expect_usage_error "report jobs" "report --jobs many"
+let test_malformed_jobs () =
+  expect_usage_error "report jobs" "report --jobs many";
+  (* --jobs 0 means auto-detect; a negative count or an empty cache is refused *)
+  expect_usage_error "run jobs negative" "run -p icmp --jobs=-3";
+  expect_usage_error "run cache negative" "run -p icmp --cache=-5";
+  expect_usage_error "run cache 0" "run -p icmp --cache 0"
+
 let test_malformed_protocol () =
   expect_usage_error "fuzz protocol" "fuzz -p not-a-protocol"
 let test_unknown_subcommand () = expect_usage_error "subcommand" "frobnicate"
@@ -95,6 +101,12 @@ let test_chaos_bad_schedule () =
 let test_chaos_scenario_and_schedule_conflict () =
   expect_usage_error "chaos conflict"
     "chaos --scenario flaky --schedule heal:5"
+
+(* a repeated --corpus names one corpus: its cases run once *)
+let test_chaos_repeated_corpus () =
+  let code, out, _ = run_cli "chaos --corpus ntp --corpus ntp --scenario flaky" in
+  checki "exit 0" 0 code;
+  checkb "two cases" true (contains out "cases: 2 ")
 
 let test_chaos_deterministic_across_jobs () =
   let c1, out1, _ = run_cli "chaos --seed 7 --corpus icmp" in
@@ -334,6 +346,8 @@ let suite =
       test_chaos_scenario_and_schedule_conflict;
     Alcotest.test_case "chaos: identical across --jobs" `Slow
       test_chaos_deterministic_across_jobs;
+    Alcotest.test_case "chaos: repeated --corpus runs once" `Quick
+      test_chaos_repeated_corpus;
     Alcotest.test_case "malformed --fail-on" `Quick test_malformed_fail_on;
     Alcotest.test_case "analyze: --prove clean corpus exits 0" `Slow
       test_analyze_prove_clean;

@@ -171,6 +171,15 @@ let bench_history =
 let test_bench_page_snapshot () =
   compare_snapshot "bench.page.md" (Sage_bench.Render.page bench_history)
 
+(* The paper page: bench/main.exe renders every table, figure and
+   ablation with its claims, and exits 1 naming each claim that fails.
+   The exit code is checked before the snapshot, so a page with a false
+   claim fails even while SAGE_UPDATE_GOLDEN=1 regenerates the rest. *)
+let test_paper_page_snapshot () =
+  let code, page, err = Cli_harness.run Cli_harness.bench "" in
+  if code <> 0 then Alcotest.failf "bench/main.exe exited %d:\n%s" code err;
+  compare_snapshot "paper.md" page
+
 let suite =
   List.concat_map
     (fun c ->
@@ -186,4 +195,5 @@ let suite =
   @ [
       tc "ccg parses snapshot" test_ccg_parses_snapshot;
       tc "bench page snapshot" test_bench_page_snapshot;
+      tc "paper page snapshot" test_paper_page_snapshot;
     ]
