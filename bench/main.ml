@@ -20,6 +20,7 @@ module Chunker = Sage_nlp.Chunker
 module Parser = Sage_ccg.Parser
 module Addr = Sage_net.Addr
 module Ipv4 = Sage_net.Ipv4
+module Udp = Sage_net.Udp
 module Icmp = Sage_net.Icmp
 module Bfd = Sage_net.Bfd
 module Net = Sage_sim.Network
@@ -571,14 +572,20 @@ let generality () =
         | Ok reports -> List.map inspect reports
         | Error e -> [ (false, "switch rejected the query: " ^ e) ] )
   in
-  let ntp_packet =
+  let ntp_dgram =
+    Gs.build_message ~src:(a "10.0.1.50") ~dst:(a "192.168.2.10") (Gs.of_run ntp)
+      ~fn:"ntp_ntp_sender"
+  in
+  (* IP, then the UDP header the generated code asks for (port 123, RFC
+     1059 App. A; the checksum covers the pseudo-header), then NTP *)
+  let ntp_layers =
     let decoded r = Result.map_error Sage_net.Decode_error.to_string r in
-    Result.bind
-      (Gs.build_message ~src:(a "10.0.1.50") ~dst:(a "192.168.2.10") (Gs.of_run ntp)
-         ~fn:"ntp_ntp_sender")
-      (fun dgram ->
-        Result.bind (decoded (Ipv4.decode dgram)) (fun (_, payload) ->
-            decoded (Sage_net.Ntp.decode payload)))
+    Result.bind ntp_dgram (fun dgram ->
+        Result.bind (decoded (Ipv4.decode dgram)) (fun (ip, segment) ->
+            Result.bind
+              (decoded (Udp.decode_verified ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst segment))
+              (fun (udp, payload) ->
+                Result.map (fun p -> (ip, udp, p)) (decoded (Sage_net.Ntp.decode payload)))))
   in
   section "§6.3 generality: IGMP and NTP"
     ~table:
@@ -587,17 +594,29 @@ let generality () =
         @ List.map (fun (_, r) -> [ "IGMP switch report"; r ]) reports
         @ [ corpus "NTP" ntp;
             [ "NTP packet";
-              (match ntp_packet with
-               | Ok p -> Fmt.str "%a [ok]" Sage_net.Ntp.pp p
-               | Error e -> "FAILED: " ^ e) ] ] )
+              (match ntp_dgram with Ok d -> snd (inspect d) | Error e -> "FAILED: " ^ e) ] ] )
     ~claims:
       [
         claim "IGMP: the switch answers the generated query with clean reports"
           ~paper:"interoperates" ~measured:(sprintf "%d reports" (count fst reports))
           (fst query && reports <> [] && List.for_all fst reports);
-        claim "NTP: the generated packet decodes" ~paper:"NTP and UDP headers"
-          ~measured:(if Result.is_ok ntp_packet then "decodes" else "fails")
-          (Result.is_ok ntp_packet);
+        claim
+          "NTP: the generated datagram decodes as IP, then UDP from and to port 123 \
+           with a valid checksum, then NTP with poll 6"
+          ~paper:"NTP and UDP headers"
+          ~measured:
+            (match ntp_layers with
+             | Ok (ip, udp, p) ->
+               sprintf "IP protocol %d, UDP %d > %d, NTP poll %d" ip.Ipv4.protocol
+                 udp.Udp.src_port udp.Udp.dst_port p.Sage_net.Ntp.poll
+             | Error e -> "fails: " ^ e)
+          (match ntp_layers with
+           | Ok (ip, udp, p) ->
+             (* decode_verified accepts a zero (absent) checksum *)
+             ip.Ipv4.protocol = Ipv4.protocol_udp && udp.Udp.src_port = 123
+             && udp.Udp.dst_port = 123 && udp.Udp.checksum <> 0
+             && p.Sage_net.Ntp.poll = 6
+           | Error _ -> false);
       ]
 
 let bfd_target () =
@@ -607,6 +626,13 @@ let bfd_target () =
     text :: List.map string_of_int [ sentences; parsed; zero; ambiguous ]
   in
   let _, _, zero, ambiguous = census rewr in
+  (* the paper's state-management sentences: those under "Reception of
+     BFD Control Packets" *)
+  let state_management r =
+    count (fun s -> s.P.message = Some "Reception of BFD Control Packets")
+      r.P.sentences
+  in
+  let sm_original = state_management (run "bfd") and sm_rewritten = state_management rewr in
   let max_base =
     List.fold_left
       (fun acc r -> match r.P.trace with Some tr -> max acc tr.Winnow.base | None -> acc)
@@ -647,6 +673,11 @@ let bfd_target () =
         claim "max base LFs of one rewritten sentence, every sentence winnowed to 1"
           ~paper:"up to 56" ~measured:(string_of_int max_base)
           (max_base >= 2 && zero = 0 && ambiguous = 0);
+        claim
+          "state-management sentences (under \"Reception of BFD Control Packets\"), \
+           original and rewritten text, each within 20-25"
+          ~paper:"22" ~measured:(sprintf "%d, %d" sm_original sm_rewritten)
+          (List.for_all (fun n -> n >= 20 && n <= 25) [ sm_original; sm_rewritten ]);
         same
           "(state x input) pairs where the state machine recovered from the \
            generated code disagrees with the reference implementation"

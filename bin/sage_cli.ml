@@ -86,8 +86,8 @@ let spec_arg =
   Term.(const (fun proto -> (select proto false).P.spec ()) $ protocol_arg)
 
 (* An integer below [min] is a usage error (exit 2): a zero iteration
-   count or baseline window would otherwise pass vacuously, and a
-   negative --jobs or a --cache below 1 would run as another value. *)
+   count would otherwise pass vacuously, and a negative --jobs or a
+   --cache below 1 would run as another value. *)
 let int_at_least min =
   let parse s =
     match int_of_string_opt s with
@@ -1069,12 +1069,6 @@ let bench_cmd =
     in
     Arg.(value & opt (some float) None & info [ "tolerance" ] ~docv:"PCT" ~doc)
   in
-  let window_arg =
-    let doc =
-      "Baseline = median of the last $(docv) recorded values (at least 1)."
-    in
-    Arg.(value & opt (int_at_least 1) 5 & info [ "window" ] ~docv:"K" ~doc)
-  in
   let render_arg =
     let doc =
       "Print the BENCH.md trajectory page (sparkline table) generated \
@@ -1089,7 +1083,7 @@ let bench_cmd =
       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
   in
   let run list_targets filter check seeded history_file record date
-      tolerance window render =
+      tolerance render =
     let check = check || seeded <> None in
     if list_targets then begin
       Printf.printf "%-24s %-12s %s\n" "key" "backend" "description";
@@ -1107,7 +1101,7 @@ let bench_cmd =
         1
       | Ok history ->
         if render then begin
-          print_string (Sage_bench.Render.page ~window history);
+          print_string (Sage_bench.Render.page history);
           0
         end
         else begin
@@ -1173,7 +1167,7 @@ let bench_cmd =
                   Sage_bench.Regress.check
                     ?default_tolerance:
                       (Option.map (fun p -> p /. 100.) tolerance)
-                    ~window ~tolerance_of:Sage_bench.Target.tolerance_of
+                    ~tolerance_of:Sage_bench.Target.tolerance_of
                     ~history ~expected ~current:checked ()
                 in
                 print_newline ();
@@ -1190,13 +1184,12 @@ let bench_cmd =
      fuzz-compiled/iter, interp-vs-compiled/iter, reqs/iter, chaos/tick) \
      — append per-commit results to the BENCH_history.json trajectory, \
      gate the current run against the recorded baseline (median of the \
-     last K, per-key noise tolerance) and render the BENCH.md sparkline \
+     last 5, per-key noise tolerance) and render the BENCH.md sparkline \
      page."
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(const run $ list_arg $ filter_arg $ check_arg $ seeded_arg "bench"
-          $ history_arg $ record_arg $ date_arg $ tolerance_arg $ window_arg
-          $ render_arg)
+          $ history_arg $ record_arg $ date_arg $ tolerance_arg $ render_arg)
 
 (* ------------------------------------------------------------------ *)
 (* main                                                                *)

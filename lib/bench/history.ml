@@ -151,9 +151,11 @@ let best t key =
       | Some b -> if s.ns < b.ns then Some s else Some b)
     None (samples t key)
 
+let default_window = 5
+
 (* median of the last [window] recorded values: a single noisy commit
    cannot move the baseline by itself *)
-let baseline ?(window = 5) t key =
+let baseline ?(window = default_window) t key =
   let ns = trajectory t key in
   let len = List.length ns in
   let tail =

@@ -1,13 +1,13 @@
 (* Regression gate: compare a current run against the recorded
    trajectory.  The baseline for each key is the median of the last
-   [window] recorded values (History.baseline), so a single noisy
-   historical commit cannot move the bar; the comparison allows
-   [default_tolerance] relative slowdown (15%); a per-key override
-   (Target.tolerance_of) acts as a floor — the effective tolerance is
-   the larger of the two, so fast-and-jittery stages are never gated
-   tighter than their registered noise level, and a loosened
-   [--tolerance] (e.g. for a cross-machine CI comparison) applies to
-   every key.
+   History.default_window recorded values (History.baseline), so a
+   single noisy historical commit cannot move the bar; the comparison
+   allows [default_tolerance] relative slowdown (15%); a per-key
+   override (Target.tolerance_of) acts as a floor — the effective
+   tolerance is the larger of the two, so fast-and-jittery stages are
+   never gated tighter than their registered noise level, and a
+   loosened [--tolerance] (e.g. for a cross-machine CI comparison)
+   applies to every key.
 
    Verdicts:
      - a key within tolerance of its baseline passes ("ok");
@@ -31,12 +31,11 @@ type line = { key : string; current : float option; status : status }
 
 type report = {
   lines : line list; (* sorted by key *)
-  window : int;
   default_tolerance : float;
 }
 
-let check ?(default_tolerance = 0.15) ?(window = 5)
-    ?(tolerance_of = fun _ -> None) ~history ~expected ~current () =
+let check ?(default_tolerance = 0.15) ?(tolerance_of = fun _ -> None)
+    ~history ~expected ~current () =
   let keys = List.sort_uniq compare (expected @ List.map fst current) in
   let lines =
     List.map
@@ -50,7 +49,7 @@ let check ?(default_tolerance = 0.15) ?(window = 5)
         | None -> { key; current = None; status = Missing }
         | Some (s : History.sample) ->
           let ns = s.History.ns in
-          (match History.baseline ~window history key with
+          (match History.baseline history key with
            | None -> { key; current = Some ns; status = New_key }
            | Some baseline ->
              let delta = (ns -. baseline) /. baseline in
@@ -64,7 +63,7 @@ let check ?(default_tolerance = 0.15) ?(window = 5)
              { key; current = Some ns; status }))
       keys
   in
-  { lines; window; default_tolerance }
+  { lines; default_tolerance }
 
 let ok report =
   List.for_all
@@ -119,7 +118,7 @@ let render report =
        "\nbench check: %d key(s), %d regressed, %d missing, %d new \
         (baseline median of last %d, default tolerance %.0f%%) — %s\n"
        (List.length report.lines)
-       !regressed !missing !fresh report.window
+       !regressed !missing !fresh History.default_window
        (100. *. report.default_tolerance)
        (if ok report then "PASS" else "FAIL"));
   Buffer.contents buf

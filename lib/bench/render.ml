@@ -27,7 +27,7 @@ let spark values =
 
 let pretty_ns = Regress.pretty_ns
 
-let page ?(window = 5) (h : History.t) =
+let page (h : History.t) =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "# Benchmark trajectory\n\n";
   Buffer.add_string buf
@@ -36,7 +36,7 @@ let page ?(window = 5) (h : History.t) =
         (schema %d). Lower is better; every value is ns/iteration. The \
         baseline is the median of the last %d recorded values — the bar \
         `sage bench --check` gates against.\n\n"
-       h.History.schema window);
+       h.History.schema History.default_window);
   (match List.rev h.History.records with
    | [] -> Buffer.add_string buf "No commits recorded yet.\n"
    | latest :: _ ->
@@ -56,7 +56,7 @@ let page ?(window = 5) (h : History.t) =
            | None -> "-"
          in
          let baseline =
-           match History.baseline ~window h key with
+           match History.baseline h key with
            | Some ns -> pretty_ns ns
            | None -> "-"
          in

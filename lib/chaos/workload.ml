@@ -492,13 +492,10 @@ let tcp ~stack ~run ?trace ?observer ~seed () =
       match reply with None -> Faults.idle s2c | Some r -> Faults.transmit s2c r
     in
     let hit =
-      (* the generated stack's reply carries its own IP protocol number
-         (the static framework encapsulates), so accept any decodable
-         datagram carrying a full segment header *)
       List.exists
         (fun pkt ->
           match Ipv4.decode pkt with
-          | Ok (_, p) -> Bytes.length p >= 20
+          | Ok (h, p) -> h.Ipv4.protocol = Ipv4.protocol_tcp && Bytes.length p >= 20
           | Error _ -> false)
         arrived
     in

@@ -69,11 +69,6 @@ let decode b =
         transmit_timestamp = Bytes_util.get_u64 b 40;
       }
 
-let encapsulate ~src ~dst ~src_port t =
-  let payload = encode t in
-  let udp = Udp.make ~src_port ~dst_port:ntp_port ~payload_len:(Bytes.length payload) in
-  Udp.encode ~src ~dst udp ~payload
-
 let timestamp_of_seconds secs =
   let whole = Int64.of_float (Float.trunc secs) in
   let frac = Int64.of_float ((secs -. Float.trunc secs) *. 4294967296.0) in

@@ -28,11 +28,6 @@ val encode : t -> bytes
 val decode : bytes -> (t, Decode_error.t) result
 (** Fails with [Truncated] on fewer than 48 bytes; never raises. *)
 
-val encapsulate : src:Addr.t -> dst:Addr.t -> src_port:int -> t -> bytes
-(** Build the full UDP segment carrying this NTP packet, checksummed with
-    the pseudo-header — "the NTP packet is encapsulated in a UDP datagram
-    with destination port 123". *)
-
 val timestamp_of_seconds : float -> int64
 (** Seconds since the NTP era (1900-01-01) to 32.32 fixed-point. *)
 

@@ -12,6 +12,8 @@ module Rt = Sage_interp.Runtime
 module Pv = Sage_interp.Packet_view
 module Addr = Sage_net.Addr
 module Ipv4 = Sage_net.Ipv4
+module Udp = Sage_net.Udp
+module Ir = Sage_codegen.Ir
 module Backend = Sage_backend.Backend
 
 type observer =
@@ -42,6 +44,7 @@ let protocol_number t =
   match String.lowercase_ascii t.run.Sage.Pipeline.spec.Sage.Pipeline.protocol with
   | "icmp" -> Ipv4.protocol_icmp
   | "igmp" -> Ipv4.protocol_igmp
+  | "tcp" -> Ipv4.protocol_tcp
   | _ -> Ipv4.protocol_udp
 
 let find_function t fn =
@@ -79,20 +82,38 @@ let exec t (l : Backend.loaded) ~env packet =
   | Error e -> Error e
   | Ok o ->
     (match t.observer with
-     | Some f -> f ~fn:l.Backend.func.Sage_codegen.Ir.fn_name ~env o
+     | Some f -> f ~fn:l.Backend.func.Ir.fn_name ~env o
      | None -> ());
     (match o.Backend.error with Some e -> Error e | None -> Ok o)
 
-(* The static framework's IP layer: wrap the produced message using the
-   source/destination the generated code left in the IP info. *)
-let encapsulate t (o : Backend.outcome) =
-  let hdr =
-    Ipv4.make ~protocol:(protocol_number t) ~src:o.Backend.ip.Rt.src
-      ~dst:o.Backend.ip.Rt.dst
-      ~payload_len:(Bytes.length o.Backend.output)
-      ()
-  in
-  Ipv4.encode hdr ~payload:o.Backend.output
+(* The port a function's [encapsulate_udp] call passes: codegen emits
+   the well-known port ("encapsulated in a UDP datagram" — 123 for NTP)
+   as a constant. *)
+let udp_port (f : Ir.func) =
+  Ir.fold_stmts
+    (fun acc -> function
+      | Ir.Do (Ir.Call ("encapsulate_udp", [ Ir.Int port ])) -> Some port
+      | _ -> acc)
+    None f.Ir.body
+
+let ip_datagram ~protocol ~src ~dst payload =
+  Ipv4.encode (Ipv4.make ~protocol ~src ~dst ~payload_len:(Bytes.length payload) ()) ~payload
+
+(* The static framework's transport and IP layers.  A message whose
+   code called [encapsulate_udp] goes into a UDP datagram from and to
+   that port, checksummed over the pseudo-header; every message then
+   goes under an IP header with the source/destination the generated
+   code left in the IP info. *)
+let encapsulate t (l : Backend.loaded) (o : Backend.outcome) =
+  let src = o.Backend.ip.Rt.src and dst = o.Backend.ip.Rt.dst in
+  match
+    if List.mem "encapsulate_udp" o.Backend.called then udp_port l.Backend.func else None
+  with
+  | Some port ->
+    let payload = o.Backend.output in
+    let udp = Udp.make ~src_port:port ~dst_port:port ~payload_len:(Bytes.length payload) in
+    ip_datagram ~protocol:Ipv4.protocol_udp ~src ~dst (Udp.encode ~src ~dst udp ~payload)
+  | None -> ip_datagram ~protocol:(protocol_number t) ~src ~dst o.Backend.output
 
 (* An all-zero fixed header with [data] appended: what [Pv.create] plus
    [set_data] serialized to, as raw packet bytes. *)
@@ -111,7 +132,7 @@ let build_message ?(params = []) ?(data = Bytes.empty) ~src ~dst t ~fn =
           request_ip = None;
         }
       in
-      Result.map (encapsulate t) (exec t l ~env packet))
+      Result.map (encapsulate t l) (exec t l ~env packet))
 
 let original_excerpt_params original =
   match Ipv4.decode original with
@@ -144,7 +165,7 @@ let build_error_message ?(params = []) ~router_addr ~original t ~fn =
               request_ip = None;
             }
           in
-          Result.map (encapsulate t) (exec t l ~env packet)))
+          Result.map (encapsulate t l) (exec t l ~env packet)))
 
 let process_request ?(params = []) t ~fn ~request =
   Result.bind (loaded_for t fn) (fun l ->
@@ -168,10 +189,9 @@ let process_request ?(params = []) t ~fn ~request =
                   ttl = req_hdr.Ipv4.ttl; tos = req_hdr.Ipv4.tos };
           }
         in
-        Result.map
-          (fun (o : Backend.outcome) ->
-            if o.Backend.discarded then None else Some (encapsulate t o))
-          (exec t l ~env req_payload))
+        match exec t l ~env req_payload with
+        | Ok o -> Ok (if o.Backend.discarded then None else Some (encapsulate t l o))
+        | Error e -> Error e)
 
 let run_state_update ?(state = []) ?(params = []) t ~fn ~packet =
   Result.bind (loaded_for t fn) (fun l ->

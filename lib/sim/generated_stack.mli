@@ -48,9 +48,10 @@ val build_message :
   (bytes, string) result
 (** Run a sender-role generated function to construct a message from
     scratch; returns the full IP datagram (IP header via the static
-    framework).  [data] pre-loads the variable-length field (e.g. echo
-    payload); [params] supplies environment values (clock, gateway,
-    original datagram). *)
+    framework, and a UDP header from and to port [p] when the code
+    called [encapsulate_udp(p)]).  [data] pre-loads the variable-length
+    field (e.g. echo payload); [params] supplies environment values
+    (clock, gateway, original datagram). *)
 
 val build_error_message :
   ?params:(string * env_value) list ->

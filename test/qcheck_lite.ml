@@ -1,11 +1,13 @@
 (* A minimal property-based testing harness: seeded deterministic
    generators plus greedy counterexample shrinking, packaged as Alcotest
-   cases.  The fixed seed makes every CI run replay the same cases.
+   cases.  The fixed seed makes every run replay the same cases.
 
-   The PRNG (splitmix64) lives in Sage_fuzz.Rng — one deterministic
-   stream shared with the fuzzer, independent of the stdlib Random
-   module (whose sequence changed across OCaml versions and is
-   domain-local on OCaml 5). *)
+   The random stream and the minimizer are the fuzzer's: draws come
+   from Sage_fuzz.Rng (splitmix64), a falsified draw is minimized by
+   Sage_fuzz.Shrink (as fuzz findings and chaos schedules are), and
+   bytes shrink along Sage_fuzz.Gen's packet ladder.  The stream is
+   independent of the stdlib Random module, whose sequence changed
+   across OCaml versions and is domain-local on OCaml 5. *)
 
 type rand = Sage_fuzz.Rng.t
 
@@ -47,15 +49,8 @@ let int_range lo hi =
   }
 
 let small_nat = int_range 0 100
-let byte_int = int_range 0 255
-
-let bool =
-  { gen = gen_bool; shrink = (fun b -> if b then [ false ] else []); print = string_of_bool }
 
 (* -- strings -- *)
-
-let lower_alpha r = Char.chr (gen_range r (Char.code 'a') (Char.code 'z'))
-let printable r = Char.chr (gen_range r 32 126)
 
 let shrink_string s =
   let n = String.length s in
@@ -78,26 +73,11 @@ let string_of ?(min_len = 0) ~max_len gen_char =
     print = (fun s -> Printf.sprintf "%S" s);
   }
 
-let string_arb = string_of ~max_len:24 printable
-
-(* -- bytes (packet material: shrinks toward shorter, then all-zero) -- *)
-
-let shrink_bytes b =
-  let n = Bytes.length b in
-  if n = 0 then []
-  else
-    dedup
-      (List.filter
-         (fun c -> c <> b)
-         ((if n >= 2 then [ Bytes.sub b 0 (n / 2) ] else [])
-          @ [ Bytes.sub b 0 (n - 1) ]
-          @ (if Bytes.exists (fun c -> c <> '\000') b then [ Bytes.make n '\000' ] else [])))
+(* -- bytes: every byte value; packet material, so it shrinks like the
+   fuzzer's packets -- *)
 
 let print_bytes b =
-  let buf = Buffer.create ((Bytes.length b * 3) + 16) in
-  Buffer.add_string buf (Printf.sprintf "%d bytes:" (Bytes.length b));
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf " %02x" (Char.code c))) b;
-  Buffer.contents buf
+  Printf.sprintf "%d bytes [%s]" (Bytes.length b) (Sage_net.Bytes_util.hex b)
 
 let bytes_arb ?(min_len = 0) ~max_len () =
   {
@@ -105,7 +85,9 @@ let bytes_arb ?(min_len = 0) ~max_len () =
       (fun r ->
         let n = gen_range r min_len max_len in
         Bytes.init n (fun _ -> Char.chr (int_below r 256)));
-    shrink = (fun b -> List.filter (fun c -> Bytes.length c >= min_len) (shrink_bytes b));
+    shrink =
+      (fun b ->
+        List.filter (fun c -> Bytes.length c >= min_len) (Sage_fuzz.Gen.shrink_candidates b));
     print = print_bytes;
   }
 
@@ -162,36 +144,42 @@ let map ~print f a =
      (e.g. tuple-of-fields -> packet record), not for shrinkable cores *)
   { gen = (fun r -> f (a.gen r)); shrink = (fun _ -> []); print }
 
-let oneof arbs =
-  match arbs with
-  | [] -> invalid_arg "Qcheck_lite.oneof"
-  | first :: _ ->
-    {
-      gen = (fun r -> (pick r arbs).gen r);
-      (* all components have the same type; offer every component's
-         shrinks (candidates that an arm could not have produced just
-         fail to simplify further, which is harmless) *)
-      shrink = (fun x -> dedup (List.concat_map (fun a -> a.shrink x) arbs));
-      print = first.print;
-    }
-
-(* -- token lists (chunker/parser fodder) -- *)
-
-let token_text_pool =
-  [ "the"; "checksum"; "is"; "zero"; "if"; "code"; "field"; "message";
-    "set"; "to"; "echo"; "reply"; "and"; "or"; "of"; "address"; "source" ]
-
-let token =
-  let gen r =
-    match int_below r 10 with
-    | 0 | 1 -> Sage_nlp.Token.v Sage_nlp.Token.Number (string_of_int (int_below r 256))
-    | 2 -> Sage_nlp.Token.v Sage_nlp.Token.Symbol (pick r [ "="; "+"; "/" ])
-    | 3 -> Sage_nlp.Token.v Sage_nlp.Token.Punct (pick r [ ","; ";"; ":" ])
-    | _ -> Sage_nlp.Token.v Sage_nlp.Token.Word (pick r token_text_pool)
+(* A size that is mostly small with a long tail: half below 10, a
+   quarter below 100, a fifth below 1 000, the rest below 10 000. *)
+let nat_size r =
+  let bound =
+    match int_below r 20 with
+    | k when k < 10 -> 10
+    | k when k < 15 -> 100
+    | k when k < 19 -> 1_000
+    | _ -> 10_000
   in
-  make ~print:(fun t -> Printf.sprintf "%S" t.Sage_nlp.Token.text) gen
+  int_below r bound
 
-let token_list = list_of ~max_len:12 token
+(* -- logical forms (Lf and winnowing fodder): trees over a fixed pool
+   of leaves and predicates, whose depth grows with [nat_size] (up to
+   14 levels); a predicate shrinks to its arguments -- *)
+
+let lf =
+  let module Lf = Sage_logic.Lf in
+  let leaf r =
+    match int_below r 3 with
+    | 0 -> Lf.Term (pick r [ "checksum"; "code"; "type"; "identifier" ])
+    | 1 -> Lf.Num (gen_range r 0 64)
+    | _ -> Lf.Str (pick r [ "reverse"; "compute"; "send" ])
+  in
+  let rec gen size r =
+    if size <= 1 || int_below r 4 = 0 then leaf r
+    else
+      let p = pick r [ Lf.p_is; Lf.p_and; Lf.p_of; Lf.p_if; Lf.p_action; Lf.p_may ] in
+      let arity = gen_range r 1 3 in
+      Lf.Pred (p, List.init arity (fun _ -> gen (size / 2) r))
+  in
+  {
+    gen = (fun r -> gen (nat_size r) r);
+    shrink = (function Lf.Pred (_, args) -> args | _ -> []);
+    print = Lf.to_string;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Runner.                                                             *)
@@ -204,22 +192,6 @@ let eval prop x =
   | true -> None
   | false -> Some "returned false"
   | exception exn -> Some ("raised " ^ Printexc.to_string exn)
-
-let minimize arb prop x reason =
-  let budget = ref 1000 in
-  let rec go x reason steps =
-    if !budget <= 0 then (x, reason, steps)
-    else begin
-      decr budget;
-      let candidates = arb.shrink x in
-      match
-        List.find_map (fun c -> Option.map (fun r -> (c, r)) (eval prop c)) candidates
-      with
-      | Some (c, r) -> go c r (steps + 1)
-      | None -> (x, reason, steps)
-    end
-  in
-  go x reason 0
 
 (* A falsified property, fully described: what failed, on which draw,
    how far the shrinker got, and how to replay the exact run. *)
@@ -253,26 +225,26 @@ let find_failure ?(count = 200) ?(seed = default_seed) arb prop =
       match eval prop x with
       | None -> go (i + 1)
       | Some reason ->
-        let x', reason', steps = minimize arb prop x reason in
+        let x', shrunk_reason, steps =
+          Sage_fuzz.Shrink.minimize ~candidates:arb.shrink ~still_failing:(eval prop) x
+        in
         Some
           {
             case_index = i;
             case_count = count;
             seed;
             counterexample = arb.print x';
-            reason = reason';
+            reason = Option.value shrunk_reason ~default:reason;
             shrink_steps = steps;
           }
   in
   go 1
 
-let run_prop ?count ?seed name arb prop () =
-  match find_failure ?count ?seed arb prop with
-  | None -> ()
-  | Some f -> Alcotest.fail (failure_message name f)
-
 let test ?count ?seed name arb prop =
-  Alcotest.test_case name `Quick (run_prop ?count ?seed name arb prop)
+  Alcotest.test_case name `Quick (fun () ->
+      match find_failure ?count ?seed arb prop with
+      | None -> ()
+      | Some f -> Alcotest.fail (failure_message name f))
 
 (* ------------------------------------------------------------------ *)
 (* Stateful (state-machine) properties: generate command sequences     *)

@@ -293,7 +293,7 @@ let test_regress_baseline_is_median_of_window () =
     history_of_trajectory "k" [ 100.; 100.; 100.; 900.; 100.; 100. ]
   in
   let report =
-    Regress.check ~window:5 ~history:h ~expected:[ "k" ]
+    Regress.check ~history:h ~expected:[ "k" ]
       ~current:[ ("k", sample 110.) ] ()
   in
   check Alcotest.int "outlier-immune" 0 (Regress.exit_code report)

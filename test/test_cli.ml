@@ -15,13 +15,14 @@ let contains = Cli_harness.contains
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
-let expect_usage_error name args =
-  let code, _out, err = run_cli args in
+let check_usage_error name (code, _out, err) =
   checki (name ^ ": exit 2") 2 code;
   checkb (name ^ ": usage text on stderr") true
     (contains err "Usage" || contains err "usage");
   checkb (name ^ ": no backtrace") false
     (contains err "Raised at" || contains err "Backtrace")
+
+let expect_usage_error name args = check_usage_error name (run_cli args)
 
 let test_unknown_flag_fuzz () = expect_usage_error "fuzz" "fuzz --definitely-not-a-flag"
 let test_unknown_flag_run () = expect_usage_error "run" "run --definitely-not-a-flag"
@@ -117,8 +118,12 @@ let test_chaos_deterministic_across_jobs () =
 
 (* ---- one executor: compiled, checked against the interpreter ---- *)
 
-(* a removed option must be a usage error, never silently accepted *)
-let test_option_gone args () = expect_usage_error args args
+(* a removed option must be refused as unknown, never silently accepted
+   or read as a bad value *)
+let test_option_gone args () =
+  let ((_, _, err) as result) = run_cli args in
+  check_usage_error args result;
+  checkb (args ^ ": unknown option") true (contains err "unknown option")
 
 (* only icmp and bfd ship a rewritten text: any other protocol must
    not quietly run its original text instead *)
@@ -196,12 +201,6 @@ let test_interop_rewritten () =
   checki "interop --rewritten exits 0" 0 code;
   checkb "ping succeeded" true (contains out "ping 192.168.2.10: ok");
   checkb "traceroute reached" true (contains out "reached")
-
-let test_bench_window () =
-  (* an empty baseline window would read every key as new: a no-op gate *)
-  expect_usage_error "bench window 0" "bench --filter winnow --check --window 0";
-  expect_usage_error "bench window negative"
-    "bench --filter winnow --check --window=-2"
 
 let test_fuzz_coverage_out () =
   let file = Filename.temp_file "sage_cov" ".json" in
@@ -333,7 +332,8 @@ let suite =
       test_fuzz_compiled_reproducible;
     Alcotest.test_case "interop: --rewritten passes" `Slow
       test_interop_rewritten;
-    Alcotest.test_case "bench: --window below 1" `Quick test_bench_window;
+    Alcotest.test_case "bench: --window below 1" `Quick
+      (test_option_gone "bench --filter winnow --check --window 0");
     Alcotest.test_case "unknown flag: chaos" `Quick test_unknown_flag_chaos;
     Alcotest.test_case "chaos: malformed --seed" `Quick test_chaos_malformed_seed;
     Alcotest.test_case "chaos: negative --soak" `Quick test_chaos_negative_soak;

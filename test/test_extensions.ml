@@ -9,6 +9,7 @@ module Igmp = Sage_net.Igmp
 module Switch = Sage_sim.Igmp_switch
 module Gs = Sage_sim.Generated_stack
 module Rt = Sage_interp.Runtime
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -83,7 +84,8 @@ let test_tcp_generated_constraints_execute () =
    with
    | Ok (Some out) ->
      (match Ipv4.decode out with
-      | Ok (_, payload) ->
+      | Ok (hdr, payload) ->
+        check Alcotest.int "IP protocol 6" Ipv4.protocol_tcp hdr.Ipv4.protocol;
         (match Sage_interp.Packet_view.deserialize sd payload with
          | Ok v ->
            check Alcotest.int64 "urgent pointer zeroed" 0L
@@ -268,50 +270,10 @@ let test_generated_query_drives_switch () =
 
 (* ---- decoder robustness: never raise on arbitrary input ---- *)
 
-let total_decoder name decode =
-  QCheck.Test.make ~name:(Printf.sprintf "%s never raises" name) ~count:300
-    QCheck.(string_of_size (Gen.int_bound 96))
-    (fun s ->
-      match decode (Bytes.of_string s) with
-      | _ -> true
-      | exception e ->
-        QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e))
-
-let prop_ipv4_total = total_decoder "Ipv4.decode" Ipv4.decode
-let prop_icmp_total = total_decoder "Icmp.decode" Sage_net.Icmp.decode
-let prop_udp_total = total_decoder "Udp.decode" Sage_net.Udp.decode
-let prop_igmp_total = total_decoder "Igmp.decode" Igmp.decode
-let prop_ntp_total = total_decoder "Ntp.decode" Sage_net.Ntp.decode
-let prop_bfd_total = total_decoder "Bfd.decode" Sage_net.Bfd.decode
-let prop_pcap_total = total_decoder "Pcap.of_bytes" Sage_net.Pcap.of_bytes
-
-let prop_tcpdump_total =
-  QCheck.Test.make ~name:"Tcpdump.inspect never raises" ~count:300
-    QCheck.(string_of_size (Gen.int_bound 96))
-    (fun s ->
-      match Sage_net.Tcpdump.inspect_datagram (Bytes.of_string s) with
-      | _ -> true
-      | exception e ->
-        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
-
-let prop_lf_parser_total =
-  QCheck.Test.make ~name:"Lf.of_string never raises" ~count:300
-    QCheck.(string_of_size (Gen.int_bound 48))
-    (fun s ->
-      match Sage_logic.Lf.of_string s with
-      | _ -> true
-      | exception e ->
-        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
-
-let prop_switch_total =
-  QCheck.Test.make ~name:"Igmp_switch.receive never raises" ~count:200
-    QCheck.(string_of_size (Gen.int_bound 64))
-    (fun s ->
-      let switch = Switch.create ~groups:[ a "224.1.1.1" ] (a "10.0.1.77") in
-      match Switch.receive switch (Bytes.of_string s) with
-      | _ -> true
-      | exception e ->
-        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+let never_raises ?(count = 300) ?(max_len = 96) name f =
+  Q.test ~count (name ^ " never raises") (Q.bytes_arb ~max_len ()) (fun b ->
+      ignore (f b);
+      true)
 
 let suite =
   [
@@ -326,14 +288,15 @@ let suite =
     tc "IGMP switch join/leave" test_switch_join_leave;
     tc "IGMP switch rejects bad queries" test_switch_rejects_bad_query;
     tc "generated query drives the switch (6.3)" test_generated_query_drives_switch;
-    QCheck_alcotest.to_alcotest prop_ipv4_total;
-    QCheck_alcotest.to_alcotest prop_icmp_total;
-    QCheck_alcotest.to_alcotest prop_udp_total;
-    QCheck_alcotest.to_alcotest prop_igmp_total;
-    QCheck_alcotest.to_alcotest prop_ntp_total;
-    QCheck_alcotest.to_alcotest prop_bfd_total;
-    QCheck_alcotest.to_alcotest prop_pcap_total;
-    QCheck_alcotest.to_alcotest prop_tcpdump_total;
-    QCheck_alcotest.to_alcotest prop_lf_parser_total;
-    QCheck_alcotest.to_alcotest prop_switch_total;
+    never_raises "Ipv4.decode" Ipv4.decode;
+    never_raises "Icmp.decode" Sage_net.Icmp.decode;
+    never_raises "Udp.decode" Sage_net.Udp.decode;
+    never_raises "Igmp.decode" Igmp.decode;
+    never_raises "Ntp.decode" Sage_net.Ntp.decode;
+    never_raises "Bfd.decode" Sage_net.Bfd.decode;
+    never_raises "Pcap.of_bytes" Sage_net.Pcap.of_bytes;
+    never_raises "Tcpdump.inspect" Sage_net.Tcpdump.inspect_datagram;
+    never_raises ~max_len:48 "Lf.of_string" (fun b -> Sage_logic.Lf.of_string (Bytes.to_string b));
+    never_raises ~count:200 ~max_len:64 "Igmp_switch.receive" (fun b ->
+        Switch.receive (Switch.create ~groups:[ a "224.1.1.1" ] (a "10.0.1.77")) b);
   ]

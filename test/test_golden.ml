@@ -7,6 +7,7 @@ module Lf = Sage_logic.Lf
 module Winnow = Sage_disambig.Winnow
 module Parser = Sage_ccg.Parser
 module Checks = Sage_disambig.Checks
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -127,41 +128,11 @@ let test_golden_ntp_timer () =
 
 (* ---- winnowing set properties ---- *)
 
-let lf_gen =
-  let open QCheck.Gen in
-  let leaf =
-    oneof
-      [
-        map (fun s -> Lf.Term s) (oneofl [ "checksum"; "code"; "type" ]);
-        map (fun n -> Lf.Num n) (int_bound 8);
-        map (fun s -> Lf.Str s) (oneofl [ "reverse"; "compute" ]);
-      ]
-  in
-  let pred_name =
-    oneofl [ Lf.p_is; Lf.p_and; Lf.p_of; Lf.p_if; Lf.p_action; Lf.p_may ]
-  in
-  sized
-  @@ fix (fun self n ->
-         if n <= 1 then leaf
-         else
-           frequency
-             [
-               (1, leaf);
-               ( 3,
-                 map2
-                   (fun p args -> Lf.Pred (p, args))
-                   pred_name
-                   (list_size (int_range 1 3) (self (n / 2))) );
-             ])
-
-let arbitrary_lfs =
-  QCheck.make
-    ~print:(fun lfs -> String.concat " | " (List.map Lf.to_string lfs))
-    QCheck.Gen.(list_size (int_range 0 8) lf_gen)
+let arbitrary_lfs = Q.list_of ~max_len:8 Q.lf
 
 let prop_winnow_survivors_from_base =
-  QCheck.Test.make ~name:"winnow survivors come from the normalized base"
-    ~count:150 arbitrary_lfs (fun lfs ->
+  Q.test ~count:150 "winnow survivors come from the normalized base" arbitrary_lfs
+    (fun lfs ->
       let tr = Winnow.winnow lfs in
       let base = Lf.dedup (List.map Checks.normalize_condition lfs) in
       List.for_all
@@ -169,15 +140,13 @@ let prop_winnow_survivors_from_base =
         tr.Winnow.survivors)
 
 let prop_winnow_idempotent =
-  QCheck.Test.make ~name:"winnowing survivors again is a no-op" ~count:150
-    arbitrary_lfs (fun lfs ->
+  Q.test ~count:150 "winnowing survivors again is a no-op" arbitrary_lfs (fun lfs ->
       let tr = Winnow.winnow lfs in
       let tr2 = Winnow.winnow tr.Winnow.survivors in
       List.length tr2.Winnow.survivors = List.length tr.Winnow.survivors)
 
 let prop_winnow_stage_counts_monotone =
-  QCheck.Test.make ~name:"stage counts never increase" ~count:150
-    arbitrary_lfs (fun lfs ->
+  Q.test ~count:150 "stage counts never increase" arbitrary_lfs (fun lfs ->
       let tr = Winnow.winnow lfs in
       let counts = List.map snd (Winnow.stage_counts tr) in
       let rec mono = function
@@ -195,11 +164,9 @@ let icmp_stack =
        (Corpus_runs.run_of (P.find_corpus "icmp-rw")))
 
 let prop_generated_echo_reply_interoperates =
-  QCheck.Test.make ~name:"generated echo reply passes ping checks" ~count:60
-    QCheck.(
-      triple (int_bound 0xffff) (int_bound 0xffff)
-        (string_of_size (Gen.int_bound 64)))
-    (fun (id, seq, payload) ->
+  Q.test ~count:60 "generated echo reply passes ping checks"
+    Q.(pair (pair (int_range 0 0xffff) (int_range 0 0xffff)) (bytes_arb ~max_len:64 ()))
+    (fun ((id, seq), payload) ->
       let module Addr = Sage_net.Addr in
       let module Ipv4 = Sage_net.Ipv4 in
       let module Icmp = Sage_net.Icmp in
@@ -208,8 +175,7 @@ let prop_generated_echo_reply_interoperates =
       let req =
         Icmp.encode
           (Icmp.Echo
-             { Icmp.echo_code = 0; identifier = id; sequence = seq;
-               payload = Bytes.of_string payload })
+             { Icmp.echo_code = 0; identifier = id; sequence = seq; payload })
       in
       let dgram =
         Ipv4.encode
@@ -230,9 +196,7 @@ let prop_generated_echo_reply_interoperates =
            && Char.code (Bytes.get body 0) = 0
            && Sage_net.Bytes_util.get_u16 body 4 = id
            && Sage_net.Bytes_util.get_u16 body 6 = seq
-           && Bytes.equal
-                (Bytes.sub body 8 (Bytes.length body - 8))
-                (Bytes.of_string payload)
+           && Bytes.equal (Bytes.sub body 8 (Bytes.length body - 8)) payload
          | Error _ -> false)
       | Ok None | Error _ -> false)
 
@@ -254,8 +218,8 @@ let suite =
     tc "golden: IGMP query group zero" test_golden_igmp_group_zero;
     tc "golden: TCP urgent pointer" test_golden_tcp_urgent;
     tc "golden: BGP ManualStart" test_golden_bgp_manualstart;
-    QCheck_alcotest.to_alcotest prop_winnow_survivors_from_base;
-    QCheck_alcotest.to_alcotest prop_winnow_idempotent;
-    QCheck_alcotest.to_alcotest prop_winnow_stage_counts_monotone;
-    QCheck_alcotest.to_alcotest prop_generated_echo_reply_interoperates;
+    prop_winnow_survivors_from_base;
+    prop_winnow_idempotent;
+    prop_winnow_stage_counts_monotone;
+    prop_generated_echo_reply_interoperates;
   ]

@@ -328,22 +328,27 @@ let test_igmp_report_carries_group () =
 
 let test_ntp_generated_packet () =
   let st = Gs.of_run (run_of "ntp") in
-  match
-    Gs.build_message ~src:(a "10.0.1.50") ~dst:(a "192.168.2.10") st
-      ~fn:"ntp_ntp_sender"
-  with
+  let src = a "10.0.1.50" and dst = a "192.168.2.10" in
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.fail (Sage_net.Decode_error.to_string e)
+  in
+  match Gs.build_message ~src ~dst st ~fn:"ntp_ntp_sender" with
   | Error e -> Alcotest.fail e
   | Ok dgram ->
-    (match Ipv4.decode dgram with
-     | Error e -> Alcotest.fail (Sage_net.Decode_error.to_string e)
-     | Ok (_, payload) ->
-       (* the generated NTP message itself (48 bytes) *)
-       (match Sage_net.Ntp.decode payload with
-        | Ok pkt ->
-          check Alcotest.int "poll 6" 6 pkt.Sage_net.Ntp.poll;
-          check Alcotest.bool "transmit timestamp set" true
-            (not (Int64.equal pkt.Sage_net.Ntp.transmit_timestamp 0L))
-        | Error e -> Alcotest.fail (Sage_net.Decode_error.to_string e)))
+    let ip, segment = ok (Ipv4.decode dgram) in
+    check Alcotest.int "IP protocol 17" Ipv4.protocol_udp ip.Ipv4.protocol;
+    (* the UDP header the generated code asked for (RFC 1059 App. A) *)
+    let udp, payload = ok (Sage_net.Udp.decode segment) in
+    check Alcotest.int "UDP source port 123" 123 udp.Sage_net.Udp.src_port;
+    check Alcotest.int "UDP destination port 123" 123 udp.Sage_net.Udp.dst_port;
+    check Alcotest.bool "UDP checksum over the pseudo-header" true
+      (udp.Sage_net.Udp.checksum <> 0 && Sage_net.Udp.checksum_ok ~src ~dst segment);
+    (* the generated NTP message itself (48 bytes) *)
+    let pkt = ok (Sage_net.Ntp.decode payload) in
+    check Alcotest.int "poll 6" 6 pkt.Sage_net.Ntp.poll;
+    check Alcotest.bool "transmit timestamp set" true
+      (not (Int64.equal pkt.Sage_net.Ntp.transmit_timestamp 0L))
 
 (* ---- BFD (§6.4): generated state management vs the reference ---- *)
 

@@ -8,6 +8,7 @@ module Exec = Sage_interp.Exec
 module Ir = Sage_codegen.Ir
 module Addr = Sage_net.Addr
 module Icmp = Sage_net.Icmp
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -276,22 +277,21 @@ let test_exec_arith () =
 (* ---- property: bit packing roundtrips ---- *)
 
 let prop_view_roundtrip =
-  QCheck.Test.make ~name:"packet view serialize/deserialize" ~count:100
-    QCheck.(
-      quad (int_bound 255) (int_bound 255) (int_bound 0xffff)
-        (string_of_size (Gen.int_bound 32)))
-    (fun (ty, code, id, data) ->
+  Q.test ~count:100 "packet view serialize/deserialize"
+    Q.(pair (pair (int_range 0 255) (int_range 0 255))
+         (pair (int_range 0 0xffff) (bytes_arb ~max_len:32 ())))
+    (fun ((ty, code), (id, data)) ->
       let v = Pv.create echo_layout in
       ignore (Pv.set v "type" (Int64.of_int ty));
       ignore (Pv.set v "code" (Int64.of_int code));
       ignore (Pv.set v "identifier" (Int64.of_int id));
-      Pv.set_data v (Bytes.of_string data);
+      Pv.set_data v (Bytes.copy data);
       match Pv.deserialize echo_layout (Pv.serialize v) with
       | Ok v' ->
         Pv.get v' "type" = Ok (Int64.of_int ty)
         && Pv.get v' "code" = Ok (Int64.of_int code)
         && Pv.get v' "identifier" = Ok (Int64.of_int id)
-        && Bytes.equal (Pv.get_data v') (Bytes.of_string data)
+        && Bytes.equal (Pv.get_data v') data
       | Error _ -> false)
 
 let suite =
@@ -318,5 +318,5 @@ let suite =
     tc "exec send records" test_exec_send_records;
     tc "exec unknown builtin" test_exec_unknown_call_fails;
     tc "exec arithmetic" test_exec_arith;
-    QCheck_alcotest.to_alcotest prop_view_roundtrip;
+    prop_view_roundtrip;
   ]

@@ -1,6 +1,7 @@
 (* Unit and property tests for logical forms (lib/logic). *)
 
 module Lf = Sage_logic.Lf
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -123,59 +124,29 @@ let test_compare_total_order () =
 (* Property-based tests.                                               *)
 (* ------------------------------------------------------------------ *)
 
-let lf_gen =
-  let open QCheck.Gen in
-  let leaf =
-    oneof
-      [
-        map (fun s -> Lf.Term s) (oneofl [ "checksum"; "code"; "type"; "identifier" ]);
-        map (fun n -> Lf.Num n) (int_bound 64);
-        map (fun s -> Lf.Str s) (oneofl [ "reverse"; "compute"; "send" ]);
-      ]
-  in
-  let pred_name = oneofl [ Lf.p_is; Lf.p_and; Lf.p_of; Lf.p_if; Lf.p_action ] in
-  sized
-  @@ fix (fun self n ->
-         if n <= 1 then leaf
-         else
-           frequency
-             [
-               (1, leaf);
-               ( 3,
-                 map2
-                   (fun p args -> Lf.Pred (p, args))
-                   pred_name
-                   (list_size (int_range 1 3) (self (n / 2))) );
-             ])
-
-let arbitrary_lf = QCheck.make ~print:Lf.to_string lf_gen
-
 let prop_print_parse_roundtrip =
-  QCheck.Test.make ~name:"of_string (to_string lf) = lf" ~count:200
-    arbitrary_lf (fun lf ->
+  Q.test ~count:200 "of_string (to_string lf) = lf" Q.lf (fun lf ->
       match Lf.of_string (Lf.to_string lf) with
       | Ok lf' -> Lf.equal lf lf'
       | Error _ -> false)
 
 let prop_iso_reflexive =
-  QCheck.Test.make ~name:"isomorphic lf lf" ~count:200 arbitrary_lf (fun lf ->
+  Q.test ~count:200 "isomorphic lf lf" Q.lf (fun lf ->
       Lf.isomorphic ~commutative:(fun _ -> false) lf lf)
 
 let prop_canonicalize_idempotent =
-  QCheck.Test.make ~name:"canonicalize idempotent" ~count:200 arbitrary_lf
-    (fun lf ->
+  Q.test ~count:200 "canonicalize idempotent" Q.lf (fun lf ->
       let c = Lf.canonicalize ~commutative:(fun p -> p = Lf.p_and)
           ~associative:(fun p -> p = Lf.p_and || p = Lf.p_of)
       in
       Lf.equal (c lf) (c (c lf)))
 
 let prop_size_positive =
-  QCheck.Test.make ~name:"size >= depth >= 1" ~count:200 arbitrary_lf (fun lf ->
+  Q.test ~count:200 "size >= depth >= 1" Q.lf (fun lf ->
       Lf.size lf >= Lf.depth lf && Lf.depth lf >= 1)
 
 let prop_dedup_no_duplicates =
-  QCheck.Test.make ~name:"dedup removes all duplicates" ~count:100
-    (QCheck.list_of_size (QCheck.Gen.int_bound 8) arbitrary_lf) (fun lfs ->
+  Q.test ~count:100 "dedup removes all duplicates" (Q.list_of ~max_len:8 Q.lf) (fun lfs ->
       let d = Lf.dedup lfs in
       let rec no_dups = function
         | [] -> true
@@ -201,9 +172,9 @@ let suite =
     tc "non-isomorphic attachments" test_not_isomorphic;
     tc "commutative isomorphism" test_commutative_isomorphism;
     tc "compare is a total order" test_compare_total_order;
-    QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
-    QCheck_alcotest.to_alcotest prop_iso_reflexive;
-    QCheck_alcotest.to_alcotest prop_canonicalize_idempotent;
-    QCheck_alcotest.to_alcotest prop_size_positive;
-    QCheck_alcotest.to_alcotest prop_dedup_no_duplicates;
+    prop_print_parse_roundtrip;
+    prop_iso_reflexive;
+    prop_canonicalize_idempotent;
+    prop_size_positive;
+    prop_dedup_no_duplicates;
   ]

@@ -153,20 +153,21 @@ let test_static_context_no_shadowing_surprises () =
 
 (* ---- tokenizer / chunker invariants ---- *)
 
-let sentence_gen =
-  QCheck.Gen.(
-    map (String.concat " ")
-      (list_size (int_range 1 12)
-         (oneofl
-            [ "the"; "checksum"; "is"; "zero"; "echo"; "reply"; "message";
-              "if"; "code"; "="; "0"; ","; "identifier"; "may"; "be";
-              "source"; "address"; "of"; "and"; "16-bit"; "one's" ])))
+(* a sentence is a list of pool words joined by spaces, so it shrinks
+   word by word *)
+let words_arb =
+  Qcheck_lite.list_of ~min_len:1 ~max_len:12
+    (Qcheck_lite.make ~print:Fun.id (fun r ->
+         Qcheck_lite.pick r
+           [ "the"; "checksum"; "is"; "zero"; "echo"; "reply"; "message";
+             "if"; "code"; "="; "0"; ","; "identifier"; "may"; "be";
+             "source"; "address"; "of"; "and"; "16-bit"; "one's" ]))
 
-let arbitrary_sentence = QCheck.make ~print:(fun s -> s) sentence_gen
+let sentence_test ~count name prop =
+  Qcheck_lite.test ~count name words_arb (fun words -> prop (String.concat " " words))
 
 let prop_chunker_preserves_words =
-  QCheck.Test.make ~name:"chunking preserves the word sequence" ~count:200
-    arbitrary_sentence (fun s ->
+  sentence_test ~count:200 "chunking preserves the word sequence" (fun s ->
       let dict = Dict.base () in
       let chunks = Chunker.chunk_sentence ~dict s in
       let chunk_words =
@@ -183,8 +184,7 @@ let prop_chunker_preserves_words =
       chunk_words = Tok.words s)
 
 let prop_tokenizer_offsets_monotone =
-  QCheck.Test.make ~name:"token offsets strictly increase" ~count:200
-    arbitrary_sentence (fun s ->
+  sentence_test ~count:200 "token offsets strictly increase" (fun s ->
       let toks = Tok.tokenize s in
       let rec mono = function
         | a :: (b :: _ as rest) ->
@@ -194,8 +194,7 @@ let prop_tokenizer_offsets_monotone =
       mono toks)
 
 let prop_sentences_cover_words =
-  QCheck.Test.make ~name:"sentence splitting loses no words" ~count:200
-    arbitrary_sentence (fun s ->
+  sentence_test ~count:200 "sentence splitting loses no words" (fun s ->
       let direct = Tok.words s in
       let via_sentences = List.concat_map Tok.words (Tok.sentences s) in
       direct = via_sentences)
@@ -246,7 +245,7 @@ let suite =
     tc "bytes_util bounds" test_bytes_util_bounds;
     tc "dictionary extensions matchable" test_dictionary_consistency;
     tc "static context load-bearing entries" test_static_context_no_shadowing_surprises;
-    QCheck_alcotest.to_alcotest prop_chunker_preserves_words;
-    QCheck_alcotest.to_alcotest prop_tokenizer_offsets_monotone;
-    QCheck_alcotest.to_alcotest prop_sentences_cover_words;
+    prop_chunker_preserves_words;
+    prop_tokenizer_offsets_monotone;
+    prop_sentences_cover_words;
   ]

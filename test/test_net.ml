@@ -11,6 +11,7 @@ module Ntp = Sage_net.Ntp
 module Bfd = Sage_net.Bfd
 module Pcap = Sage_net.Pcap
 module Tcpdump = Sage_net.Tcpdump
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -380,9 +381,18 @@ let test_ntp_timestamp_conversion () =
   let back = Ntp.seconds_of_timestamp ts in
   check Alcotest.bool "within a microsecond" true (Float.abs (back -. secs) < 1e-6)
 
+(* the default NTP packet in a UDP segment to port 123, checksummed
+   over the pseudo-header *)
+let ntp_segment ~src ~dst =
+  let payload = Ntp.encode Ntp.default in
+  let udp =
+    Udp.make ~src_port:4444 ~dst_port:Ntp.ntp_port ~payload_len:(Bytes.length payload)
+  in
+  Udp.encode ~src ~dst udp ~payload
+
 let test_ntp_encapsulation () =
   let src = a "10.0.1.50" and dst = a "192.168.2.10" in
-  let segment = Ntp.encapsulate ~src ~dst ~src_port:4444 Ntp.default in
+  let segment = ntp_segment ~src ~dst in
   check Alcotest.bool "udp checksum" true (Udp.checksum_ok ~src ~dst segment);
   match Udp.decode segment with
   | Ok (udp, body) ->
@@ -519,7 +529,7 @@ let test_tcpdump_warns_truncation () =
 
 let test_tcpdump_ntp () =
   let src = a "10.0.1.50" and dst = a "192.168.2.10" in
-  let segment = Ntp.encapsulate ~src ~dst ~src_port:4444 Ntp.default in
+  let segment = ntp_segment ~src ~dst in
   let hdr =
     Ipv4.make ~protocol:Ipv4.protocol_udp ~src ~dst
       ~payload_len:(Bytes.length segment) ()
@@ -531,52 +541,46 @@ let test_tcpdump_ntp () =
 
 (* ---- property tests ---- *)
 
+let u16 = Q.int_range 0 0xffff
+
 let prop_checksum_verify =
-  QCheck.Test.make ~name:"filled checksum always verifies" ~count:200
-    QCheck.(string_of_size (Gen.int_range 4 64))
-    (fun s ->
-      let b = Bytes.of_string s in
+  Q.test ~count:200 "filled checksum always verifies" (Q.bytes_arb ~min_len:4 ~max_len:64 ())
+    (fun b ->
       let b = Bytes.cat (Bytes.make 2 '\000') b in
       Bu.set_u16 b 0 (Checksum.checksum b);
       Checksum.verify b)
 
 let prop_addr_roundtrip =
-  QCheck.Test.make ~name:"addr of_string/to_string" ~count:200
-    QCheck.(quad (int_bound 255) (int_bound 255) (int_bound 255) (int_bound 255))
-    (fun (x, y, z, w) ->
-      let s = Printf.sprintf "%d.%d.%d.%d" x y z w in
+  Q.test ~count:200 "addr of_string/to_string"
+    (Q.list_of ~min_len:4 ~max_len:4 (Q.int_range 0 255))
+    (fun octets ->
+      let s = String.concat "." (List.map string_of_int octets) in
       match Addr.of_string s with
       | Ok addr -> Addr.to_string addr = s
       | Error _ -> false)
 
 let prop_ipv4_roundtrip =
-  QCheck.Test.make ~name:"ipv4 encode/decode" ~count:100
-    QCheck.(string_of_size (Gen.int_bound 64))
-    (fun s ->
-      let payload = Bytes.of_string s in
+  Q.test ~count:100 "ipv4 encode/decode" (Q.bytes_arb ~max_len:64 ()) (fun payload ->
       let hdr = sample_ip payload in
       match Ipv4.decode (Ipv4.encode hdr ~payload) with
       | Ok (_, payload') -> Bytes.equal payload payload'
       | Error _ -> false)
 
 let prop_icmp_echo_roundtrip =
-  QCheck.Test.make ~name:"icmp echo encode/decode" ~count:100
-    QCheck.(triple (int_bound 0xffff) (int_bound 0xffff) (string_of_size (Gen.int_bound 64)))
-    (fun (id, seq, payload) ->
+  Q.test ~count:100 "icmp echo encode/decode"
+    Q.(pair (pair u16 u16) (bytes_arb ~max_len:64 ()))
+    (fun ((id, seq), payload) ->
       let msg =
-        Icmp.Echo
-          { Icmp.echo_code = 0; identifier = id; sequence = seq;
-            payload = Bytes.of_string payload }
+        Icmp.Echo { Icmp.echo_code = 0; identifier = id; sequence = seq; payload }
       in
       match Icmp.decode (Icmp.encode msg) with
       | Ok msg' -> Icmp.equal msg msg'
       | Error _ -> false)
 
 let prop_fragment_roundtrip =
-  QCheck.Test.make ~name:"fragment/reassemble roundtrip" ~count:100
-    QCheck.(pair (int_range 44 120) (string_of_size (Gen.int_range 1 300)))
+  Q.test ~count:100 "fragment/reassemble roundtrip"
+    Q.(pair (int_range 44 120) (bytes_arb ~min_len:1 ~max_len:300 ()))
     (fun (mtu, payload) ->
-      let payload = Bytes.of_string payload in
       let dgram = Ipv4.encode (sample_ip payload) ~payload in
       match Ipv4.fragment ~mtu dgram with
       | Error _ -> true (* undersized MTU is allowed to fail *)
@@ -586,8 +590,7 @@ let prop_fragment_roundtrip =
          | Error _ -> false))
 
 let prop_bfd_roundtrip =
-  QCheck.Test.make ~name:"bfd encode/decode" ~count:100
-    QCheck.(pair (int_bound 3) (pair (int_bound 0xffff) (int_bound 0xffff)))
+  Q.test ~count:100 "bfd encode/decode" Q.(pair (int_range 0 3) (pair u16 u16))
     (fun (state_code, (my, your)) ->
       let state = Result.get_ok (Bfd.state_of_code state_code) in
       let pkt =
@@ -651,10 +654,10 @@ let suite =
     tc "tcpdump bad icmp checksum" test_tcpdump_warns_bad_icmp_checksum;
     tc "tcpdump truncation warning" test_tcpdump_warns_truncation;
     tc "tcpdump ntp" test_tcpdump_ntp;
-    QCheck_alcotest.to_alcotest prop_checksum_verify;
-    QCheck_alcotest.to_alcotest prop_addr_roundtrip;
-    QCheck_alcotest.to_alcotest prop_ipv4_roundtrip;
-    QCheck_alcotest.to_alcotest prop_icmp_echo_roundtrip;
-    QCheck_alcotest.to_alcotest prop_fragment_roundtrip;
-    QCheck_alcotest.to_alcotest prop_bfd_roundtrip;
+    prop_checksum_verify;
+    prop_addr_roundtrip;
+    prop_ipv4_roundtrip;
+    prop_icmp_echo_roundtrip;
+    prop_fragment_roundtrip;
+    prop_bfd_roundtrip;
   ]

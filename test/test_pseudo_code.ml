@@ -169,13 +169,11 @@ let test_document_extracts_pseudo () =
   check Alcotest.bool "pseudo block extracted" true has_pseudo
 
 let prop_pseudo_parser_total =
-  QCheck.Test.make ~name:"Pseudo_code.parse never raises" ~count:300
-    QCheck.(string_of_size (Gen.int_bound 64))
-    (fun s ->
-      match Pc.parse s with
-      | _ -> true
-      | exception e ->
-        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+  Qcheck_lite.test ~count:300 "Pseudo_code.parse never raises"
+    (Qcheck_lite.bytes_arb ~max_len:64 ())
+    (fun b ->
+      ignore (Pc.parse (Bytes.to_string b));
+      true)
 
 let suite =
   [
@@ -193,5 +191,5 @@ let suite =
     tc "generated procedure executes" test_generated_procedure_executes;
     tc "generated procedure mode guard" test_generated_procedure_mode_guard;
     tc "document extracts pseudo blocks" test_document_extracts_pseudo;
-    QCheck_alcotest.to_alcotest prop_pseudo_parser_total;
+    prop_pseudo_parser_total;
   ]

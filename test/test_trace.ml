@@ -42,6 +42,28 @@ let test_none_is_noop () =
   Trace.close (Some t) Trace.null_span;
   check Alcotest.int "nothing recorded" 0 (Trace.event_count t)
 
+(* trace.mli's promise: on a None tracer every emitter allocates
+   nothing.  The arguments are constants, because an args list built
+   from a variable is allocated at the call site, before the None
+   check (one [Int] of a variable costs 10 words). *)
+let test_none_allocates_nothing () =
+  let calls = 10_000 in
+  List.iter
+    (fun (name, emit) ->
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        emit ()
+      done;
+      check (Alcotest.float 0.01) (name ^ ": words per call") 0.
+        ((Gc.minor_words () -. before) /. float_of_int calls))
+    [
+      ("span", fun () -> ignore (Trace.span ~cat:"c" ~args:[ ("k", Trace.Int 1) ] None "s"));
+      ("close", fun () -> Trace.close ~args:[ ("k", Trace.Int 1) ] None Trace.null_span);
+      ("instant", fun () -> Trace.instant ~cat:"c" ~args:[ ("k", Trace.Int 1) ] None "i");
+      ("counter", fun () -> Trace.counter ~cat:"c" None "n" 1);
+      ("with_span", fun () -> Trace.with_span ~cat:"c" ~args:[ ("k", Trace.Int 1) ] None "w" ignore);
+    ]
+
 let test_instant_shape () =
   let t = Trace.create () in
   Trace.instant ~cat:"sim" ~args:[ ("seq", Trace.Int 3) ] (Some t) "tx";
@@ -518,6 +540,7 @@ let suite =
   [
     tc "empty tracer" test_empty_tracer;
     tc "None tracer is a no-op" test_none_is_noop;
+    tc "None tracer allocates nothing" test_none_allocates_nothing;
     tc "instant event shape" test_instant_shape;
     tc "counter event shape" test_counter_shape;
     tc "span Begin/End pairing" test_span_pairing;
