@@ -33,61 +33,55 @@ let enumerate conj = function
     let rev = List.rev xs in
     String.concat ", " (List.rev (List.tl rev)) ^ " " ^ conj ^ " " ^ List.hd rev
 
-(* the -p values: the protocols of the corpus table, in its order *)
-let protocols =
-  List.fold_left
-    (fun acc (c : P.corpus) ->
-      if List.mem c.P.proto acc then acc else acc @ [ c.P.proto ])
-    [] P.corpora
+let corpus_name (c : P.corpus) = c.P.name
 
-(* None when -p is absent, so that a verb can refuse an explicit one *)
-let protocol_arg =
+(* -p NAME and chaos's --corpus NAME: a row of [rows], a subset of the
+   corpus table, named case-insensitively *)
+let corpus_conv rows =
   let parse s =
     let s = String.lowercase_ascii s in
-    if List.mem s protocols then Ok s
-    else Error (`Msg (Printf.sprintf "unknown protocol %S" s))
+    match List.find_opt (fun c -> corpus_name c = s) rows with
+    | Some c -> Ok c
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown corpus %S (choose from %s)" s
+              (String.concat ", " (List.map corpus_name rows))))
   in
-  let doc = "Protocol corpus to use: " ^ enumerate "or" protocols ^ "." in
-  Arg.(value
-       & opt (some ~none:(List.hd protocols) (conv (parse, Fmt.string))) None
-       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
+  Arg.conv (parse, Fmt.using corpus_name Fmt.string)
 
-let rewritten_arg =
+(* None when -p is absent, so that a verb can refuse an explicit one *)
+let protocol_arg_of rows =
   let doc =
-    "Use the rewritten (disambiguated) specification instead of the original \
-     RFC text."
+    "The corpus to use: "
+    ^ enumerate "or" (List.map corpus_name rows)
+    ^ ".  A name ending in $(b,-rw) is the text a human rewrote after the \
+       ambiguity report."
   in
-  Arg.(value & flag & info [ "rewritten" ] ~doc)
+  Arg.(value
+       & opt (some ~none:(corpus_name (List.hd rows)) (corpus_conv rows)) None
+       & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
 
-(* -p and --rewritten pick one row of the corpus table; --rewritten on a
-   protocol without a rewritten text is refused rather than quietly
-   running the original *)
-let select proto rewritten =
-  let proto = Option.value proto ~default:(List.hd protocols) in
-  match
-    List.find_opt
-      (fun (c : P.corpus) -> c.P.proto = proto && c.P.rewritten = rewritten)
-      P.corpora
-  with
-  | Some c -> c
-  | None ->
-    let rewritable =
-      List.filter_map
-        (fun (c : P.corpus) -> if c.P.rewritten then Some c.P.proto else None)
-        P.corpora
-    in
-    Printf.eprintf "sage: --rewritten: only %s have a rewritten text\n"
-      (enumerate "and" rewritable);
-    exit 2
+let corpus_arg_of rows =
+  Term.(const (Option.value ~default:(List.hd rows)) $ protocol_arg_of rows)
 
-let corpus_arg = Term.(const select $ protocol_arg $ rewritten_arg)
+let protocol_arg = protocol_arg_of P.corpora
+let corpus_arg = corpus_arg_of P.corpora
 
-let spec_arg =
-  Term.(const (fun proto -> (select proto false).P.spec ()) $ protocol_arg)
+let spec_arg = Term.(const (fun (c : P.corpus) -> c.P.spec ()) $ corpus_arg)
+
+let sentence_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"SENTENCE")
+
+let format_arg =
+  let doc = "Output format: $(b,text) (default) or $(b,json)." in
+  Arg.(value
+       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+       & info [ "format" ] ~docv:"FMT" ~doc)
 
 (* An integer below [min] is a usage error (exit 2): a zero iteration
-   count would otherwise pass vacuously, and a negative --jobs or a
-   --cache below 1 would run as another value. *)
+   count would otherwise pass vacuously, and a negative --jobs would
+   run as another value. *)
 let int_at_least min =
   let parse s =
     match int_of_string_opt s with
@@ -106,6 +100,27 @@ let jobs_arg =
   in
   Arg.(value & opt (int_at_least 0) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+(* One chart cache per process: every run a verb makes shares it, and
+   a repeated token sequence parses once *)
+let cache = Sage.Chart_cache.create ()
+
+let run_pipeline ?(jobs = 1) ?trace corpus =
+  let jobs = if jobs <= 0 then Sage_sched.Pool.default_jobs () else jobs in
+  P.run_corpus ~jobs ~cache ?trace corpus
+
+(* A file a run writes is checked before the run, so that a path that
+   cannot be written exits 2 at once instead of after the whole run. *)
+let cannot_write ~verb file e =
+  Printf.eprintf "sage %s: cannot write %s: %s\n" verb file
+    (Unix.error_message e);
+  exit 2
+
+let open_output ~verb file =
+  try
+    Unix.out_channel_of_descr
+      (Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o666)
+  with Unix.Unix_error (e, _, _) -> cannot_write ~verb file e
+
 let stats_arg =
   let doc =
     "After the run's own output, print its profile: per event name of \
@@ -113,13 +128,6 @@ let stats_arg =
      counts and the last counter value, sorted by name."
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
-
-let cache_arg =
-  let doc =
-    "Memoize CCG charts in an LRU cache of the given capacity (entries); \
-     repeated token sequences across sections then parse once."
-  in
-  Arg.(value & opt (some (int_at_least 1)) None & info [ "cache" ] ~docv:"CAP" ~doc)
 
 (* --trace[=FILE]: record a structured event trace.  The trace is
    buffered in memory and written only after the run, so stdout stays
@@ -158,36 +166,59 @@ let trace_clock_arg =
            Sage_trace.Trace.Wall
        & info [ "trace-clock" ] ~docv:"CLOCK" ~doc)
 
-(* Runs [f] under one tracer when --trace or --stats asks for one:
-   --trace writes the events to a file, --stats prints their profile
-   after [f]'s own stdout. *)
-let with_trace ?(clock = Sage_trace.Trace.Wall) ?(stats = false) trace_file
-    trace_format f =
-  if trace_file = None && not stats then f None
-  else begin
-    let tracer = Sage_trace.Trace.create ~clock () in
-    let result = f (Some tracer) in
-    Option.iter
-      (fun file ->
-        let file =
-          if file <> "" then file
-          else
-            match trace_format with
-            | Sage_trace.Trace.Json -> "sage-trace.json"
-            | Sage_trace.Trace.Text -> "sage-trace.txt"
-        in
-        let oc = open_out file in
-        output_string oc (Sage_trace.Trace.render trace_format tracer);
-        close_out oc;
-        Printf.eprintf "trace: %s -> %s\n%!" (Sage_trace.Trace.summary tracer)
-          file)
-      trace_file;
-    if stats then begin
-      print_newline ();
-      print_string (Sage_trace.Trace.profile_to_text tracer)
-    end;
-    result
-  end
+(* The tracer term: it hands the verb's body one tracer when --trace or
+   --stats asks for one, else None.  --trace writes the events to a
+   file, opened before the body runs; --stats prints their profile
+   after the body's own stdout. *)
+let tracer_arg verb =
+  let traced trace_file trace_format clock stats body =
+    if trace_file = None && not stats then body None
+    else begin
+      let out =
+        Option.map
+          (fun file ->
+            let file =
+              if file <> "" then file
+              else
+                match trace_format with
+                | Sage_trace.Trace.Json -> "sage-trace.json"
+                | Sage_trace.Trace.Text -> "sage-trace.txt"
+            in
+            (file, open_output ~verb file))
+          trace_file
+      in
+      let tracer = Sage_trace.Trace.create ~clock () in
+      let result = body (Some tracer) in
+      Option.iter
+        (fun (file, oc) ->
+          output_string oc (Sage_trace.Trace.render trace_format tracer);
+          close_out oc;
+          Printf.eprintf "trace: %s -> %s\n%!"
+            (Sage_trace.Trace.summary tracer) file)
+        out;
+      if stats then begin
+        print_newline ();
+        print_string (Sage_trace.Trace.profile_to_text tracer)
+      end;
+      result
+    end
+  in
+  Term.(const traced $ trace_arg $ trace_format_arg $ trace_clock_arg
+        $ stats_arg)
+
+let seed_arg =
+  let doc = "PRNG seed: the same seed reproduces the identical run." in
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
+
+(* --check-reqs on fuzz and chaos: the requirements oracle *)
+let check_reqs_arg =
+  let doc =
+    "Enforce the mined RFC 2119 requirements (see $(b,sage reqs)) on every \
+     execution of the generated code: a checkable requirement whose guard \
+     holds on the input must see its obligation met by the outcome, or the \
+     run reports a violation carrying the RQ id and source sentence."
+  in
+  Arg.(value & flag & info [ "check-reqs" ] ~doc)
 
 (* --analyze: print the static analyzer's findings after the pipeline *)
 let analyze_arg =
@@ -267,9 +298,6 @@ let status_string = function
 (* ------------------------------------------------------------------ *)
 
 let parse_cmd =
-  let sentence_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SENTENCE")
-  in
   let field_arg =
     let doc = "Field name providing context (enables subject supply)." in
     Arg.(value & opt (some string) None & info [ "field" ] ~docv:"FIELD" ~doc)
@@ -317,9 +345,6 @@ let parse_cmd =
 (* ------------------------------------------------------------------ *)
 
 let derivation_cmd =
-  let sentence_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SENTENCE")
-  in
   let run spec sentence =
     let result =
       Parser.parse ~lexicon:spec.P.lexicon ~dict:spec.P.dictionary sentence
@@ -343,22 +368,14 @@ let derivation_cmd =
 (* sage run                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_pipeline ?(jobs = 1) ?cache_cap ?trace corpus =
-  let jobs = if jobs <= 0 then Sage_sched.Pool.default_jobs () else jobs in
-  let cache =
-    Option.map (fun capacity -> Sage.Chart_cache.create ~capacity ()) cache_cap
-  in
-  P.run_corpus ~jobs ?cache ?trace corpus
-
 let run_cmd =
   let verbose_arg =
     let doc = "Also print every sentence's parse status." in
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
   in
-  let run corpus verbose jobs cache_cap stats analyze fail_on trace_file
-      trace_format trace_clock =
-    with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ~jobs ?cache_cap ?trace corpus in
+  let run corpus verbose jobs analyze fail_on traced =
+    traced @@ fun trace ->
+    let result = run_pipeline ~jobs ?trace corpus in
     Printf.printf "document  : %s\n" result.P.document.Sage_rfc.Document.title;
     Printf.printf "sections  : %d\n"
       (List.length result.P.document.Sage_rfc.Document.sections);
@@ -398,9 +415,8 @@ let run_cmd =
   let doc = "Run the full pipeline (parse, winnow, generate) over a corpus." in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(const run $ corpus_arg $ verbose_arg $ jobs_arg $ cache_arg
-          $ stats_arg $ analyze_arg $ fail_on_arg $ trace_arg
-          $ trace_format_arg $ trace_clock_arg)
+    Term.(const run $ corpus_arg $ verbose_arg $ jobs_arg $ analyze_arg
+          $ fail_on_arg $ tracer_arg "run")
 
 (* ------------------------------------------------------------------ *)
 (* sage code                                                           *)
@@ -439,12 +455,6 @@ let code_cmd =
 (* ------------------------------------------------------------------ *)
 
 let analyze_cmd =
-  let format_arg =
-    let doc = "Output format: $(b,text) (default) or $(b,json)." in
-    Arg.(value
-         & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~docv:"FMT" ~doc)
-  in
   let prove_arg =
     let doc =
       "Report the SA007 proof summary on stderr — which functions are \
@@ -454,8 +464,8 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "prove" ] ~doc)
   in
-  let run corpus jobs cache_cap fail_on prove seeded format =
-    let result = run_pipeline ~jobs ?cache_cap corpus in
+  let run corpus jobs fail_on prove seeded format =
+    let result = run_pipeline ~jobs corpus in
     let funcs = seeded_ir ~verb:"analyze" seeded result.P.codegen.P.functions in
     let diagnostics =
       (* a fixture changes the program under analysis, so it
@@ -508,8 +518,8 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc)
-    Term.(const run $ corpus_arg $ jobs_arg $ cache_arg $ fail_on_arg
-          $ prove_arg $ seeded_arg "analyze" $ format_arg)
+    Term.(const run $ corpus_arg $ jobs_arg $ fail_on_arg $ prove_arg
+          $ seeded_arg "analyze" $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage ambiguities                                                    *)
@@ -563,8 +573,7 @@ let ambiguities_cmd =
 (* ------------------------------------------------------------------ *)
 
 let interop_cmd =
-  let run rewritten fault_seed fault_plan trace_file trace_format
-      trace_clock =
+  let run corpus fault_seed fault_plan traced =
     let faults =
       match fault_plan with
       | None -> None
@@ -577,8 +586,8 @@ let interop_cmd =
           exit 2)
     in
     let under_faults = Option.is_some faults in
-    with_trace ~clock:trace_clock trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ?trace (select None rewritten) in
+    traced @@ fun trace ->
+    let result = run_pipeline ?trace corpus in
     let stack = Sage_sim.Generated_stack.of_run ?trace result in
     let service = Sage_sim.Icmp_service.generated stack in
     let net = Sage_sim.Network.default_topology ~service ?faults ?trace () in
@@ -651,8 +660,10 @@ let interop_cmd =
      through a seeded fault-injection plan."
   in
   Cmd.v (Cmd.info "interop" ~doc)
-    Term.(const run $ rewritten_arg $ fault_seed_arg $ fault_plan_arg
-          $ trace_arg $ trace_format_arg $ trace_clock_arg)
+    Term.(const run
+          $ corpus_arg_of
+              (List.filter (fun (c : P.corpus) -> c.P.proto = "icmp") P.corpora)
+          $ fault_seed_arg $ fault_plan_arg $ tracer_arg "interop")
 
 (* ------------------------------------------------------------------ *)
 (* sage corpus                                                         *)
@@ -681,12 +692,6 @@ let corpus_cmd =
 (* ------------------------------------------------------------------ *)
 
 let reqs_cmd =
-  let format_arg =
-    let doc = "Output format: $(b,text) (default) or $(b,json)." in
-    Arg.(value
-         & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~docv:"FMT" ~doc)
-  in
   let corpus_arg =
     let doc =
       "Mine every corpus (all 8, including the rewritten variants) and \
@@ -695,20 +700,13 @@ let reqs_cmd =
     in
     Arg.(value & flag & info [ "corpus" ] ~doc)
   in
-  let run proto rewritten jobs cache_cap corpus format =
+  let run proto jobs corpus format =
     (* --corpus prints one text table over every corpus: a flag that
        picks a corpus or a format would be ignored *)
-    let ignored =
-      List.filter_map
-        (fun (given, flag) -> if given then Some flag else None)
-        [ (proto <> None, "-p"); (rewritten, "--rewritten");
-          (format = `Json, "--format json") ]
-    in
-    if corpus && ignored <> [] then begin
-      Printf.eprintf
+    if corpus && (proto <> None || format = `Json) then begin
+      prerr_endline
         "sage reqs: --corpus prints one text table over every corpus; it \
-         takes no %s\n"
-        (enumerate "or" ignored);
+         takes no -p or --format json";
       2
     end
     else if corpus then begin
@@ -716,7 +714,7 @@ let reqs_cmd =
         "checkable";
       List.iter
         (fun (c : P.corpus) ->
-          let result = run_pipeline ~jobs ?cache_cap c in
+          let result = run_pipeline ~jobs c in
           let mined, compiled, checkable =
             Sage_reqs.Render.summary_counts result.P.requirements
           in
@@ -726,7 +724,9 @@ let reqs_cmd =
       0
     end
     else begin
-      let result = run_pipeline ~jobs ?cache_cap (select proto rewritten) in
+      let result =
+        run_pipeline ~jobs (Option.value proto ~default:(List.hd P.corpora))
+      in
       let protocol = result.P.spec.P.protocol in
       (match format with
        | `Text ->
@@ -751,18 +751,13 @@ let reqs_cmd =
      and cache states."
   in
   Cmd.v (Cmd.info "reqs" ~doc)
-    Term.(const run $ protocol_arg $ rewritten_arg $ jobs_arg $ cache_arg
-          $ corpus_arg $ format_arg)
+    Term.(const run $ protocol_arg $ jobs_arg $ corpus_arg $ format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sage fuzz                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let fuzz_cmd =
-  let seed_arg =
-    let doc = "PRNG seed: the same seed reproduces the identical run." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
-  in
   let iters_arg =
     let doc = "Number of fuzz iterations (at least 1)." in
     Arg.(value & opt (int_at_least 1) 2000 & info [ "iters" ] ~docv:"N" ~doc)
@@ -781,18 +776,10 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "check-proofs" ] ~doc)
   in
-  let check_reqs_arg =
-    let doc =
-      "Enforce the mined RFC 2119 requirements (see $(b,sage reqs)) as a \
-       seventh oracle: a checkable requirement whose guard holds on the \
-       input must see its obligation met by the outcome, or the run \
-       reports a finding carrying the RQ id and source sentence."
-    in
-    Arg.(value & flag & info [ "check-reqs" ] ~doc)
-  in
   let run corpus jobs seed iters seeded check_proofs check_reqs coverage_out
-      stats trace_file trace_format trace_clock =
-    with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
+      traced =
+    let coverage = Option.map (open_output ~verb:"fuzz") coverage_out in
+    traced @@ fun trace ->
     let check_reqs = check_reqs || seeded = Some Fixture.Violation in
     let result = run_pipeline ~jobs ?trace corpus in
     let funcs = seeded_ir ~verb:"fuzz" seeded result.P.codegen.P.functions in
@@ -824,14 +811,13 @@ let fuzz_cmd =
         ~protocol:result.P.spec.P.protocol targets
     in
     print_string (Sage_fuzz.Engine.summary fz);
-    (match coverage_out with
-     | None -> ()
-     | Some file ->
-       let oc = open_out file in
-       output_string oc
-         (Sage_interp.Coverage.to_json fz.Sage_fuzz.Engine.coverage
-            fz.Sage_fuzz.Engine.funcs);
-       close_out oc);
+    Option.iter
+      (fun oc ->
+        output_string oc
+          (Sage_interp.Coverage.to_json fz.Sage_fuzz.Engine.coverage
+             fz.Sage_fuzz.Engine.funcs);
+        close_out oc)
+      coverage;
     if fz.Sage_fuzz.Engine.findings = [] then 0 else 1
   in
   let doc =
@@ -845,138 +831,93 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(const run $ corpus_arg $ jobs_arg $ seed_arg $ iters_arg
           $ seeded_arg "fuzz" $ check_proofs_arg $ check_reqs_arg
-          $ coverage_out_arg $ stats_arg $ trace_arg $ trace_format_arg
-          $ trace_clock_arg)
+          $ coverage_out_arg $ tracer_arg "fuzz")
 
 (* ------------------------------------------------------------------ *)
 (* sage chaos                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let chaos_corpus_conv =
-    let name (c : P.corpus) = c.P.name in
-    let parse s =
-      match List.find_opt (fun c -> name c = s) P.corpora with
-      | Some c -> Ok c
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown corpus %S (choose from %s)" s
-                (String.concat ", " (List.map name P.corpora))))
-    in
-    Arg.conv (parse, Fmt.using name Fmt.string)
-  in
   let corpus_arg =
     let doc =
       "Restrict the campaign to this corpus (repeatable; default: all 8)."
     in
-    Arg.(value & opt_all chaos_corpus_conv [] & info [ "corpus" ] ~docv:"NAME" ~doc)
-  in
-  let scenario_conv =
-    let parse s =
-      match Sage_chaos.Scenario.find s with
-      | Some _ -> Ok s
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown scenario %S (built-ins: %s)" s
-                (String.concat ", " Sage_chaos.Scenario.names)))
-    in
-    Arg.conv (parse, Fmt.string)
-  in
-  let scenario_arg =
-    let doc =
-      "Run a single built-in scenario instead of all of them: $(b,flaky), \
-       $(b,partition), $(b,outage) or $(b,blackout)."
-    in
-    Arg.(value & opt (some scenario_conv) None
-         & info [ "scenario" ] ~docv:"NAME" ~doc)
+    Arg.(value
+         & opt_all (corpus_conv P.corpora) []
+         & info [ "corpus" ] ~docv:"NAME" ~doc)
   in
   let schedule_conv =
-    (* accepts an inline schedule or a file containing one; the episode
-       grammar embeds the --fault-plan rule grammar in storm(...) *)
+    (* a built-in scenario's name, else a file containing a schedule, else
+       an inline one; the case label is the scenario's name or
+       "schedule".  The episode grammar embeds the --fault-plan rule
+       grammar in storm(...) *)
     let parse s =
-      let spec =
-        if Sys.file_exists s && not (Sys.is_directory s) then (
-          let ic = open_in_bin s in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> String.trim (really_input_string ic (in_channel_length ic))))
-        else s
-      in
-      match Sage_chaos.Episode.of_string spec with
-      | Ok sched -> Ok sched
-      | Error e -> Error (`Msg e)
+      match Sage_chaos.Scenario.find s with
+      | Some sched -> Ok (s, sched)
+      | None -> (
+        let spec =
+          if Sys.file_exists s && not (Sys.is_directory s) then
+            String.trim (In_channel.with_open_bin s In_channel.input_all)
+          else s
+        in
+        match Sage_chaos.Episode.of_string spec with
+        | Ok sched -> Ok ("schedule", sched)
+        | Error e ->
+          Error
+            (`Msg
+               (Printf.sprintf "%s; or a built-in scenario: %s" e
+                  (String.concat ", " Sage_chaos.Scenario.names))))
     in
-    let print ppf s = Fmt.string ppf (Sage_chaos.Episode.to_string s) in
+    let print ppf (_, s) = Fmt.string ppf (Sage_chaos.Episode.to_string s) in
     Arg.conv (parse, print)
   in
   let schedule_arg =
     let doc =
-      "Run a custom schedule instead of the built-in scenarios: either an \
-       inline spec or a file containing one.  Grammar: episodes separated \
-       by $(b,;), each $(b,partition:N), $(b,crash:N), $(b,heal:N) or \
-       $(b,storm(PLAN):N) where PLAN is the $(b,--fault-plan) grammar; the \
-       schedule must end with a heal episode."
+      "Run one schedule instead of all the built-in scenarios: a built-in \
+       scenario's name ($(b,flaky), $(b,partition), $(b,outage) or \
+       $(b,blackout)), a file containing a schedule, or an inline one.  \
+       Grammar: episodes separated by $(b,;), each $(b,partition:N), \
+       $(b,crash:N), $(b,heal:N) or $(b,storm(PLAN):N) where PLAN is the \
+       $(b,--fault-plan) grammar; the schedule must end with a heal \
+       episode."
     in
     Arg.(value & opt (some schedule_conv) None
-         & info [ "schedule" ] ~docv:"SPEC|FILE" ~doc)
+         & info [ "schedule" ] ~docv:"NAME|SPEC|FILE" ~doc)
   in
   let soak_arg =
     let doc = "Stretch every schedule's final heal window by $(docv) ticks." in
     Arg.(value & opt (int_at_least 0) 0 & info [ "soak" ] ~docv:"TICKS" ~doc)
   in
-  let seed_arg =
-    let doc = "Campaign seed: the same seed reproduces the identical run." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
-  in
-  let check_reqs_arg =
-    let doc =
-      "Assert the mined RFC 2119 requirements (see $(b,sage reqs)) on \
-       every generated-function execution during the campaign: a \
-       requirement violated mid-chaos is a case violation carrying the \
-       RQ id and source sentence."
+  let run jobs seed schedule soak seeded check_reqs corpora_sel traced =
+    traced @@ fun trace ->
+    let corpora =
+      Sage_chaos.Campaign.cases
+        ~run:(fun c -> run_pipeline ~jobs ?trace c)
+        (if corpora_sel = [] then P.corpora
+         else
+           (* a repeated --corpus names the corpus once: the conv
+              returns the table's own rows *)
+           List.fold_left
+             (fun acc c -> if List.memq c acc then acc else acc @ [ c ])
+             [] corpora_sel)
     in
-    Arg.(value & flag & info [ "check-reqs" ] ~doc)
-  in
-  let run jobs seed scenario schedule soak seeded check_reqs
-      corpora_sel stats trace_file trace_format trace_clock =
-    if scenario <> None && schedule <> None then
-      `Error (true, "--scenario and --schedule cannot be combined")
-    else
-      `Ok
-        (with_trace ~clock:trace_clock ~stats trace_file trace_format
-         @@ fun trace ->
-         let corpora =
-           Sage_chaos.Campaign.cases
-             ~run:(fun c -> run_pipeline ~jobs ?trace c)
-             (if corpora_sel = [] then P.corpora
-              else
-                (* a repeated --corpus names the corpus once *)
-                List.fold_left
-                  (fun acc (c : P.corpus) ->
-                    if List.exists (fun (d : P.corpus) -> d.P.name = c.P.name) acc then acc
-                    else acc @ [ c ])
-                  [] corpora_sel)
-         in
-         let scenarios =
-           match (scenario, schedule) with
-           | Some s, _ -> [ (s, Option.get (Sage_chaos.Scenario.find s)) ]
-           | None, Some sched -> [ ("schedule", sched) ]
-           | None, None -> Sage_chaos.Scenario.builtins
-         in
-         Option.iter
-           (fun f ->
-             refuse_vacuous ~verb:"chaos" f
-               (Fixture.vacuous_chaos f (List.map snd scenarios)))
-           seeded;
-         let campaign =
-           Sage_chaos.Campaign.run ?trace ~soak
-             ?arm:(Option.map Fixture.arm seeded) ~check_reqs ~seed ~scenarios
-             ~corpora ()
-         in
-         print_string (Sage_chaos.Campaign.summary campaign);
-         Sage_chaos.Campaign.exit_code campaign)
+    let scenarios =
+      match schedule with
+      | Some s -> [ s ]
+      | None -> Sage_chaos.Scenario.builtins
+    in
+    Option.iter
+      (fun f ->
+        refuse_vacuous ~verb:"chaos" f
+          (Fixture.vacuous_chaos f (List.map snd scenarios)))
+      seeded;
+    let campaign =
+      Sage_chaos.Campaign.run ?trace ~soak
+        ?arm:(Option.map Fixture.arm seeded) ~check_reqs ~seed ~scenarios
+        ~corpora ()
+    in
+    print_string (Sage_chaos.Campaign.summary campaign);
+    Sage_chaos.Campaign.exit_code campaign
   in
   let doc =
     "Run chaos campaigns against the reference and generated stacks: timed \
@@ -989,20 +930,18 @@ let chaos_cmd =
      oracle is violated."
   in
   Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(ret
-            (const run $ jobs_arg $ seed_arg $ scenario_arg $ schedule_arg
-             $ soak_arg $ seeded_arg "chaos" $ check_reqs_arg $ corpus_arg
-             $ stats_arg $ trace_arg $ trace_format_arg $ trace_clock_arg))
+    Term.(const run $ jobs_arg $ seed_arg $ schedule_arg $ soak_arg
+          $ seeded_arg "chaos" $ check_reqs_arg $ corpus_arg
+          $ tracer_arg "chaos")
 
 (* ------------------------------------------------------------------ *)
 (* sage report                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let report_cmd =
-  let run corpus jobs cache_cap stats fail_on trace_file trace_format
-      trace_clock =
-    with_trace ~clock:trace_clock ~stats trace_file trace_format @@ fun trace ->
-    let result = run_pipeline ~jobs ?cache_cap ?trace corpus in
+  let run corpus jobs fail_on traced =
+    traced @@ fun trace ->
+    let result = run_pipeline ~jobs ?trace corpus in
     print_string (Sage.Report.markdown result);
     (* the markdown already carries the findings; --fail-on here only
        selects the exit policy *)
@@ -1015,8 +954,7 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const run $ corpus_arg $ jobs_arg $ cache_arg $ stats_arg
-          $ fail_on_arg $ trace_arg $ trace_format_arg $ trace_clock_arg)
+    Term.(const run $ corpus_arg $ jobs_arg $ fail_on_arg $ tracer_arg "report")
 
 (* ------------------------------------------------------------------ *)
 (* sage bench                                                          *)
@@ -1105,6 +1043,13 @@ let bench_cmd =
           0
         end
         else begin
+          (* --record renames a temp file over the history: its
+             directory must be writable *)
+          (try
+             if record <> None then
+               Unix.access (Filename.dirname history_file) [ Unix.W_OK ]
+           with Unix.Unix_error (e, _, _) ->
+             cannot_write ~verb:"bench" history_file e);
           let selected = Sage_bench.Target.filter filter in
           if selected = [] then begin
             Printf.eprintf "sage bench: no target matches --filter %S\n"

@@ -50,8 +50,7 @@ done < <(tail -n +2 reqs/corpus-table.txt)
 
 for name in "${corpora[@]}"; do
   echo "gate: corpus $name"
-  p=(-p "${name%-rw}")
-  [[ $name == *-rw ]] && p+=(--rewritten)
+  p=(-p "$name")
   check "$name" "proofs/$name.json" \
     sage analyze "${p[@]}" --prove --format json
   check "$name" "proofs/$name.fuzz.txt" \
@@ -79,8 +78,7 @@ check icmp determinism/fuzz-j4.txt \
   sage fuzz -p icmp --seed 42 --iters 2000 --jobs 4
 same icmp fuzz/icmp.txt determinism/fuzz-j4.txt
 check icmp determinism/report-seq.md sage report -p icmp
-check icmp determinism/report-par.md \
-  sage report -p icmp --jobs 4 --cache 4096
+check icmp determinism/report-par.md sage report -p icmp --jobs 4
 same icmp determinism/report-seq.md determinism/report-par.md
 check icmp determinism/run-plain.txt sage run -p icmp
 check icmp determinism/run-traced.txt \

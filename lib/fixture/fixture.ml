@@ -177,5 +177,5 @@ let vacuous_chaos t schedules =
     List.exists (function Episode.Crash_restart _ -> true | _ -> false)
   in
   if t = Wedge && not (List.exists crashes schedules) then
-    Some "a schedule with a crash episode (--scenario outage or blackout)"
+    Some "a schedule with a crash episode (--schedule outage or blackout)"
   else None

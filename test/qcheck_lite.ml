@@ -210,7 +210,7 @@ let failure_message name f =
     \  counterexample: %s\n\
     \  %s\n\
     \  shrink steps: %d\n\
-    \  repro: re-run this property with --seed %d" name f.case_index
+    \  repro: pass ~seed:%d to Qcheck_lite.test" name f.case_index
     f.case_count f.seed f.counterexample f.reason f.shrink_steps f.seed
 
 (* The runner core, returning the first failure instead of raising — so

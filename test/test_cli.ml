@@ -41,10 +41,8 @@ let test_malformed_iters () =
 
 let test_malformed_jobs () =
   expect_usage_error "report jobs" "report --jobs many";
-  (* --jobs 0 means auto-detect; a negative count or an empty cache is refused *)
-  expect_usage_error "run jobs negative" "run -p icmp --jobs=-3";
-  expect_usage_error "run cache negative" "run -p icmp --cache=-5";
-  expect_usage_error "run cache 0" "run -p icmp --cache 0"
+  (* --jobs 0 means auto-detect; a negative count is refused *)
+  expect_usage_error "run jobs negative" "run -p icmp --jobs=-3"
 
 let test_malformed_protocol () =
   expect_usage_error "fuzz protocol" "fuzz -p not-a-protocol"
@@ -89,8 +87,9 @@ let test_chaos_negative_soak () =
   expect_usage_error "chaos soak" "chaos --soak -5";
   expect_usage_error "chaos soak=" "chaos --soak=-5"
 
+(* --schedule takes a built-in scenario's name, else a schedule *)
 let test_chaos_unknown_scenario () =
-  expect_usage_error "chaos scenario" "chaos --scenario warp"
+  expect_usage_error "chaos scenario" "chaos --schedule warp"
 
 let test_chaos_unknown_corpus () =
   expect_usage_error "chaos corpus" "chaos --corpus nope"
@@ -99,13 +98,9 @@ let test_chaos_bad_schedule () =
   (* a schedule without a final heal must be rejected at parse time *)
   expect_usage_error "chaos schedule" "chaos --schedule partition:10"
 
-let test_chaos_scenario_and_schedule_conflict () =
-  expect_usage_error "chaos conflict"
-    "chaos --scenario flaky --schedule heal:5"
-
 (* a repeated --corpus names one corpus: its cases run once *)
 let test_chaos_repeated_corpus () =
-  let code, out, _ = run_cli "chaos --corpus ntp --corpus ntp --scenario flaky" in
+  let code, out, _ = run_cli "chaos --corpus ntp --corpus ntp --schedule flaky" in
   checki "exit 0" 0 code;
   checkb "two cases" true (contains out "cases: 2 ")
 
@@ -125,17 +120,18 @@ let test_option_gone args () =
   check_usage_error args result;
   checkb (args ^ ": unknown option") true (contains err "unknown option")
 
-(* only icmp and bfd ship a rewritten text: any other protocol must
-   not quietly run its original text instead *)
+(* -p names a row of the corpus table, rewritten texts included: a
+   rewritten text only icmp and bfd have is an unknown row, refused
+   with the rows listed rather than run as the original *)
 let test_rewritten_needs_a_text () =
+  test_option_gone "run --rewritten" ();
+  let ((_, out, err) as result) = run_cli "run -p igmp-rw" in
+  check_usage_error "run -p igmp-rw" result;
+  checkb "run -p igmp-rw: no output" true (out = "");
   List.iter
-    (fun proto ->
-      let code, out, err = run_cli ("run --rewritten -p " ^ proto) in
-      checki (proto ^ ": exit 2") 2 code;
-      checkb (proto ^ ": no output") true (out = "");
-      checkb (proto ^ ": names icmp and bfd") true
-        (contains err "icmp" && contains err "bfd"))
-    [ "igmp"; "ntp"; "tcp"; "bgp" ];
+    (fun (c : Sage.Pipeline.corpus) ->
+      checkb ("run -p igmp-rw: lists " ^ c.name) true (contains err c.name))
+    Sage.Pipeline.corpora;
   (* reqs --corpus runs every corpus into one text table: a flag that
      picks a corpus or a format is refused, not ignored *)
   List.iter
@@ -145,8 +141,40 @@ let test_rewritten_needs_a_text () =
       checkb (args ^ ": no output") true (out = "");
       checkb (args ^ ": one line on stderr") true
         (err <> "" && not (String.contains (String.trim err) '\n')))
-    [ "reqs --corpus -p ntp --rewritten"; "reqs --corpus -p icmp";
-      "reqs --corpus --rewritten"; "reqs --corpus --format json" ]
+    [ "reqs --corpus -p icmp-rw"; "reqs --corpus -p icmp";
+      "reqs --corpus --format json" ]
+
+(* every row of the corpus table is one -p name, and its report is the
+   golden snapshot of that row *)
+let test_p_selects_every_row () =
+  List.iter
+    (fun (c : Sage.Pipeline.corpus) ->
+      let code, out, _ = run_cli ("report -p " ^ c.name) in
+      checki (c.name ^ ": exit 0") 0 code;
+      Alcotest.check Alcotest.string (c.name ^ ": golden report")
+        (read_file (Filename.concat "golden" (c.name ^ ".report.md")))
+        out)
+    Sage.Pipeline.corpora
+
+(* an output file that cannot be written is an input fault found before
+   the run: one line on stderr, exit 2, and none of the run's output *)
+let test_unwritable_output () =
+  List.iter
+    (fun (verb, args) ->
+      let code, out, err = run_cli (verb ^ " " ^ args) in
+      checki (args ^ ": exit 2") 2 code;
+      checkb (args ^ ": no output") true (out = "");
+      checkb (args ^ ": names the file") true
+        (String.starts_with
+           ~prefix:("sage " ^ verb ^ ": cannot write /nonexistent/")
+           err);
+      checkb (args ^ ": one line on stderr") true
+        (not (String.contains (String.trim err) '\n')))
+    [
+      ("run", "-p icmp --trace=/nonexistent/dir/x.json");
+      ("fuzz", "--iters 10 --coverage-out /nonexistent/c.json");
+      ("bench", "--filter icmp-encode --history /nonexistent/h.json --record x");
+    ]
 
 (* --stats appends the profile of the run's trace: the verb's own
    stdout comes first, byte for byte, then rows sorted by name *)
@@ -181,6 +209,7 @@ let test_stats_appends_profile () =
       "report -p icmp";
       "fuzz --seed 42 --iters 50";
       "chaos --seed 7 --corpus icmp";
+      "interop -p icmp-rw";
     ]
 
 let test_fuzz_compiled_reproducible () =
@@ -197,8 +226,8 @@ let test_fuzz_compiled_reproducible () =
 let test_interop_rewritten () =
   (* the disambiguated spec is the one that passes the paper's interop
      experiment *)
-  let code, out, _err = run_cli "interop --rewritten" in
-  checki "interop --rewritten exits 0" 0 code;
+  let code, out, _err = run_cli "interop -p icmp-rw" in
+  checki "interop -p icmp-rw exits 0" 0 code;
   checkb "ping succeeded" true (contains out "ping 192.168.2.10: ok");
   checkb "traceroute reached" true (contains out "reached")
 
@@ -292,7 +321,7 @@ let vacuous_cases =
     ( "analyze wedge on icmp", "wedge", "-p bfd",
       "analyze -p icmp --seeded wedge --prove" );
     ( "chaos wedge without a crash", "wedge", "crash episode",
-      "chaos --seed 7 --corpus icmp --scenario partition --seeded wedge" );
+      "chaos --seed 7 --corpus icmp --schedule partition --seeded wedge" );
   ]
 
 let suite =
@@ -324,8 +353,14 @@ let suite =
       (test_option_gone "fuzz -v");
     Alcotest.test_case "removed option: bench --stats" `Quick
       (test_option_gone "bench --stats");
+    Alcotest.test_case "removed option: --cache" `Quick
+      (test_option_gone "report -p icmp --cache 4096");
     Alcotest.test_case "--rewritten needs a rewritten text" `Quick
       test_rewritten_needs_a_text;
+    Alcotest.test_case "-p selects every corpus row" `Slow
+      test_p_selects_every_row;
+    Alcotest.test_case "unwritable output path exits 2" `Quick
+      test_unwritable_output;
     Alcotest.test_case "--stats appends the profile" `Slow
       test_stats_appends_profile;
     Alcotest.test_case "fuzz: compiled backend reproducible" `Slow
@@ -343,7 +378,7 @@ let suite =
     Alcotest.test_case "chaos: schedule missing heal" `Quick
       test_chaos_bad_schedule;
     Alcotest.test_case "chaos: --scenario conflicts with --schedule" `Quick
-      test_chaos_scenario_and_schedule_conflict;
+      (test_option_gone "chaos --scenario flaky");
     Alcotest.test_case "chaos: identical across --jobs" `Slow
       test_chaos_deterministic_across_jobs;
     Alcotest.test_case "chaos: repeated --corpus runs once" `Quick

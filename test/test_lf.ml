@@ -145,8 +145,29 @@ let prop_size_positive =
   Q.test ~count:200 "size >= depth >= 1" Q.lf (fun lf ->
       Lf.size lf >= Lf.depth lf && Lf.depth lf >= 1)
 
+(* a drawn list followed by copies of some of its own elements, so that
+   every non-empty draw holds duplicates for dedup to remove; an element
+   shrinks in all its copies at once, so that the copies stay equal *)
+let lfs_with_duplicates =
+  let lfs = Q.list_of ~max_len:8 Q.lf in
+  let shrink_copies l =
+    List.concat_map
+      (fun x ->
+        List.map
+          (fun c -> List.map (fun y -> if y = x then c else y) l)
+          (Q.lf.Q.shrink x))
+      (Q.dedup l)
+  in
+  Q.make
+    ~shrink:(fun l -> lfs.Q.shrink l @ shrink_copies l)
+    ~print:lfs.Q.print
+    (fun r ->
+      match lfs.Q.gen r with
+      | [] -> []
+      | l -> l @ List.init (Q.gen_range r 1 4) (fun _ -> Q.pick r l))
+
 let prop_dedup_no_duplicates =
-  Q.test ~count:100 "dedup removes all duplicates" (Q.list_of ~max_len:8 Q.lf) (fun lfs ->
+  Q.test ~count:100 "dedup removes all duplicates" lfs_with_duplicates (fun lfs ->
       let d = Lf.dedup lfs in
       let rec no_dups = function
         | [] -> true

@@ -203,7 +203,8 @@ let prop_sentences_cover_words =
 
 (* A deliberately failing property: the harness must surface the seed,
    the shrunk counterexample, the shrink-step count and a one-line
-   --seed repro hint — the whole debugging loop in one message. *)
+   repro hint naming the ~seed argument that replays the run — the
+   whole debugging loop in one message. *)
 let test_qcheck_failure_report () =
   match
     Qcheck_lite.find_failure ~count:50 ~seed:2024 Qcheck_lite.small_nat
@@ -223,7 +224,7 @@ let test_qcheck_failure_report () =
     check Alcotest.bool "shows the shrink-step count" true
       (contains msg "shrink steps:");
     check Alcotest.bool "one-line repro hint" true
-      (contains msg "--seed 2024")
+      (contains msg "repro: pass ~seed:2024 to Qcheck_lite.test")
 
 let test_qcheck_passing_property_silent () =
   check Alcotest.bool "no failure for a tautology" true

@@ -96,9 +96,7 @@ let clean_corpora =
         name = Printf.sprintf "fuzz %s clean" c.name;
         setup = None;
         args =
-          Printf.sprintf "fuzz -p %s%s --seed 42 --iters 120 --check-reqs"
-            c.proto
-            (if c.rewritten then " --rewritten" else "");
+          Printf.sprintf "fuzz -p %s --seed 42 --iters 120 --check-reqs" c.name;
         exit_code = 0;
         expect = [ "findings   : 0" ];
       })
