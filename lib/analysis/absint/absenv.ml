@@ -66,12 +66,7 @@ let is_local t p = SSet.mem p t.locals
    and the fuzz driver bind [payload_length] to the executed packet's
    byte length). *)
 let proto_field_init lay f =
-  let ident = Hd.c_identifier f in
-  match
-    List.find_opt
-      (fun (fd : Hd.field) -> Hd.c_identifier fd.Hd.name = ident)
-      lay.Hd.fields
-  with
+  match Hd.find_ident lay f with
   | Some fd when not fd.Hd.variable -> I.of_range 0L (Pv.mask_of_bits fd.Hd.bits)
   | Some _ ->
     let fixed = Int64.neg (Int64.of_int (Pv.fixed_bytes lay)) in

@@ -58,12 +58,7 @@ let classify_field layout f =
   match layout with
   | None -> Unknown_field
   | Some lay -> (
-    let ident = Hd.c_identifier f in
-    match
-      List.find_opt
-        (fun (fd : Hd.field) -> Hd.c_identifier fd.Hd.name = ident)
-        lay.Hd.fields
-    with
+    match Hd.find_ident lay f with
     | Some fd when fd.Hd.variable -> Variable fd
     | Some fd -> Fixed fd
     | None -> Unknown_field)

@@ -194,7 +194,7 @@ let check_range ctx (fact : Absint.fact) =
       let mask = Pv.mask_of_bits fd.Hd.bits in
       let emit severity text =
         ctx.emit
-          (D.v ~field:(Hd.c_identifier fd.Hd.name) ~stmt_id:fact.Absint.id
+          (D.v ~field:fd.Hd.ident ~stmt_id:fact.Absint.id
              ?sentence:(ctx.d.Dataflow.sentence_of_stmt fact.Absint.stmt)
              ~code:"SA008" ~severity ~fn_name:func.Ir.fn_name
              ~protocol:func.Ir.protocol text)

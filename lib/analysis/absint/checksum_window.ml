@@ -91,13 +91,12 @@ let check (d : Dataflow.ctx) (summary : Absint.summary) =
         (fun (f : Absint.fact) ->
           match f.Absint.stmt with
           | Ir.Assign (Ir.Lfield (Ir.Proto, fd), _)
-            when f.Absint.reachable
-                 && (not (Dataflow.is_checksum_field fd))
-                 && not (List.mem_assoc (Hd.c_identifier fd) !excluded) -> (
+            when f.Absint.reachable && not (Dataflow.is_checksum_field fd) -> (
             match Absint.classify_field layout fd with
-            | Absint.Fixed field when field.Hd.bit_offset < start.Hd.bit_offset
-              ->
-              excluded := (Hd.c_identifier fd, field) :: !excluded
+            | Absint.Fixed field
+              when field.Hd.bit_offset < start.Hd.bit_offset
+                   && not (List.mem_assoc field.Hd.ident !excluded) ->
+              excluded := (field.Hd.ident, field) :: !excluded
             | _ -> ())
           | _ -> ())
         summary.Absint.facts;
@@ -108,6 +107,6 @@ let check (d : Dataflow.ctx) (summary : Absint.summary) =
                "field %s (bit %d) is written but outside the checksum \
                 window, which starts at %s (bit %d)"
                ident field.Hd.bit_offset
-               (Hd.c_identifier start.Hd.name)
+               start.Hd.ident
                start.Hd.bit_offset))
         !excluded)

@@ -40,7 +40,7 @@ let check (d : Dataflow.ctx) =
        List.iteri
          (fun i (src : Hd.field) ->
            let f = cl.L.fields.(i) in
-           let ident = Hd.c_identifier src.Hd.name in
+           let ident = src.Hd.ident in
            if f.L.ident <> ident then
              emit ~field:ident D.Error
                (Printf.sprintf "slot %d compiled as %S, diagram says %S"

@@ -74,7 +74,7 @@ let check (ctx : Dataflow.ctx) =
     | Some layout ->
       List.filter_map
         (fun (fd : Hd.field) ->
-          let ident = Hd.c_identifier fd.Hd.name in
+          let ident = fd.Hd.ident in
           if List.mem (Ir.Lfield (Ir.Proto, ident)) definite then None
           else if List.mem ident proto_writes then
             Some

@@ -8,7 +8,7 @@ module D = Diagnostic
 let field_width layout ident =
   List.find_map
     (fun (fd : Hd.field) ->
-      if Hd.c_identifier fd.Hd.name = ident then Some fd.Hd.bits else None)
+      if String.equal fd.Hd.ident ident then Some fd.Hd.bits else None)
     (Pv.fixed_fields layout)
 
 let fits ~bits n =

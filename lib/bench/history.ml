@@ -187,14 +187,14 @@ let write_atomic file content =
   close_out oc;
   Sys.rename tmp file
 
+(* A path that exists but cannot be read (a directory, a file without
+   read permission) is an [Error], not an exception; the channel is
+   closed either way. *)
 let load file =
   if not (Sys.file_exists file) then Ok empty
-  else begin
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    of_string s
-  end
+  else
+    match In_channel.with_open_bin file In_channel.input_all with
+    | s -> of_string s
+    | exception Sys_error msg -> Error msg
 
 let save file t = write_atomic file (to_string t)

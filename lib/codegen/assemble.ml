@@ -54,33 +54,14 @@ let order_stmts stmts advice =
     | _ -> false
   in
   let checksum_stmts, other = List.partition is_checksum_assign stmts in
-  let advice_stmts =
-    List.concat_map
+  let checksum_advice, other_advice =
+    List.partition
       (fun (a : Generate.advice) ->
-        if
-          List.exists
-            (fun f ->
-              Sage_rfc.Header_diagram.c_identifier a.before_field
-              = Sage_rfc.Header_diagram.c_identifier f)
-            checksum_fields
-        then a.adv_stmts
-        else [])
+        List.mem (Sage_rfc.Header_diagram.c_identifier a.before_field) checksum_fields)
       advice
   in
-  let non_checksum_advice =
-    List.concat_map
-      (fun (a : Generate.advice) ->
-        if
-          List.exists
-            (fun f ->
-              Sage_rfc.Header_diagram.c_identifier a.before_field
-              = Sage_rfc.Header_diagram.c_identifier f)
-            checksum_fields
-        then []
-        else a.adv_stmts)
-      advice
-  in
-  non_checksum_advice @ other @ advice_stmts @ checksum_stmts
+  let stmts_of = List.concat_map (fun (a : Generate.advice) -> a.adv_stmts) in
+  stmts_of other_advice @ other @ stmts_of checksum_advice @ checksum_stmts
 
 let dedup_stmts stmts =
   let rec go acc = function

@@ -167,7 +167,20 @@ let static_entries =
     ("admindown", Value 0);
   ]
 
+(* [static_entries] as a table, built once.  [of_seq] keeps a term's
+   last binding, so reversing the list keeps its first, as
+   [List.assoc_opt] does. *)
+let static_table = Hashtbl.of_seq (List.to_seq (List.rev static_entries))
+
 let normalize term = String.lowercase_ascii (String.trim term)
+
+(* [String.lowercase_ascii s = lower] without building the lowered copy *)
+let rec lowercase_equal_from s lower i =
+  i = String.length lower
+  || (Char.lowercase_ascii s.[i] = lower.[i] && lowercase_equal_from s lower (i + 1))
+
+let lowercase_equal s lower =
+  String.length s = String.length lower && lowercase_equal_from s lower 0
 
 (* strip leading determiners the chunker may have folded in *)
 let strip_determiner term =
@@ -192,9 +205,9 @@ let rec resolve ctx term =
   else
     (* try the term exactly as written first: "A bit" names the
        Authentication Present bit, not "bit" with an article *)
-    match resolve_plain ctx (normalize term) with
+    match resolve_plain ctx term with
     | Some r -> Some r
-    | None -> resolve_plain ctx (strip_determiner (normalize term))
+    | None -> resolve_plain ctx (strip_determiner term)
 
 and resolve_plain ctx term =
   (* 1. the message's own header fields, by label or by C identifier,
@@ -213,22 +226,23 @@ and resolve_plain ctx term =
     match ctx.struct_def with
     | None -> None
     | Some sd ->
+      let ident = Hd.c_identifier no_suffix in
       let matches (f : Hd.field) =
-        String.lowercase_ascii f.name = term
-        || String.lowercase_ascii f.name = no_suffix
-        || Hd.c_identifier f.name = Hd.c_identifier no_suffix
+        lowercase_equal f.name term
+        || lowercase_equal f.name no_suffix
+        || String.equal f.ident ident
       in
       (match List.find_opt matches sd.fields with
-       | Some f -> Some (Proto_field (Hd.c_identifier f.name))
+       | Some f -> Some (Proto_field f.ident)
        | None -> None)
   in
   match from_struct with
   | Some r -> Some r
   | None ->
-    (match List.assoc_opt term static_entries with
+    (match Hashtbl.find_opt static_table term with
      | Some r -> Some r
      | None ->
-       (match List.assoc_opt no_suffix static_entries with
+       (match Hashtbl.find_opt static_table no_suffix with
         | Some r -> Some r
         | None ->
           (* message-name terms: "echo reply message", "the echo message" *)

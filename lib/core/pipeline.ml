@@ -164,12 +164,23 @@ let status_label = function
 let clip ?(max = 120) s =
   if String.length s <= max then s else String.sub s 0 max ^ "..."
 
-let prefix_matches sentence prefix =
-  let norm s =
-    String.concat " " (List.filter (fun w -> w <> "") (String.split_on_char ' ' s))
-  in
-  let s = norm sentence and p = norm prefix in
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+(* runs of spaces collapse to one, so an annotated prefix matches however
+   the sentence was wrapped *)
+let squeeze_spaces s =
+  String.concat " " (List.filter (fun w -> w <> "") (String.split_on_char ' ' s))
+
+(* [String.starts_with ~prefix:(squeeze_spaces prefix) s] for an [s] that
+   is already squeezed, reading [prefix] in place: [i] walks [prefix], [j]
+   walks [s], and [sep] is set between two words of [prefix], where [s]
+   must hold one space. *)
+let rec squeezed_prefix prefix s i j sep =
+  if i = String.length prefix then true
+  else if prefix.[i] = ' ' then squeezed_prefix prefix s (i + 1) j (sep || j > 0)
+  else if sep then
+    j < String.length s && s.[j] = ' ' && squeezed_prefix prefix s i (j + 1) false
+  else
+    j < String.length s && prefix.[i] = s.[j]
+    && squeezed_prefix prefix s (i + 1) (j + 1) false
 
 (* A synthetic NP chunk used when supplying the missing subject. *)
 let subject_chunk field =
@@ -196,7 +207,8 @@ let drop_terminator chunks =
 let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
     ?trace sentence =
   let annotated =
-    List.exists (prefix_matches sentence) spec.annotated_non_actionable
+    let s = squeeze_spaces sentence in
+    List.exists (fun p -> squeezed_prefix p s 0 0 false) spec.annotated_non_actionable
   in
   if annotated then
     {
@@ -368,7 +380,7 @@ let variants_of_section (section : Document.section) =
 let fixed_assignments_for_variant (section : Document.section) variant_name =
   List.concat_map
     (fun (fd : Document.field_desc) ->
-      let ident = Hd.c_identifier fd.Document.field_name in
+      let ident = fd.Document.field_ident in
       List.concat_map
         (function
           | Document.Fixed_value v -> [ (ident, v) ]

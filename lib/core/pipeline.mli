@@ -32,14 +32,16 @@ val tcp_spec : unit -> spec
 
 (** One shipped corpus: a protocol's spec paired with one of its RFC
     texts.  Callers pick a row of {!corpora} instead of pairing a spec
-    with a text themselves: the CLI's [-p], [--rewritten] and
-    [--corpus] values, the chaos workloads, the bench targets, the
-    tests and the examples all read the table. *)
+    with a text themselves: the CLI's [-p] and [chaos --corpus] values
+    name a row, and the chaos workloads, the bench targets, the tests
+    and the examples all read the table. *)
 type corpus = {
   name : string;
       (** ["icmp"], ["icmp-rw"], ...: the protocol, with ["-rw"] for the
-          rewritten text *)
-  proto : string;  (** the [-p] value: ["icmp"], ["igmp"], ... *)
+          rewritten text; the value [-p] and [chaos --corpus] take *)
+  proto : string;
+      (** the protocol, shared by a text and its rewrite: ["icmp"],
+          ["igmp"], ... *)
   rewritten : bool;
       (** the text a human rewrote after the Figure 4 feedback loop *)
   spec : unit -> spec;  (** a fresh spec *)

@@ -91,12 +91,16 @@ let rec leaves = function
   | (Term _ | Num _ | Str _ | Var _) as leaf -> [ leaf ]
   | Pred (_, args) -> List.concat_map leaves args
 
-let rec subforms lf =
-  match lf with
-  | Term _ | Num _ | Str _ | Var _ -> [ lf ]
-  | Pred (_, args) -> lf :: List.concat_map subforms args
+(* pre-order, stopping at the first hit; no list and no closure per node *)
+let rec exists p lf =
+  p lf
+  || (match lf with
+      | Pred (_, args) -> exists_in p args
+      | Term _ | Num _ | Str _ | Var _ -> false)
 
-let exists p lf = List.exists p (subforms lf)
+and exists_in p = function
+  | [] -> false
+  | a :: rest -> exists p a || exists_in p rest
 
 let rec map f = function
   | (Term _ | Num _ | Str _ | Var _) as leaf -> f leaf

@@ -81,7 +81,9 @@ val leaves : t -> t list
 (** All leaf nodes in left-to-right order. *)
 
 val exists : (t -> bool) -> t -> bool
-(** [exists p lf] is true if any subform satisfies [p]. *)
+(** [exists p lf] is true if any subform satisfies [p].  Subforms are
+    visited in pre-order and the walk stops at the first hit; it
+    allocates nothing of its own. *)
 
 val map : (t -> t) -> t -> t
 (** [map f lf] applies [f] bottom-up to every subform. *)

@@ -6,7 +6,11 @@ type field_content =
   | Prose of string list
   | Pseudo of string
 
-type field_desc = { field_name : string; content : field_content list }
+type field_desc = {
+  field_name : string;
+  field_ident : string;
+  content : field_content list;
+}
 
 type section = {
   message_name : string;
@@ -181,7 +185,9 @@ let parse ~title text =
       | None -> ()
       | Some fname ->
         let fd =
-          { field_name = fname; content = parse_field_content (List.rev !current_content) }
+          { field_name = fname;
+            field_ident = Header_diagram.c_identifier fname;
+            content = parse_field_content (List.rev !current_content) }
         in
         if !in_ip_fields then ip_fields := fd :: !ip_fields
         else fields := fd :: !fields;

@@ -20,8 +20,10 @@ type field_content =
   | Pseudo of string
       (** a [begin ... end] pseudo-code block, parsed by {!Pseudo_code} *)
 
-type field_desc = {
+type field_desc = private {
   field_name : string;
+  field_ident : string;
+      (** [Header_diagram.c_identifier field_name], computed in {!parse} *)
   content : field_content list;
 }
 

@@ -1,4 +1,10 @@
-type field = { name : string; bits : int; bit_offset : int; variable : bool }
+type field = {
+  name : string;
+  ident : string;
+  bits : int;
+  bit_offset : int;
+  variable : bool;
+}
 
 type t = { struct_name : string; fields : field list }
 
@@ -83,6 +89,9 @@ let c_identifier label =
   in
   if s = "" then "field" else s
 
+let field ~name ~bits ~bit_offset ~variable =
+  { name; ident = c_identifier name; bits; bit_offset; variable }
+
 let parse ~name text =
   let lines = String.split_on_char '\n' text in
   let rows =
@@ -107,7 +116,7 @@ let parse ~name text =
          fields := { prev with bits = prev.bits + bits } :: rest
        | _ ->
          fields :=
-           { name; bits; bit_offset = !offset; variable = looks_variable name }
+           field ~name ~bits ~bit_offset:!offset ~variable:(looks_variable name)
            :: !fields);
       offset := !offset + bits
     in
@@ -124,6 +133,10 @@ let find_field t name =
   let target = String.lowercase_ascii name in
   List.find_opt (fun f -> String.lowercase_ascii f.name = target) t.fields
 
+let find_ident t query =
+  let ident = c_identifier query in
+  List.find_opt (fun f -> String.equal f.ident ident) t.fields
+
 let c_type_of_bits bits =
   if bits <= 8 then "uint8_t"
   else if bits <= 16 then "uint16_t"
@@ -135,15 +148,14 @@ let to_c_struct t =
   Buffer.add_string buf (Printf.sprintf "struct %s {\n" (c_identifier t.struct_name));
   List.iter
     (fun f ->
-      let ident = c_identifier f.name in
       if f.variable then
-        Buffer.add_string buf (Printf.sprintf "    uint8_t %s[];\n" ident)
+        Buffer.add_string buf (Printf.sprintf "    uint8_t %s[];\n" f.ident)
       else if f.bits mod 8 = 0 && (f.bits <= 32 || f.bits = 64) then
         Buffer.add_string buf
-          (Printf.sprintf "    %s %s;\n" (c_type_of_bits f.bits) ident)
+          (Printf.sprintf "    %s %s;\n" (c_type_of_bits f.bits) f.ident)
       else
         Buffer.add_string buf
-          (Printf.sprintf "    %s %s : %d;\n" (c_type_of_bits f.bits) ident f.bits))
+          (Printf.sprintf "    %s %s : %d;\n" (c_type_of_bits f.bits) f.ident f.bits))
     t.fields;
   Buffer.add_string buf "};";
   Buffer.contents buf

@@ -12,12 +12,19 @@
     where each bit occupies two character columns.  The parser recovers
     field names and bit widths and emits a C struct for code generation. *)
 
-type field = {
+type field = private {
   name : string;        (** as written, e.g. "Type" *)
+  ident : string;
+      (** [c_identifier name], e.g. "type": the key every per-field
+          lookup compares against, computed once when the field is built *)
   bits : int;           (** width in bits; rows are 32 bits wide *)
   bit_offset : int;     (** offset from the start of the header, in bits *)
   variable : bool;      (** a trailing data field of unspecified length *)
 }
+
+val field : name:string -> bits:int -> bit_offset:int -> variable:bool -> field
+(** The only way to build a {!field}, so [ident] always agrees with
+    [name]. *)
 
 type t = { struct_name : string; fields : field list }
 
@@ -34,6 +41,10 @@ val total_bits : t -> int
 
 val find_field : t -> string -> field option
 (** Case-insensitive lookup by name. *)
+
+val find_ident : t -> string -> field option
+(** The first field whose [ident] is [c_identifier query]; the query is
+    normalised once, not once per field. *)
 
 val to_c_struct : t -> string
 (** Render as a C struct with [uint8_t]/[uint16_t]/[uint32_t]/[uint64_t]

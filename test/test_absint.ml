@@ -273,11 +273,14 @@ let random_ir_layout =
     Sage_rfc.Header_diagram.struct_name = "Test Message";
     fields =
       [
-        { Sage_rfc.Header_diagram.name = "Type"; bits = 8; bit_offset = 0;
-          variable = false };
-        { name = "Code"; bits = 8; bit_offset = 8; variable = false };
-        { name = "Checksum"; bits = 16; bit_offset = 16; variable = false };
-        { name = "Data"; bits = 0; bit_offset = 32; variable = true };
+        Sage_rfc.Header_diagram.field ~name:"Type" ~bits:8 ~bit_offset:0
+          ~variable:false;
+        Sage_rfc.Header_diagram.field ~name:"Code" ~bits:8 ~bit_offset:8
+          ~variable:false;
+        Sage_rfc.Header_diagram.field ~name:"Checksum" ~bits:16 ~bit_offset:16
+          ~variable:false;
+        Sage_rfc.Header_diagram.field ~name:"Data" ~bits:0 ~bit_offset:32
+          ~variable:true;
       ];
   }
 

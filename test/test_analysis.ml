@@ -22,11 +22,11 @@ let layout =
     Hd.struct_name = "Test Message";
     fields =
       [
-        { Hd.name = "Type"; bits = 8; bit_offset = 0; variable = false };
-        { Hd.name = "Code"; bits = 8; bit_offset = 8; variable = false };
-        { Hd.name = "Checksum"; bits = 16; bit_offset = 16; variable = false };
-        { Hd.name = "Identifier"; bits = 16; bit_offset = 32; variable = false };
-        { Hd.name = "Data"; bits = 0; bit_offset = 48; variable = true };
+        Hd.field ~name:"Type" ~bits:8 ~bit_offset:0 ~variable:false;
+        Hd.field ~name:"Code" ~bits:8 ~bit_offset:8 ~variable:false;
+        Hd.field ~name:"Checksum" ~bits:16 ~bit_offset:16 ~variable:false;
+        Hd.field ~name:"Identifier" ~bits:16 ~bit_offset:32 ~variable:false;
+        Hd.field ~name:"Data" ~bits:0 ~bit_offset:48 ~variable:true;
       ];
   }
 

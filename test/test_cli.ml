@@ -176,6 +176,15 @@ let test_unwritable_output () =
       ("bench", "--filter icmp-encode --history /nonexistent/h.json --record x");
     ]
 
+(* a history path that exists but cannot be read (here the working
+   directory) is a load error, reported before any target runs *)
+let test_bench_history_unreadable () =
+  let code, out, err = run_cli "bench --filter icmp-encode --history ." in
+  checki "exit 1" 1 code;
+  checkb "no output" true (out = "");
+  checkb "names the file" true (String.starts_with ~prefix:"sage bench: .: " err);
+  checkb "one line on stderr" true (not (String.contains (String.trim err) '\n'))
+
 (* --stats appends the profile of the run's trace: the verb's own
    stdout comes first, byte for byte, then rows sorted by name *)
 let test_stats_appends_profile () =
@@ -361,6 +370,8 @@ let suite =
       test_p_selects_every_row;
     Alcotest.test_case "unwritable output path exits 2" `Quick
       test_unwritable_output;
+    Alcotest.test_case "bench: unreadable --history exits 1" `Quick
+      test_bench_history_unreadable;
     Alcotest.test_case "--stats appends the profile" `Slow
       test_stats_appends_profile;
     Alcotest.test_case "fuzz: compiled backend reproducible" `Slow

@@ -175,6 +175,47 @@ let prop_dedup_no_duplicates =
       in
       no_dups d)
 
+(* [Lf.exists] against a reference built the obvious way: [List.exists]
+   over the pre-order list of subforms.  Both must also ask the predicate
+   about the same subforms in the same order, which pins the pre-order
+   walk and the stop at the first hit. *)
+let rec preorder lf =
+  match lf with
+  | Lf.Pred (_, args) -> lf :: List.concat_map preorder args
+  | Lf.Term _ | Lf.Num _ | Lf.Str _ | Lf.Var _ -> [ lf ]
+
+let prop_exists_matches_reference =
+  Q.test ~count:300 "exists = List.exists over pre-order" Q.lf (fun lf ->
+      let agrees p =
+        let asked = ref [] and ref_asked = ref [] in
+        let got = Lf.exists (fun x -> asked := x :: !asked; p x) lf in
+        let want =
+          List.exists (fun x -> ref_asked := x :: !ref_asked; p x) (preorder lf)
+        in
+        got = want && List.equal Lf.equal !asked !ref_asked
+      in
+      List.for_all agrees
+        [
+          (fun _ -> false);
+          (fun _ -> true);
+          (function Lf.Num n -> n > 32 | _ -> false);
+          (function Lf.Term "checksum" -> true | _ -> false);
+          (function Lf.Pred (p, _) -> p = Lf.p_if | _ -> false);
+          (function Lf.Pred (_, args) -> List.length args = 3 | _ -> false);
+        ])
+
+(* winnowing asks [exists] dozens of questions of every candidate LF; the
+   walk itself must not allocate *)
+let test_exists_allocates_nothing () =
+  let calls = 10_000 in
+  let never _ = false in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Lf.exists never sample))
+  done;
+  check (Alcotest.float 0.01) "words per call" 0.
+    ((Gc.minor_words () -. before) /. float_of_int calls)
+
 let suite =
   [
     tc "print basic" test_print;
@@ -188,6 +229,7 @@ let suite =
     tc "leaves" test_leaves;
     tc "mem_pred" test_mem_pred;
     tc "map" test_map;
+    tc "exists allocates nothing" test_exists_allocates_nothing;
     tc "dedup" test_dedup;
     tc "isomorphic of-chains (Figure 3)" test_isomorphic_of_chains;
     tc "non-isomorphic attachments" test_not_isomorphic;
@@ -198,4 +240,5 @@ let suite =
     prop_canonicalize_idempotent;
     prop_size_positive;
     prop_dedup_no_duplicates;
+    prop_exists_matches_reference;
   ]

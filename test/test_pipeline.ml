@@ -64,7 +64,24 @@ let test_analyze_annotated () =
   let r =
     P.analyze_sentence spec "This checksum may be replaced in the future."
   in
-  check Alcotest.bool "annotated" true (r.P.status = P.Annotated_non_actionable)
+  check Alcotest.bool "annotated" true (r.P.status = P.Annotated_non_actionable);
+  (* runs of spaces in the sentence or the prefix collapse to one, and
+     the prefix must end on the sentence's word boundaries *)
+  let annotated prefix sentence =
+    let spec = { spec with P.annotated_non_actionable = [ prefix ] } in
+    (P.analyze_sentence spec sentence).P.status = P.Annotated_non_actionable
+  in
+  List.iter
+    (fun (prefix, sentence, want) ->
+      check Alcotest.bool (Printf.sprintf "%S starts %S" prefix sentence) want
+        (annotated prefix sentence))
+    [
+      ("The checksum is", "  The   checksum  is zero.", true);
+      ("  The checksum   is ", "The checksum is zero.", true);
+      ("The checksum is", "The checksum was zero.", false);
+      ("The check sum", "The checksum is zero.", false);
+      ("", "The checksum is zero.", true);
+    ]
 
 (* ---- ICMP original corpus: Table 6 ---- *)
 
@@ -302,6 +319,24 @@ let test_bfd_sentence_count () =
   in
   check Alcotest.bool (Printf.sprintf "%d sentences ~22" n) true (n >= 20 && n <= 25)
 
+(* The author's rerun loop (Figure 4): with every chart already cached,
+   what is left of a run is winnowing, codegen, analysis and mining.
+   Allocation is deterministic, so the bound is on minor words: values
+   recomputed inside those loops (a field's identifier per lookup, a
+   subform list per winnow check, the sentence per annotated prefix)
+   took a warm icmp run past 2 M words. *)
+let test_warm_run_allocation_bounded () =
+  let c = P.find_corpus "icmp" in
+  let cache = Sage.Chart_cache.create () in
+  let run () = ignore (P.run_corpus ~cache c) in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  if words >= 1.5e6 then
+    Alcotest.failf "a warm icmp run allocated %.2f M minor words (bound 1.5 M)"
+      (words /. 1e6)
+
 let suite =
   [
     tc "analyze: simple sentence" test_analyze_simple;
@@ -329,4 +364,5 @@ let suite =
     tc "BFD rewritten: clean (6.4)" test_bfd_rewritten_is_clean;
     tc "BFD: reception function contents" test_bfd_reception_function_contents;
     tc "BFD: ~22 state-management sentences" test_bfd_sentence_count;
+    tc "warm icmp run allocation stays bounded" test_warm_run_allocation_bounded;
   ]

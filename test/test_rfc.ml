@@ -230,6 +230,33 @@ let test_corpus_documents_parse () =
   let bfd = Doc.parse ~title:"bfd" Sage_corpus.Bfd_rfc.text in
   check Alcotest.int "BFD: 3 sections" 3 (List.length bfd.Doc.sections)
 
+(* every per-field lookup compares [ident]s, so each field of every
+   shipped diagram (and each described field) must carry the identifier
+   of its own name *)
+let test_corpus_idents () =
+  List.iter
+    (fun (c : Sage.Pipeline.corpus) ->
+      let doc = Doc.parse ~title:c.Sage.Pipeline.title c.Sage.Pipeline.text in
+      List.iter
+        (fun (s : Doc.section) ->
+          Option.iter
+            (fun (d : Hd.t) ->
+              List.iter
+                (fun (f : Hd.field) ->
+                  check Alcotest.string
+                    (c.Sage.Pipeline.name ^ ": " ^ f.Hd.name)
+                    (Hd.c_identifier f.Hd.name) f.Hd.ident)
+                d.Hd.fields)
+            s.Doc.diagram;
+          List.iter
+            (fun (fd : Doc.field_desc) ->
+              check Alcotest.string
+                (c.Sage.Pipeline.name ^ ": " ^ fd.Doc.field_name)
+                (Hd.c_identifier fd.Doc.field_name) fd.Doc.field_ident)
+            (s.Doc.fields @ s.Doc.ip_fields))
+        doc.Doc.sections)
+    Sage.Pipeline.corpora
+
 let test_icmp_corpus_structs () =
   let icmp = Doc.parse ~title:"icmp" Sage_corpus.Icmp_rfc.text in
   let echo = Option.get (Doc.find_section icmp "Echo or Echo Reply") in
@@ -356,4 +383,5 @@ let suite =
     tc "state diagram: rightward arrow" test_state_diagram_bidirectional;
     tc "state diagram: leftward arrow" test_state_diagram_leftward;
     tc "state diagram: no boxes" test_state_diagram_no_boxes;
+    tc "corpus fields carry their identifiers" test_corpus_idents;
   ]
