@@ -13,13 +13,15 @@
 
    Proto field names are normalized through [Hd.c_identifier] so "Hold
    Time" and "hold_time" share a cell, exactly as {!Packet_view} and
-   the compiled {!Layout} do.  A cell absent from the map is [Top]. *)
+   the compiled {!Layout} do.  The map is keyed by the normalized cell
+   itself; a name that already is an identifier (codegen's are) is used
+   as it is, so a lookup builds no string.  A cell absent from the map
+   is [Top]. *)
 
 module Ir = Sage_codegen.Ir
 module Hd = Sage_rfc.Header_diagram
 module Pv = Sage_interp.Packet_view
 module I = Interval
-module SMap = Map.Make (String)
 module SSet = Set.Make (String)
 
 type cell =
@@ -27,27 +29,29 @@ type cell =
   | Req of Ir.layer * string
   | Par of string
 
-type t = { vals : I.t SMap.t; locals : SSet.t }
+module CMap = Map.Make (struct
+  type t = cell
 
-let layer_tag = function
-  | Ir.Proto -> "proto"
-  | Ir.Ip -> "ip"
-  | Ir.State -> "state"
+  let compare = compare
+end)
 
-let norm_field layer f =
-  match layer with
-  | Ir.Proto -> Hd.c_identifier f
-  | Ir.Ip | Ir.State -> f
+type t = { vals : I.t CMap.t; locals : SSet.t }
 
-let key = function
-  | Cur (l, f) -> "cur:" ^ layer_tag l ^ ":" ^ norm_field l f
-  | Req (l, f) -> "req:" ^ layer_tag l ^ ":" ^ norm_field l f
-  | Par p -> "par:" ^ p
+let norm_cell = function
+  | Cur (Ir.Proto, f) when not (Hd.is_c_identifier f) ->
+    Cur (Ir.Proto, Hd.c_identifier f)
+  | Req (Ir.Proto, f) when not (Hd.is_c_identifier f) ->
+    Req (Ir.Proto, Hd.c_identifier f)
+  | c -> c
 
-let empty = { vals = SMap.empty; locals = SSet.empty }
+let empty = { vals = CMap.empty; locals = SSet.empty }
 
-let get t c = Option.value ~default:I.top (SMap.find_opt (key c) t.vals)
-let set t c v = { t with vals = SMap.add (key c) v t.vals }
+let get t c =
+  match CMap.find (norm_cell c) t.vals with
+  | v -> v
+  | exception Not_found -> I.top
+
+let set t c v = { t with vals = CMap.add (norm_cell c) v t.vals }
 
 let add_local t p = { t with locals = SSet.add p t.locals }
 let is_local t p = SSet.mem p t.locals
@@ -93,9 +97,9 @@ let cells_of_func (func : Ir.func) =
   let acc = ref [] in
   let seen = Hashtbl.create 16 in
   let add c =
-    let k = key c in
-    if not (Hashtbl.mem seen k) then (
-      Hashtbl.add seen k ();
+    let c = norm_cell c in
+    if not (Hashtbl.mem seen c) then (
+      Hashtbl.add seen c ();
       acc := c :: !acc)
   in
   let rec expr = function
@@ -132,7 +136,7 @@ let entry ?layout (func : Ir.func) =
 (* ------------------------------------------------------------------ *)
 
 let merge_with f a b =
-  SMap.merge
+  CMap.merge
     (fun _ x y ->
       Some (f (Option.value ~default:I.top x) (Option.value ~default:I.top y)))
     a b
@@ -150,15 +154,8 @@ let widen prev next =
   }
 
 let leq a b =
-  SMap.for_all
+  CMap.for_all
     (fun k bv ->
-      I.leq (Option.value ~default:I.top (SMap.find_opt k a.vals)) bv)
+      I.leq (Option.value ~default:I.top (CMap.find_opt k a.vals)) bv)
     b.vals
   && SSet.subset b.locals a.locals
-
-let pp ppf t =
-  SMap.iter (fun k v -> Fmt.pf ppf "%s = %a@." k I.pp v) t.vals;
-  if not (SSet.is_empty t.locals) then
-    Fmt.pf ppf "locals: %a@."
-      Fmt.(list ~sep:sp string)
-      (SSet.elements t.locals)

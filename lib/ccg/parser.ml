@@ -33,70 +33,6 @@ let conj_op = function
   | "or" -> Lf.p_or
   | _ -> Lf.p_and (* comma read as conjunction *)
 
-(* Combine two adjacent items with every applicable rule, passing each
-   result to [add] in rule order. *)
-let combine add left right =
-  let emit rule cat sem =
-    match Sem.beta_reduce sem with
-    | sem -> add { cat; sem; deriv = Node (rule, cat, left.deriv, right.deriv) }
-    | exception Failure _ -> ()
-  in
-  (match left.cat, right.cat with
-   (* forward application: X/Y Y => X *)
-   | Category.Fwd (x, y), ry when Category.equal y ry ->
-     emit Fwd_app x (Sem.app left.sem right.sem)
-   | _ -> ());
-  (match left.cat, right.cat with
-   (* backward application: Y X\Y => X *)
-   | ly, Category.Bwd (x, y) when Category.equal y ly ->
-     emit Bwd_app x (Sem.app right.sem left.sem)
-   | _ -> ());
-  (match left.cat, right.cat with
-   (* forward composition: X/Y Y/Z => X/Z *)
-   | Category.Fwd (x, y), Category.Fwd (y', z) when Category.equal y y' ->
-     emit Fwd_comp
-       (Category.Fwd (x, z))
-       (Sem.lam "_z" (Sem.app left.sem (Sem.app right.sem (Sem.var "_z"))))
-   | _ -> ());
-  (match left.cat, right.cat with
-   (* backward composition: Y\Z X\Y => X\Z *)
-   | Category.Bwd (y', z), Category.Bwd (x, y) when Category.equal y y' ->
-     emit Bwd_comp
-       (Category.Bwd (x, z))
-       (Sem.lam "_z" (Sem.app right.sem (Sem.app left.sem (Sem.var "_z"))))
-   | _ -> ());
-  (match left.cat, right.cat, left.deriv, right.deriv with
-   (* noun compounding: two adjacent *lexical* noun phrases form a
-      compound ("echo reply" + "message").  Under good labels the
-      dictionary pre-merges such phrases; under poor labels this rule
-      keeps the sentence parseable, at the cost of more ambiguity
-      (Table 7).  Restricting it to lexical items keeps the chart small
-      and matches the linguistics: compounds join nouns, not derived
-      phrases. *)
-   | Category.Atom Category.NP, Category.Atom Category.NP, _, Leaf _ ->
-     emit Compound Category.np (Sem.pred "@Compound" [ left.sem; right.sem ])
-   | _ -> ());
-  (match left.cat, right.cat with
-   (* coordination, step 1: conj X => X\X *)
-   | Category.Conj c, x when (match x with Category.Conj _ -> false | _ -> true)
-     ->
-     let op = conj_op c in
-     emit Coord
-       (Category.Bwd (x, x))
-       (Sem.lam "_a" (Sem.pred op [ Sem.var "_a"; right.sem ]))
-   | _ -> ());
-  (match left.cat, right.cat with
-   (* comma glue: absorb a bare comma on either side *)
-   | x, Category.Conj "," when (match x with Category.Conj _ -> false | _ -> true)
-     ->
-     add { cat = x; sem = left.sem;
-           deriv = Node (Glue, x, left.deriv, right.deriv) }
-   | Category.Conj ",", x when (match x with Category.Conj _ -> false | _ -> true)
-     ->
-     add { cat = x; sem = right.sem;
-           deriv = Node (Glue, x, left.deriv, right.deriv) }
-   | _ -> ())
-
 (* Each chart cell deduplicates its items on their (cat, sem) as they
    arrive.  The hash folds over every node of both terms: [Hashtbl.hash]
    reads only 10 meaningful nodes, so the deep terms of a long
@@ -147,6 +83,117 @@ module Cell_table = Hashtbl.Make (struct
     && Category.equal a.item.cat b.item.cat
     && a.item.sem = b.item.sem
 end)
+
+(* A chart cell is an [item array], filled through the one [fill] of a
+   parse: each candidate goes to [add] in emission order, the first
+   occurrence of a key wins, and the cell's items collect in [buf] until
+   [take_cell] copies them out (an empty cell is the shared [[||]]).
+   The table and the buffer serve every cell, and [combine] runs from
+   index loops, so a pair of items that combines to nothing allocates
+   nothing.  Once the cell holds [capacity] items, the next new one
+   marks the parse truncated and ends the cell: no later candidate could
+   enter it, so the cap bounds work as well as memory. *)
+type fill = {
+  seen : unit Cell_table.t;
+  mutable buf : item array;
+  mutable len : int;
+  capacity : int;
+  mutable truncated : bool;
+}
+
+exception Cell_full
+
+let add st it =
+  let k = key it in
+  if not (Cell_table.mem st.seen k) then begin
+    if st.len >= st.capacity then begin
+      st.truncated <- true;
+      raise_notrace Cell_full
+    end;
+    Cell_table.add st.seen k ();
+    if st.len = Array.length st.buf then begin
+      let buf = Array.make (max 16 (2 * st.len)) it in
+      Array.blit st.buf 0 buf 0 st.len;
+      st.buf <- buf
+    end;
+    st.buf.(st.len) <- it;
+    st.len <- st.len + 1
+  end
+
+(* the filled cell, leaving [st] empty for the next one *)
+let take_cell st =
+  let cell = if st.len = 0 then [||] else Array.sub st.buf 0 st.len in
+  st.len <- 0;
+  Cell_table.clear st.seen;
+  cell
+
+let emit st rule cat sem left right =
+  match Sem.beta_reduce sem with
+  | sem -> add st { cat; sem; deriv = Node (rule, cat, left.deriv, right.deriv) }
+  | exception Failure _ -> ()
+
+(* Combine two adjacent items with every applicable rule, passing each
+   result to [add] in rule order. *)
+let combine st left right =
+  (match left.cat, right.cat with
+   (* forward application: X/Y Y => X *)
+   | Category.Fwd (x, y), ry when Category.equal y ry ->
+     emit st Fwd_app x (Sem.app left.sem right.sem) left right
+   | _ -> ());
+  (match left.cat, right.cat with
+   (* backward application: Y X\Y => X *)
+   | ly, Category.Bwd (x, y) when Category.equal y ly ->
+     emit st Bwd_app x (Sem.app right.sem left.sem) left right
+   | _ -> ());
+  (match left.cat, right.cat with
+   (* forward composition: X/Y Y/Z => X/Z *)
+   | Category.Fwd (x, y), Category.Fwd (y', z) when Category.equal y y' ->
+     emit st Fwd_comp
+       (Category.Fwd (x, z))
+       (Sem.lam "_z" (Sem.app left.sem (Sem.app right.sem (Sem.var "_z"))))
+       left right
+   | _ -> ());
+  (match left.cat, right.cat with
+   (* backward composition: Y\Z X\Y => X\Z *)
+   | Category.Bwd (y', z), Category.Bwd (x, y) when Category.equal y y' ->
+     emit st Bwd_comp
+       (Category.Bwd (x, z))
+       (Sem.lam "_z" (Sem.app right.sem (Sem.app left.sem (Sem.var "_z"))))
+       left right
+   | _ -> ());
+  (match left.cat, right.cat, left.deriv, right.deriv with
+   (* noun compounding: two adjacent *lexical* noun phrases form a
+      compound ("echo reply" + "message").  Under good labels the
+      dictionary pre-merges such phrases; under poor labels this rule
+      keeps the sentence parseable, at the cost of more ambiguity
+      (Table 7).  Restricting it to lexical items keeps the chart small
+      and matches the linguistics: compounds join nouns, not derived
+      phrases. *)
+   | Category.Atom Category.NP, Category.Atom Category.NP, _, Leaf _ ->
+     emit st Compound Category.np (Sem.pred "@Compound" [ left.sem; right.sem ])
+       left right
+   | _ -> ());
+  (match left.cat, right.cat with
+   (* coordination, step 1: conj X => X\X *)
+   | Category.Conj c, x when (match x with Category.Conj _ -> false | _ -> true)
+     ->
+     let op = conj_op c in
+     emit st Coord
+       (Category.Bwd (x, x))
+       (Sem.lam "_a" (Sem.pred op [ Sem.var "_a"; right.sem ]))
+       left right
+   | _ -> ());
+  (match left.cat, right.cat with
+   (* comma glue: absorb a bare comma on either side *)
+   | x, Category.Conj "," when (match x with Category.Conj _ -> false | _ -> true)
+     ->
+     add st { cat = x; sem = left.sem;
+              deriv = Node (Glue, x, left.deriv, right.deriv) }
+   | Category.Conj ",", x when (match x with Category.Conj _ -> false | _ -> true)
+     ->
+     add st { cat = x; sem = right.sem;
+              deriv = Node (Glue, x, left.deriv, right.deriv) }
+   | _ -> ())
 
 let lexical_items lexicon (chunk : Chunker.chunk) =
   let phrase = String.lowercase_ascii chunk.text in
@@ -236,62 +283,48 @@ let parse_chunks ?(target = Category.s) ?(expand_distributive = true)
   let n = Array.length chunks in
   if n = 0 then { items = []; lfs = []; truncated = false; chunks = [] }
   else begin
-    let chart =
-      Array.init n (fun _ -> Array.init (n + 1) (fun _ -> Queue.create ()))
-    in
-    let truncated = ref false in
-    (* [fill i j produce] runs [produce add], which passes cell (i, j) its
-       candidates in emission order; the first occurrence of a key wins.
-       Once the cell holds [capacity] items, the next new one marks the
-       parse truncated and ends the cell: no later candidate could enter
-       it, so the cap bounds work as well as memory. *)
-    let exception Cell_full in
-    let fill i j produce =
-      let cell = chart.(i).(j) and seen = Cell_table.create 16 in
-      let add it =
-        let k = key it in
-        if not (Cell_table.mem seen k) then begin
-          if Queue.length cell >= capacity then begin
-            truncated := true;
-            raise_notrace Cell_full
-          end;
-          Cell_table.add seen k ();
-          Queue.add it cell
-        end
-      in
-      try produce add with Cell_full -> ()
+    let chart = Array.init n (fun _ -> Array.make (n + 1) [||]) in
+    let st =
+      { seen = Cell_table.create 16; buf = [||]; len = 0; capacity;
+        truncated = false }
     in
     for i = 0 to n - 1 do
-      fill i (i + 1) (fun add -> List.iter add (lexical_items lexicon chunks.(i)))
+      (try List.iter (add st) (lexical_items lexicon chunks.(i))
+       with Cell_full -> ());
+      chart.(i).(i + 1) <- take_cell st
     done;
     for span = 2 to n do
       for i = 0 to n - span do
         let j = i + span in
-        fill i j (fun add ->
-            for k = i + 1 to j - 1 do
-              Queue.iter
-                (fun left -> Queue.iter (combine add left) chart.(k).(j))
-                chart.(i).(k)
-            done)
+        (try
+           for k = i + 1 to j - 1 do
+             let lefts = chart.(i).(k) and rights = chart.(k).(j) in
+             for a = 0 to Array.length lefts - 1 do
+               for b = 0 to Array.length rights - 1 do
+                 combine st lefts.(a) rights.(b)
+               done
+             done
+           done
+         with Cell_full -> ());
+        chart.(i).(j) <- take_cell st
       done
     done;
+    (* every item is beta-normal: lexicon entries are, and [emit]
+       reduces what the rules build *)
     let spanning =
-      Queue.to_seq chart.(0).(n)
-      |> Seq.filter (fun it -> Category.equal it.cat target)
-      |> List.of_seq
+      List.filter
+        (fun it -> Category.equal it.cat target)
+        (Array.to_list chart.(0).(n))
     in
     let lfs =
       spanning
-      |> List.filter_map (fun it ->
-             match Sem.beta_reduce it.sem with
-             | sem -> Sem.to_lf sem
-             | exception Failure _ -> None)
+      |> List.filter_map (fun it -> Sem.to_lf it.sem)
       |> (fun lfs ->
            if expand_distributive then List.concat_map expand_distribution lfs
            else lfs)
       |> Lf.dedup
     in
-    { items = spanning; lfs; truncated = !truncated; chunks = Array.to_list chunks }
+    { items = spanning; lfs; truncated = st.truncated; chunks = Array.to_list chunks }
   end
 
 let parse ?strategy ?target ?expand_distributive ?capacity ~lexicon ~dict

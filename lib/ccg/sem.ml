@@ -47,6 +47,18 @@ let rec free_vars = function
   | Lf _ -> []
   | Pred (_, args) -> List.concat_map free_vars args
 
+(* [List.mem y (free_vars t)] without building the list *)
+let rec occurs_free y = function
+  | Var x -> String.equal x y
+  | Lam (x, b) -> (not (String.equal x y)) && occurs_free y b
+  | App (f, a) -> occurs_free y f || occurs_free y a
+  | Lf _ -> false
+  | Pred (_, args) -> occurs_free_in y args
+
+and occurs_free_in y = function
+  | [] -> false
+  | a :: rest -> occurs_free y a || occurs_free_in y rest
+
 (* atomic: parses run concurrently across domains (lib/sched), and a
    duplicated "fresh" name could silently capture a variable.  Fresh
    numbering never reaches a logical form (lambda-bound names are gone
@@ -56,35 +68,99 @@ let fresh_counter = Atomic.make 0
 let fresh_name base =
   Printf.sprintf "%s_%d" base (Atomic.fetch_and_add fresh_counter 1 + 1)
 
-let rec subst x v body =
+let budget = 10_000
+
+type fuel = { mutable left : int }
+
+let step fuel =
+  if fuel.left <= 0 then failwith "Sem.beta_reduce: reduction budget exceeded";
+  fuel.left <- fuel.left - 1
+
+(* [norm] returns the normal form of [t], and [t] itself when that is
+   [t]: children are normalised first, so an application meets two
+   normal forms and is a redex only when its head is a [Lam]. *)
+let rec norm fuel t =
+  step fuel;
+  match t with
+  | Var _ | Lf _ -> t
+  | Lam (x, b) ->
+    let b' = norm fuel b in
+    if b' == b then t else Lam (x, b')
+  | Pred (n, args) ->
+    let args' = norm_list fuel args in
+    if args' == args then t else Pred (n, args')
+  | App (f, a) ->
+    let f' = norm fuel f in
+    let a' = norm fuel a in
+    (match f' with
+     | Lam (x, b) -> hsubst fuel x a' b
+     | _ -> if f' == f && a' == a then t else App (f', a'))
+
+and norm_list fuel = function
+  | [] -> []
+  | a :: rest as l ->
+    let a' = norm fuel a in
+    let rest' = norm_list fuel rest in
+    if a' == a && rest' == rest then l else a' :: rest'
+
+(* Hereditary substitution: for normal [v] and [body], the normal form
+   of [body\[x := v\]].  A substitution creates a redex only where [x]
+   heads an application, so that is the one place it reduces, as it
+   builds the application.  A binder is renamed when it occurs free in
+   [v], whether or not [x] occurs below it. *)
+and hsubst fuel x v body =
+  step fuel;
   match body with
   | Var y -> if String.equal y x then v else body
+  | Lf _ -> body
   | Lam (y, b) ->
     if String.equal y x then body
-    else if List.mem y (free_vars v) then begin
+    else if occurs_free y v then begin
       let y' = fresh_name y in
-      Lam (y', subst x v (rename y y' b))
+      Lam (y', hsubst fuel x v (rename y y' b))
     end
-    else Lam (y, subst x v b)
-  | App (f, a) -> App (subst x v f, subst x v a)
-  | Lf _ -> body
-  | Pred (n, args) -> Pred (n, List.map (subst x v) args)
+    else
+      let b' = hsubst fuel x v b in
+      if b' == b then body else Lam (y, b')
+  | Pred (n, args) ->
+    let args' = hsubst_list fuel x v args in
+    if args' == args then body else Pred (n, args')
+  | App (f, a) ->
+    let f' = hsubst fuel x v f in
+    let a' = hsubst fuel x v a in
+    (match f' with
+     | Lam (y, b) -> hsubst fuel y a' b
+     | _ -> if f' == f && a' == a then body else App (f', a'))
 
-let beta_reduce t =
-  let budget = ref 10_000 in
-  let rec go t =
-    if !budget <= 0 then failwith "Sem.beta_reduce: reduction budget exceeded";
-    decr budget;
+and hsubst_list fuel x v = function
+  | [] -> []
+  | a :: rest as l ->
+    let a' = hsubst fuel x v a in
+    let rest' = hsubst_list fuel x v rest in
+    if a' == a && rest' == rest then l else a' :: rest'
+
+(* The steps [norm] would have left after walking [t], or -1 if [t]
+   holds a redex or the budget runs out first: a normal term comes back
+   without allocating even the fuel. *)
+let rec scan left t =
+  if left <= 0 then -1
+  else
     match t with
-    | Var _ | Lf _ -> t
-    | Lam (x, b) -> Lam (x, go b)
-    | Pred (n, args) -> Pred (n, List.map go args)
+    | Var _ | Lf _ -> left - 1
+    | Lam (_, b) -> scan (left - 1) b
+    | App (Lam _, _) -> -1
     | App (f, a) ->
-      (match go f with
-       | Lam (x, b) -> go (subst x (go a) b)
-       | f' -> App (f', go a))
-  in
-  go t
+      let left = scan (left - 1) f in
+      if left < 0 then left else scan left a
+    | Pred (_, args) -> scan_list (left - 1) args
+
+and scan_list left = function
+  | [] -> left
+  | a :: rest ->
+    let left = scan left a in
+    if left < 0 then left else scan_list left rest
+
+let beta_reduce t = if scan budget t >= 0 then t else norm { left = budget } t
 
 let rec to_lf t =
   match t with

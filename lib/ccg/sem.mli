@@ -29,13 +29,20 @@ val equal : t -> t -> bool
 
 val free_vars : t -> string list
 
-val subst : string -> t -> t -> t
-(** [subst x v body] is capture-avoiding substitution [body\[x := v\]]. *)
-
 val beta_reduce : t -> t
-(** Normal-order reduction to beta-normal form.  Bounded (RFC sentences
-    produce tiny terms); raises [Failure] if the bound is exceeded, which
-    indicates a lexicon bug. *)
+(** The beta-normal form, by hereditary substitution.  Children are
+    normalised first, so an application meets two normal forms; putting
+    a normal argument into a normal body can only create a redex where
+    the variable heads an application, and the substitution reduces it
+    as it builds it.  Every node left unchanged is shared with the input
+    ([==]): a term already normal comes back itself without allocating.
+    A binder inside a substitution is renamed to a fresh [<base>_<n>]
+    when it occurs free in the argument.
+
+    Bounded: one step is one node that normalisation or substitution
+    visits, and a call may take 10 000 (RFC sentences produce tiny
+    terms); raises [Failure] if the bound is exceeded, which indicates a
+    lexicon bug. *)
 
 val to_lf : t -> Sage_logic.Lf.t option
 (** Convert a beta-normal, closed term to a logical form.  [None] if the

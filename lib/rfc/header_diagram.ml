@@ -89,6 +89,16 @@ let c_identifier label =
   in
   if s = "" then "field" else s
 
+let rec identifier_from s i =
+  i = String.length s
+  || (match s.[i] with
+      | 'a' .. 'z' | '0' .. '9' -> true
+      | '_' -> i > 0 && i < String.length s - 1 && s.[i - 1] <> '_'
+      | _ -> false)
+     && identifier_from s (i + 1)
+
+let is_c_identifier s = s <> "" && identifier_from s 0
+
 let field ~name ~bits ~bit_offset ~variable =
   { name; ident = c_identifier name; bits; bit_offset; variable }
 

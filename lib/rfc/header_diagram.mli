@@ -55,6 +55,10 @@ val c_identifier : string -> string
 (** Normalize a field label into a C identifier ("Sequence Number" →
     ["sequence_number"]). *)
 
+val is_c_identifier : string -> bool
+(** Whether [c_identifier s = s], checked without allocating: [s] is
+    non-empty lower-case letters, digits and single inner underscores. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Line classifiers} (shared with the document pre-processor) *)

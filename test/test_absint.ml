@@ -12,6 +12,7 @@ module A = Sage_analysis.Analyzer
 module D = Sage_analysis.Diagnostic
 module I = Sage_analysis.Interval
 module Absint = Sage_analysis.Absint
+module Absenv = Sage_analysis.Absenv
 module Fsm = Sage_analysis.Fsm
 module Engine = Sage_fuzz.Engine
 module Fixture = Sage_fixture.Fixture
@@ -440,6 +441,27 @@ let test_exit_code_policies () =
         (A.exit_code_on ~fail_on diags))
     cases
 
+(* A proto field's cell is keyed by its identifier, whichever way the
+   name is spelled, and a lookup by identifier builds no string. *)
+let test_absenv_cells_share_identifier () =
+  let spelled = Absenv.Cur (Ir.Proto, "Hold Time")
+  and ident = Absenv.Cur (Ir.Proto, "hold_time") in
+  let iv = I.of_range 0L 90L and iv' = I.const 180L in
+  let env = Absenv.set Absenv.empty spelled iv in
+  check Alcotest.bool "hold_time reads Hold Time's cell" true
+    (I.equal (Absenv.get env ident) iv);
+  check Alcotest.bool "Hold Time reads hold_time's cell" true
+    (I.equal (Absenv.get (Absenv.set env ident iv') spelled) iv');
+  check Alcotest.bool "the request view is another cell" true
+    (I.equal (Absenv.get env (Absenv.Req (Ir.Proto, "hold_time"))) I.top);
+  let calls = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Absenv.get env ident))
+  done;
+  check (Alcotest.float 0.01) "words per get" 0.
+    ((Gc.minor_words () -. before) /. float_of_int calls)
+
 let suite =
   [
     Q.test "join is an upper bound" arb_iv2 prop_join_upper_bound;
@@ -468,4 +490,5 @@ let suite =
       test_dead_arms_never_covered;
     tc "fuzz proof cross-check passes on icmp" test_engine_proof_check_ok;
     tc "exit-code policies" test_exit_code_policies;
+    tc "cells share a field's identifier" test_absenv_cells_share_identifier;
   ]

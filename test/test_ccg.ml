@@ -241,23 +241,61 @@ let test_no_labeling_breaks_parsing () =
    the readings of the list multiply with every copy, so only the cell
    capacity bounds the chart.  A full cell stops combining, which bounds
    the work; allocation is deterministic, so the bound is on minor words
-   rather than time. *)
+   rather than time.  The bounds fail a reducer that copies every term
+   it reduces (7.8 M and 346 M words). *)
 let test_parse_comma_list_bounded () =
   let sentence n =
     Printf.sprintf
       "If code %s 0, identifies the octet where an error was detected."
       (String.concat ", " (List.init n (fun _ -> "=")))
   in
-  let before = Gc.minor_words () in
-  let r = parse (sentence 8) in
-  let words = Gc.minor_words () -. before in
+  let parse_counting n =
+    let before = Gc.minor_words () in
+    let r = parse (sentence n) in
+    (r, Gc.minor_words () -. before)
+  in
+  let r, words = parse_counting 8 in
   check Alcotest.bool "8 copies truncated" true r.Parser.truncated;
   check Alcotest.(list string) "8 copies: no LFs" [] (lf_strings r);
-  if words >= 50e6 then
-    Alcotest.failf "8 copies allocated %.1f M minor words (bound 50 M)"
+  if words >= 3e6 then
+    Alcotest.failf "8 copies allocated %.1f M minor words (bound 3 M)"
       (words /. 1e6);
   check Alcotest.bool "12 copies truncated" true
-    (parse (sentence 12)).Parser.truncated
+    (parse (sentence 12)).Parser.truncated;
+  let r, words = parse_counting 24 in
+  check Alcotest.bool "24 copies truncated" true r.Parser.truncated;
+  if words >= 40e6 then
+    Alcotest.failf "24 copies allocated %.1f M minor words (bound 40 M)"
+      (words /. 1e6)
+
+(* Reduction shares what it leaves unchanged, so a term already normal
+   comes back itself, without allocating: every lexicon entry is, and
+   so is every chart item. *)
+let test_beta_normal_is_itself () =
+  let shared what sem =
+    if Sem.beta_reduce sem != sem then
+      Alcotest.failf "%s %s came back as a copy" what (Sem.to_string sem)
+  in
+  let words sem =
+    let calls = 1_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (Sem.beta_reduce sem))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let entries = Lex.entries (Lex.bgp ()) in
+  List.iter (fun (e : Lex.entry) -> shared "lexicon entry" e.Lex.sem) entries;
+  let copula =
+    List.find (fun (e : Lex.entry) -> e.Lex.phrase = "is") entries
+  in
+  check (Alcotest.float 0.01) "words per lexicon entry" 0. (words copula.Lex.sem);
+  match (parse "The checksum is zero.").Parser.items with
+  | [] -> Alcotest.fail "no spanning item"
+  | items ->
+    List.iter (fun (it : Parser.item) -> shared "chart item" it.Parser.sem) items;
+    check (Alcotest.float 0.01) "words per chart item" 0.
+      (words (List.hd items).Parser.sem)
 
 let suite =
   [
@@ -289,4 +327,5 @@ let suite =
     tc "derivation printing (Appendix B)" test_derivation_printing;
     tc "parse: no labeling breaks parsing (Table 8)" test_no_labeling_breaks_parsing;
     tc "parse: comma list of '=' stays bounded" test_parse_comma_list_bounded;
+    tc "beta_reduce returns a normal term itself" test_beta_normal_is_itself;
   ]

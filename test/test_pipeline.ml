@@ -337,6 +337,19 @@ let test_warm_run_allocation_bounded () =
     Alcotest.failf "a warm icmp run allocated %.2f M minor words (bound 1.5 M)"
       (words /. 1e6)
 
+(* A cold run parses every sentence: a chart that copies each term it
+   reduces took a cold icmp run to 3.45 M words. *)
+let test_cold_run_allocation_bounded () =
+  let c = P.find_corpus "icmp" in
+  let run () = ignore (P.run_corpus c) in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  if words >= 2.5e6 then
+    Alcotest.failf "a cold icmp run allocated %.2f M minor words (bound 2.5 M)"
+      (words /. 1e6)
+
 let suite =
   [
     tc "analyze: simple sentence" test_analyze_simple;
@@ -365,4 +378,5 @@ let suite =
     tc "BFD: reception function contents" test_bfd_reception_function_contents;
     tc "BFD: ~22 state-management sentences" test_bfd_sentence_count;
     tc "warm icmp run allocation stays bounded" test_warm_run_allocation_bounded;
+    tc "cold icmp run allocation stays bounded" test_cold_run_allocation_bounded;
   ]

@@ -356,6 +356,15 @@ let test_state_diagram_no_boxes () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted input without boxes"
 
+(* [is_c_identifier] is [c_identifier]'s fixed-point test, over labels
+   drawn from the characters [c_identifier] keeps, maps or drops *)
+let prop_is_c_identifier_fixed_point =
+  let alphabet = "abz09AZ_ -." in
+  Qcheck_lite.test ~count:500 "is_c_identifier = c_identifier fixed point"
+    (Qcheck_lite.string_of ~max_len:6 (fun r ->
+         alphabet.[Qcheck_lite.int_below r (String.length alphabet)]))
+    (fun s -> Hd.is_c_identifier s = String.equal (Hd.c_identifier s) s)
+
 let suite =
   [
     tc "diagram fields" test_diagram_fields;
@@ -384,4 +393,5 @@ let suite =
     tc "state diagram: leftward arrow" test_state_diagram_leftward;
     tc "state diagram: no boxes" test_state_diagram_no_boxes;
     tc "corpus fields carry their identifiers" test_corpus_idents;
+    prop_is_c_identifier_fixed_point;
   ]

@@ -1,6 +1,8 @@
 (* Property tests for the CCG semantic layer (lib/ccg/sem.ml): random
-   lambda terms exercise capture-avoiding substitution and normal-order
-   beta reduction well beyond the tiny terms real derivations build. *)
+   lambda terms exercise capture-avoiding substitution and beta
+   reduction well beyond the tiny terms real derivations build.  The
+   substitution properties run on the reference model (sem_model.ml),
+   against which the library's reducer is then checked. *)
 
 module Sem = Sage_ccg.Sem
 module Q = Qcheck_lite
@@ -76,7 +78,7 @@ let mem_fv x t = List.mem x (Sem.free_vars t)
    free variable and never lets [v]'s free variables be captured by a
    binder in [t] (capture would *remove* them from the result). *)
 let prop_subst_fv_bound (x, v, t) =
-  let result_fv = sorted_fv (Sem.subst x v t) in
+  let result_fv = sorted_fv (Sem_model.subst x v t) in
   let allowed = List.filter (fun y -> y <> x) (sorted_fv t) @ sorted_fv v in
   List.for_all (fun y -> List.mem y allowed) result_fv
 
@@ -85,16 +87,16 @@ let prop_subst_fv_bound (x, v, t) =
 let prop_subst_preserves_v_fv (x, v, t) =
   if not (mem_fv x t) then true
   else
-    let result_fv = sorted_fv (Sem.subst x v t) in
+    let result_fv = sorted_fv (Sem_model.subst x v t) in
     List.for_all (fun y -> List.mem y result_fv) (sorted_fv v)
 
 (* substituting for a variable that is not free is (alpha-)identity *)
 let prop_subst_absent_is_identity (x, v, t) =
-  if mem_fv x t then true else Sem.equal (Sem.subst x v t) t
+  if mem_fv x t then true else Sem.equal (Sem_model.subst x v t) t
 
 (* x is gone after substitution (unless v itself mentions it) *)
 let prop_subst_eliminates (x, v, t) =
-  if mem_fv x v then true else not (mem_fv x (Sem.subst x v t))
+  if mem_fv x v then true else not (mem_fv x (Sem_model.subst x v t))
 
 (* beta_reduce is idempotent: reducing a normal form is the identity.
    The reducer is budgeted and raises [Failure] on pathological random
@@ -122,7 +124,7 @@ let prop_alpha_rename_equal t =
   let body = t in
   if mem_fv fresh_z body then true
   else
-    let renamed = Sem.Lam (fresh_z, Sem.subst x (Sem.var fresh_z) body) in
+    let renamed = Sem.Lam (fresh_z, Sem_model.subst x (Sem.var fresh_z) body) in
     Sem.equal (Sem.Lam (x, body)) renamed
 
 let prop_alpha_rename_apply t =
@@ -131,11 +133,63 @@ let prop_alpha_rename_apply t =
   else
     let original = Sem.app (Sem.lam x t) (Sem.term "Arg") in
     let renamed =
-      Sem.app (Sem.Lam (fresh_z, Sem.subst x (Sem.var fresh_z) t)) (Sem.term "Arg")
+      Sem.app (Sem.Lam (fresh_z, Sem_model.subst x (Sem.var fresh_z) t)) (Sem.term "Arg")
     in
     match (Sem.beta_reduce original, Sem.beta_reduce renamed) with
     | exception Failure _ -> true
     | nf1, nf2 -> Sem.equal nf1 nf2
+
+(* The fresh names [<base>_<n>] a reducer invents, renamed by first
+   occurrence in pre-order to [<root>'<renames>'<k>], so that two
+   results compare by structure whatever their counters read. *)
+let canonical_fresh t =
+  let names = Hashtbl.create 8 in
+  let rec root name renames =
+    match String.rindex_opt name '_' with
+    | Some i
+      when i > 0
+           && i < String.length name - 1
+           && String.for_all
+                (fun c -> c >= '0' && c <= '9')
+                (String.sub name (i + 1) (String.length name - i - 1)) ->
+      root (String.sub name 0 i) (renames + 1)
+    | _ -> (name, renames)
+  in
+  let canon name =
+    match root name 0 with
+    | _, 0 -> name
+    | base, renames ->
+      (match Hashtbl.find_opt names name with
+       | Some c -> c
+       | None ->
+         let c = Printf.sprintf "%s'%d'%d" base renames (Hashtbl.length names) in
+         Hashtbl.add names name c;
+         c)
+  in
+  let rec go = function
+    | Sem.Var x -> Sem.Var (canon x)
+    | Sem.Lam (x, b) ->
+      let x = canon x in
+      Sem.Lam (x, go b)
+    | Sem.App (f, a) ->
+      let f = go f in
+      Sem.App (f, go a)
+    | Sem.Lf _ as t -> t
+    | Sem.Pred (n, args) -> Sem.Pred (n, List.map go args)
+  in
+  go t
+
+(* the library's reducer agrees with the model whenever both finish:
+   the same normal form, with the same binders renamed at the same
+   places *)
+let prop_beta_matches_model t =
+  match (Sem.beta_reduce t, Sem_model.beta_reduce t) with
+  | exception Failure _ -> true
+  | nf, model -> Sem.equal nf model && canonical_fresh nf = canonical_fresh model
+
+let deep_term_arb =
+  Q.make ~shrink:shrink_term ~print:Sem.to_string (fun r ->
+      gen_term (1 + Q.int_below r 11) r)
 
 let suite =
   [
@@ -148,4 +202,6 @@ let suite =
     Q.test "beta_reduce: no new free vars" term_arb prop_beta_fv_shrinks;
     Q.test "alpha: renamed binder is Sem.equal" term_arb prop_alpha_rename_equal;
     Q.test "alpha: renamed redex reduces identically" term_arb prop_alpha_rename_apply;
+    Q.test ~count:2000 "beta_reduce: agrees with the reference model" deep_term_arb
+      prop_beta_matches_model;
   ]
