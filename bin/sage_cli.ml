@@ -511,10 +511,10 @@ let analyze_cmd =
      checks, checksum ordering, and the abstract-interpretation proof \
      layer — packet-bounds safety (SA007), value ranges (SA008), \
      statically decided branches (SA009), checksum-window coverage \
-     (SA010), FSM wedge states (SA011) and interp/compiled slot-layout \
-     consistency (SA012).  Findings carry stable SA0xx codes, statement \
-     ids and, where recoverable, the specification sentence involved; \
-     JSON output is sorted and byte-identical across $(b,--jobs)."
+     (SA010) and FSM wedge states (SA011).  Findings carry stable SA0xx \
+     codes, statement ids and, where recoverable, the specification \
+     sentence involved; JSON output is sorted and byte-identical across \
+     $(b,--jobs)."
   in
   Cmd.v
     (Cmd.info "analyze" ~doc)

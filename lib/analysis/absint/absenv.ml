@@ -12,15 +12,14 @@
    - [Par p]: an environment parameter or local variable.
 
    Proto field names are normalized through [Hd.c_identifier] so "Hold
-   Time" and "hold_time" share a cell, exactly as {!Packet_view} and
-   the compiled {!Layout} do.  The map is keyed by the normalized cell
+   Time" and "hold_time" share a cell, exactly as they share the
+   header diagram's storage slot.  The map is keyed by the normalized cell
    itself; a name that already is an identifier (codegen's are) is used
    as it is, so a lookup builds no string.  A cell absent from the map
    is [Top]. *)
 
 module Ir = Sage_codegen.Ir
 module Hd = Sage_rfc.Header_diagram
-module Pv = Sage_interp.Packet_view
 module I = Interval
 module SSet = Set.Make (String)
 
@@ -71,9 +70,9 @@ let is_local t p = SSet.mem p t.locals
    byte length). *)
 let proto_field_init lay f =
   match Hd.find_ident lay f with
-  | Some fd when not fd.Hd.variable -> I.of_range 0L (Pv.mask_of_bits fd.Hd.bits)
+  | Some fd when not fd.Hd.variable -> I.of_range 0L (Hd.mask_of_bits fd.Hd.bits)
   | Some _ ->
-    let fixed = Int64.neg (Int64.of_int (Pv.fixed_bytes lay)) in
+    let fixed = Int64.neg (Int64.of_int lay.Hd.fixed_bytes) in
     I.v ~lo:0L ~dlo:fixed ~dhi:fixed ()
   | None -> I.top
 
@@ -84,7 +83,7 @@ let cell_init ~layout c =
   | Par "payload_length" ->
     let min =
       match layout with
-      | Some lay -> Int64.of_int (Pv.fixed_bytes lay)
+      | Some lay -> Int64.of_int lay.Hd.fixed_bytes
       | None -> 0L
     in
     I.plen ~min

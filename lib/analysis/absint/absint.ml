@@ -23,7 +23,6 @@
 
 module Ir = Sage_codegen.Ir
 module Hd = Sage_rfc.Header_diagram
-module Pv = Sage_interp.Packet_view
 module I = Interval
 module E = Absenv
 
@@ -150,7 +149,7 @@ and eval_call ctx env fn args =
     let env, _ = eval_args env args in
     let lo =
       match ctx.layout with
-      | Some lay -> Int64.of_int (Pv.fixed_bytes lay)
+      | Some lay -> Int64.of_int lay.Hd.fixed_bytes
       | None -> 0L
     in
     (env, I.v ~lo ())
@@ -248,7 +247,7 @@ let assign ctx env lv v =
     let c = E.Cur (Ir.Proto, f) in
     match classify_field ctx.layout f with
     | Fixed fd ->
-      let mask = Pv.mask_of_bits fd.Hd.bits in
+      let mask = Hd.mask_of_bits fd.Hd.bits in
       let stored = if I.within v ~min:0L ~max:mask then v else I.of_range 0L mask in
       E.set env c stored
     | Variable _ | Unknown_field -> E.set env c (I.v ~lo:0L ()))

@@ -22,7 +22,6 @@
 
 module Ir = Sage_codegen.Ir
 module Hd = Sage_rfc.Header_diagram
-module Pv = Sage_interp.Packet_view
 module I = Interval
 module D = Diagnostic
 
@@ -191,7 +190,7 @@ let check_range ctx (fact : Absint.fact) =
     match Absint.classify_field ctx.summary.Absint.layout f with
     | Absint.Fixed fd ->
       let func = ctx.d.Dataflow.func in
-      let mask = Pv.mask_of_bits fd.Hd.bits in
+      let mask = Hd.mask_of_bits fd.Hd.bits in
       let emit severity text =
         ctx.emit
           (D.v ~field:fd.Hd.ident ~stmt_id:fact.Absint.id

@@ -54,11 +54,7 @@ let analyze_func ?layout ?sentence_of_stmt func =
              (Printexc.to_string exn));
       ]
   in
-  let slots =
-    protect ~name:"slot-consistency" ~fn_name ~protocol (fun () ->
-        Slots.check ctx)
-  in
-  D.sort (legacy @ semantic @ slots)
+  D.sort (legacy @ semantic)
 
 let analyze_program ?sentence_of_stmt ~struct_of_function funcs =
   let per_func =

@@ -2,8 +2,8 @@
     checks ({!Def_assign}, {!Dead_code}, {!Overflow}), the
     abstract-interpretation proof layer ({!Bounds}, {!Branches},
     {!Checksum_window} over a shared {!Absint} summary, plus the
-    program-level {!Fsm} wedge detector and the {!Slots} layout
-    verifier), and aggregates sorted diagnostics.
+    program-level {!Fsm} wedge detector), and aggregates sorted
+    diagnostics.
 
     The analyzer is total: a check that raises is converted into an
     [SA000] warning carrying the exception, so analysis can run inside

@@ -1,6 +1,5 @@
 module Ir = Sage_codegen.Ir
 module Hd = Sage_rfc.Header_diagram
-module Pv = Sage_interp.Packet_view
 module D = Diagnostic
 
 (* Definite assignment and field coverage (SA001/SA002).
@@ -104,6 +103,6 @@ let check (ctx : Dataflow.ctx) =
                      | D.Error ->
                        "; the packet would carry an invalid checksum"
                      | _ -> ""))))
-        (Pv.fixed_fields layout)
+        (Array.to_list layout.Hd.fixed)
   in
   sa001 @ List.rev !sa002

@@ -25,7 +25,7 @@ let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
    byte-identical however the diagnostics were produced (whatever
    --jobs, whatever check emitted first); severity/field/text break the
    remaining ties.  [None] statement ids (program-level findings like
-   SA011/SA012, or checks that predate ids) order after located ones. *)
+   SA011, or checks that predate ids) order after located ones. *)
 let compare_stmt_id a b =
   match a, b with
   | None, None -> 0

@@ -1,18 +1,17 @@
 module Ir = Sage_codegen.Ir
 module Hd = Sage_rfc.Header_diagram
-module Pv = Sage_interp.Packet_view
 module D = Diagnostic
 
 (* Width/overflow and checksum-ordering checks (SA005/SA006). *)
 
-let field_width layout ident =
-  List.find_map
+let field_width (layout : Hd.t) ident =
+  Array.find_map
     (fun (fd : Hd.field) ->
       if String.equal fd.Hd.ident ident then Some fd.Hd.bits else None)
-    (Pv.fixed_fields layout)
+    layout.Hd.fixed
 
 let fits ~bits n =
-  n >= 0 && Int64.compare (Int64.of_int n) (Pv.mask_of_bits bits) <= 0
+  n >= 0 && Int64.compare (Int64.of_int n) (Hd.mask_of_bits bits) <= 0
 
 let check (ctx : Dataflow.ctx) =
   let f = ctx.Dataflow.func in
@@ -42,7 +41,7 @@ let check (ctx : Dataflow.ctx) =
                        wire value would be truncated"
                       n
                       (Fmt.str "%a" Ir.pp_lvalue lv)
-                      bits (Pv.mask_of_bits bits)))
+                      bits (Hd.mask_of_bits bits)))
             | _ -> ())
          | _ -> ())
        f.Ir.body;
@@ -62,7 +61,7 @@ let check (ctx : Dataflow.ctx) =
                      (Printf.sprintf
                         "comparison %s against constant %d is degenerate: \
                          field %s holds at most %Ld (%d bits)"
-                        op n ident (Pv.mask_of_bits bits) bits))
+                        op n ident (Hd.mask_of_bits bits) bits))
               | _ -> ())
            | Ir.Cmp (_, a, b) | Ir.And (a, b) | Ir.Or (a, b) ->
              walk a;

@@ -2,8 +2,9 @@
     packet layout.
 
     - [SA005]: a constant assigned to a field exceeds its bit width
-      (the interpreter's {!Sage_interp.Packet_view.set} would silently
-      truncate it on the wire) — [Error]; a comparison against a
+      (both backends mask a field write to
+      {!Sage_rfc.Header_diagram.mask_of_bits}, so it would be silently
+      truncated on the wire) — [Error]; a comparison against a
       constant the field can never hold — [Warning].
     - [SA006] (error): a header field written after the checksum
       assignment, i.e. not covered by the checksum

@@ -60,7 +60,6 @@ type cstate = {
 }
 
 type ctx = {
-  cl : L.t;
   layout : Hd.t;
   fn : string;
   pidx : (string, int) Hashtbl.t;  (* param name -> cell *)
@@ -114,27 +113,29 @@ let collect_names body =
   (Array.of_list (List.rev !params), Array.of_list (List.rev !states))
 
 (* ------------------------------------------------------------------ *)
-(* Load-time field resolution (the [Packet_view.find_field] rules).    *)
+(* Load-time field resolution: the first field whose identifier        *)
+(* matches, as [Packet_view] looks fields up.                          *)
 (* ------------------------------------------------------------------ *)
 
-let find_field (layout : Hd.t) field =
-  let ident = Hd.c_identifier field in
-  List.find_opt
-    (fun (f : Hd.field) -> Hd.c_identifier f.Hd.name = ident)
-    layout.Hd.fields
+type proto_field = Tail | Fixed of Hd.field | Missing
 
 (* "data", or any variable-length field, names the byte tail *)
-let is_var_field layout field =
-  field = "data"
-  || (match find_field layout field with
-      | Some f -> f.Hd.variable
-      | None -> false)
+let resolve ctx field =
+  if field = "data" then Tail
+  else
+    match Hd.find_ident ctx.layout field with
+    | Some f when f.Hd.variable -> Tail
+    | Some f -> Fixed f
+    | None -> Missing
 
-let slot_of ctx field =
-  match find_field ctx.layout field with
-  | Some f when not f.Hd.variable ->
-    Hashtbl.find_opt ctx.cl.L.index (Hd.c_identifier f.Hd.name)
-  | _ -> None
+(* the slot of the first fixed field named [ident], or -1: a scan that
+   allocates nothing, for the per-packet field reads *)
+let rec fixed_slot (fixed : Hd.field array) ident i =
+  if i = Array.length fixed then -1
+  else
+    let f = Array.unsafe_get fixed i in
+    if String.equal f.Hd.ident ident then f.Hd.slot
+    else fixed_slot fixed ident (i + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation: Ir.expr -> (cstate -> Rt.value).            *)
@@ -159,24 +160,35 @@ let comp_write_ip field =
 
 (* reading a proto-layer field; [request] reads the received message *)
 let comp_read_proto ctx ~request field =
-  if is_var_field ctx.layout field then
+  match resolve ctx field with
+  | Tail ->
     if request then fun st ->
       if st.has_request then Rt.VBytes st.view_data
       else fail "no received message in this role"
     else fun st -> Rt.VBytes st.proto_data
-  else
-    match slot_of ctx field with
-    | Some i ->
-      if request then fun st ->
-        if st.has_request then Rt.VInt st.view_slots.(i)
-        else fail "no received message in this role"
-      else fun st -> Rt.VInt st.proto_slots.(i)
-    | None ->
-      let sn = ctx.cl.L.struct_name in
-      if request then fun st ->
-        if st.has_request then fail "no field %S in struct %s" field sn
-        else fail "no received message in this role"
-      else fun _ -> fail "no field %S in struct %s" field sn
+  | Fixed { Hd.slot = i; _ } ->
+    if request then fun st ->
+      if st.has_request then Rt.VInt st.view_slots.(i)
+      else fail "no received message in this role"
+    else fun st -> Rt.VInt st.proto_slots.(i)
+  | Missing ->
+    let sn = ctx.layout.Hd.struct_name in
+    if request then fun st ->
+      if st.has_request then fail "no field %S in struct %s" field sn
+      else fail "no received message in this role"
+    else fun _ -> fail "no field %S in struct %s" field sn
+
+(* [comp_read_proto] without the [VInt] box for fixed fields *)
+let comp_read_proto_int ctx ~request field : cstate -> int64 =
+  match resolve ctx field with
+  | Fixed { Hd.slot = i; _ } ->
+    if request then fun st ->
+      if st.has_request then st.view_slots.(i)
+      else fail "no received message in this role"
+    else fun st -> st.proto_slots.(i)
+  | Tail | Missing ->
+    let read = comp_read_proto ctx ~request field in
+    fun st -> Rt.int_of_value (read st)
 
 let comp_read ctx ~request layer field =
   match (layer : Ir.layer) with
@@ -194,20 +206,15 @@ let comp_read ctx ~request layer field =
 
 let comp_write ctx layer field =
   match (layer : Ir.layer) with
-  | Ir.Proto ->
-    if is_var_field ctx.layout field then fun st v ->
-      st.proto_data <- Rt.bytes_of_value v
-    else
-      (match find_field ctx.layout field with
-       | Some f ->
-         (* not variable: is_var_field was false *)
-         let i = Hashtbl.find ctx.cl.L.index (Hd.c_identifier f.Hd.name) in
-         let mask = L.mask_of_bits f.Hd.bits in
-         fun st v ->
-           st.proto_slots.(i) <- Int64.logand (Rt.int_of_value v) mask
-       | None ->
-         let sn = ctx.cl.L.struct_name in
-         fun _ _ -> fail "no field %S in struct %s" field sn)
+  | Ir.Proto -> (
+    match resolve ctx field with
+    | Tail -> fun st v -> st.proto_data <- Rt.bytes_of_value v
+    | Fixed f ->
+      let i = f.Hd.slot and mask = Hd.mask_of_bits f.Hd.bits in
+      fun st v -> st.proto_slots.(i) <- Int64.logand (Rt.int_of_value v) mask
+    | Missing ->
+      let sn = ctx.layout.Hd.struct_name in
+      fun _ _ -> fail "no field %S in struct %s" field sn)
   | Ir.Ip ->
     let wr = comp_write_ip field in
     fun st v -> wr st.ip (Rt.int_of_value v)
@@ -218,18 +225,19 @@ let comp_write ctx layer field =
       st.state_written.(i) <- true
 
 (* integer field write without the [Rt.value] detour — the assignment
-   hot path; variable-length (bytes) targets keep the value-based
-   [comp_write] *)
+   hot path; the byte tail keeps the value-based [comp_write] *)
 let comp_write_i ctx layer field : cstate -> int64 -> unit =
   match (layer : Ir.layer) with
   | Ir.Proto -> (
-    match find_field ctx.layout field with
-    | Some f ->
-      let i = Hashtbl.find ctx.cl.L.index (Hd.c_identifier f.Hd.name) in
-      let mask = L.mask_of_bits f.Hd.bits in
+    match resolve ctx field with
+    | Fixed f ->
+      let i = f.Hd.slot and mask = Hd.mask_of_bits f.Hd.bits in
       fun st v -> st.proto_slots.(i) <- Int64.logand v mask
-    | None ->
-      let sn = ctx.cl.L.struct_name in
+    | Tail ->
+      let w = comp_write ctx layer field in
+      fun st v -> w st (Rt.VInt v)
+    | Missing ->
+      let sn = ctx.layout.Hd.struct_name in
       fun _ _ -> fail "no field %S in struct %s" field sn)
   | Ir.Ip ->
     let wr = comp_write_ip field in
@@ -249,50 +257,46 @@ let scratch_for scratch need =
    [recompute_checksum]/[recompute_<field>] primitive.  The packed image
    only feeds the sum, so it goes into a reused scratch buffer. *)
 let comp_checksum_outgoing ctx ~checksum_field =
-  match find_field ctx.layout checksum_field with
+  let layout = ctx.layout in
+  match Hd.find_ident layout checksum_field with
   | Some f when f.Hd.variable ->
     fun _ -> fail "field %S is variable-length" checksum_field
-  | Some f ->
-    let cs = Hashtbl.find ctx.cl.L.index (Hd.c_identifier f.Hd.name) in
-    let cl = ctx.cl in
+  | Some { Hd.slot = cs; _ } ->
     let scratch = ref Bytes.empty in
     fun st ->
       let buf =
-        scratch_for scratch (cl.L.fixed_bytes + Bytes.length st.proto_data)
+        scratch_for scratch
+          (layout.Hd.fixed_bytes + Bytes.length st.proto_data)
       in
       let len =
-        L.pack_fields_into ~zero_slot:cs ~fields:cl.L.fields
-          ~nbytes:cl.L.fixed_bytes st.proto_slots ~data:st.proto_data buf
+        L.pack_fields_into ~zero_slot:cs ~fields:layout.Hd.fixed
+          ~nbytes:layout.Hd.fixed_bytes st.proto_slots ~data:st.proto_data
+          buf
       in
       Rt.VInt (Int64.of_int (Checksum.checksum ~len buf))
   | None ->
     fun _ ->
-      fail "no field %S in struct %s" checksum_field ctx.cl.L.struct_name
+      fail "no field %S in struct %s" checksum_field layout.Hd.struct_name
 
 (* the [message_from] field range: fields from [f] onward, their packed
    width, and the checksum slot to zero — shared by the value-producing
    compile and the fused checksum path below *)
 let message_from_plan ctx f =
-  match find_field ctx.layout f with
+  match Hd.find_ident ctx.layout f with
   | None -> Error `No_field
   | Some start when start.Hd.bit_offset mod 8 <> 0 -> Error `Unaligned
   | Some start ->
+    let fixed = ctx.layout.Hd.fixed in
     let fields =
       Array.of_list
         (List.filter
-           (fun (fld : L.field) -> fld.L.bit_off >= start.Hd.bit_offset)
-           (Array.to_list ctx.cl.L.fields))
+           (fun (fld : Hd.field) -> fld.Hd.bit_offset >= start.Hd.bit_offset)
+           (Array.to_list fixed))
     in
     let total_bits =
-      Array.fold_left (fun acc (fld : L.field) -> acc + fld.L.bits) 0 fields
+      Array.fold_left (fun acc (fld : Hd.field) -> acc + fld.Hd.bits) 0 fields
     in
-    let nbytes = (total_bits + 7) / 8 in
-    let zero_slot =
-      match Hashtbl.find_opt ctx.cl.L.index "checksum" with
-      | Some s -> s
-      | None -> -1
-    in
-    Ok (fields, nbytes, zero_slot)
+    Ok (fields, (total_bits + 7) / 8, fixed_slot fixed "checksum" 0)
 
 (* serialize the outgoing message from field [f] onward with the
    checksum zeroed — the [message_from] primitive; range precomputed *)
@@ -382,7 +386,7 @@ and comp_call ctx fn args =
       Rt.VInt 0L
   | "message_from", [ Ir.Field (Ir.Proto, f) ] -> comp_message_from ctx f
   | "whole_message", _ ->
-    fun st -> Rt.VBytes (L.pack ctx.cl st.proto_slots ~data:st.proto_data)
+    fun st -> Rt.VBytes (L.pack ctx.layout st.proto_slots ~data:st.proto_data)
   | "ones_complement_sum", [ Ir.Call ("message_from", [ Ir.Field (Ir.Proto, f) ]) ] -> (
     (* fused: the packed range only feeds the sum — reuse a scratch
        buffer instead of allocating the image every execution *)
@@ -401,15 +405,16 @@ and comp_call ctx fn args =
         in
         Rt.VInt (Int64.of_int (Checksum.ones_complement_sum ~len buf)))
   | "ones_complement_sum", [ Ir.Call ("whole_message", _) ] ->
-    let cl = ctx.cl in
+    let layout = ctx.layout in
     let scratch = ref Bytes.empty in
     fun st ->
       let buf =
-        scratch_for scratch (cl.L.fixed_bytes + Bytes.length st.proto_data)
+        scratch_for scratch
+          (layout.Hd.fixed_bytes + Bytes.length st.proto_data)
       in
       let len =
-        L.pack_fields_into ~fields:cl.L.fields ~nbytes:cl.L.fixed_bytes
-          st.proto_slots ~data:st.proto_data buf
+        L.pack_fields_into ~fields:layout.Hd.fixed
+          ~nbytes:layout.Hd.fixed_bytes st.proto_slots ~data:st.proto_data buf
       in
       Rt.VInt (Int64.of_int (Checksum.ones_complement_sum ~len buf))
   | "ones_complement_sum", [ a ] ->
@@ -508,23 +513,8 @@ and comp_int ctx (e : Ir.expr) : cstate -> int64 =
   | Ir.Int n ->
     let v = Int64.of_int n in
     fun _ -> v
-  | Ir.Field (Ir.Proto, f) when not (is_var_field ctx.layout f) -> (
-    match slot_of ctx f with
-    | Some i -> fun st -> st.proto_slots.(i)
-    | None ->
-      let sn = ctx.cl.L.struct_name in
-      fun _ -> fail "no field %S in struct %s" f sn)
-  | Ir.Request_field (Ir.Proto, f) when not (is_var_field ctx.layout f) -> (
-    match slot_of ctx f with
-    | Some i ->
-      fun st ->
-        if st.has_request then st.view_slots.(i)
-        else fail "no received message in this role"
-    | None ->
-      let sn = ctx.cl.L.struct_name in
-      fun st ->
-        if st.has_request then fail "no field %S in struct %s" f sn
-        else fail "no received message in this role")
+  | Ir.Field (Ir.Proto, f) -> comp_read_proto_int ctx ~request:false f
+  | Ir.Request_field (Ir.Proto, f) -> comp_read_proto_int ctx ~request:true f
   | Ir.Field (Ir.State, f) | Ir.Request_field (Ir.State, f) ->
     let i = Hashtbl.find ctx.sidx f in
     fun st -> st.states.(i)
@@ -620,15 +610,13 @@ and comp_stmt ctx ~id stmt : cstate -> unit =
     ctx.point_ids <- id :: ctx.point_ids;
     let body =
       match stmt with
+      | Ir.Assign (Ir.Lfield (Ir.Proto, f), e) when resolve ctx f = Tail ->
+        (* bytes target: keep the value path *)
+        let ce = comp_expr ctx e and w = comp_write ctx Ir.Proto f in
+        fun st -> w st (ce st)
       | Ir.Assign (Ir.Lfield (l, f), e) ->
-        (match l with
-         | Ir.Proto when is_var_field ctx.layout f ->
-           (* bytes target: keep the value path *)
-           let ce = comp_expr ctx e and w = comp_write ctx l f in
-           fun st -> w st (ce st)
-         | _ ->
-           let ce = comp_int ctx e and wi = comp_write_i ctx l f in
-           fun st -> wi st (ce st))
+        let ce = comp_int ctx e and wi = comp_write_i ctx l f in
+        fun st -> wi st (ce st)
       | Ir.Assign (Ir.Lvar v, e) ->
         let ce = comp_expr ctx e in
         let i = Hashtbl.find ctx.pidx v in
@@ -668,7 +656,7 @@ and comp_stmt ctx ~id stmt : cstate -> unit =
 
 type prog = {
   func : Ir.func;
-  cl : L.t;
+  layout : Hd.t;
   assigns_checksum : bool;
   run : cstate -> unit;
   st : cstate;
@@ -688,12 +676,10 @@ let index_of names =
 let dummy_ip () = Rt.ip_info ~src:Addr.any ~dst:Addr.any ()
 
 let load ~layout (func : Ir.func) =
-  let cl = L.of_layout layout in
   let pnames, snames = collect_names func.Ir.body in
   let pidx = index_of pnames and sidx = index_of snames in
   let ctx =
     {
-      cl;
       layout;
       fn = func.Ir.fn_name;
       pidx;
@@ -717,8 +703,8 @@ let load ~layout (func : Ir.func) =
   in
   let st =
     {
-      view_slots = Array.make (max 1 cl.L.nslots) 0L;
-      proto_slots = Array.make (max 1 cl.L.nslots) 0L;
+      view_slots = Array.make (max 1 layout.Hd.nslots) 0L;
+      proto_slots = Array.make (max 1 layout.Hd.nslots) 0L;
       view_data = Bytes.empty;
       proto_data = Bytes.empty;
       ip = dummy_ip ();
@@ -739,7 +725,7 @@ let load ~layout (func : Ir.func) =
   in
   {
     func;
-    cl;
+    layout;
     assigns_checksum = Intf.assigns_checksum func;
     run;
     st;
@@ -754,20 +740,24 @@ let load ~layout (func : Ir.func) =
 (* [Packet_view.get] over a slot snapshot, raw-name normalization
    deferred to the slow path (observed names are usually already
    canonical identifiers) *)
-let read_field cl slots field =
+let read_field (layout : Hd.t) slots field =
+  let fixed = layout.Hd.fixed in
   let slot =
-    match Hashtbl.find_opt cl.L.index field with
-    | Some _ as s -> s
-    | None -> Hashtbl.find_opt cl.L.index (Hd.c_identifier field)
+    match fixed_slot fixed field 0 with
+    | -1 -> fixed_slot fixed (Hd.c_identifier field) 0
+    | i -> i
   in
-  match slot with
-  | Some i -> Ok slots.(i)
-  | None ->
-    if List.mem (Hd.c_identifier field) cl.L.var_idents then
-      Error (Printf.sprintf "field %S is variable-length" field)
+  if slot >= 0 then Ok slots.(slot)
+  else
+    let ident = Hd.c_identifier field in
+    if
+      List.exists
+        (fun (f : Hd.field) -> f.Hd.variable && String.equal f.Hd.ident ident)
+        layout.Hd.fields
+    then Error (Printf.sprintf "field %S is variable-length" field)
     else
       Error
-        (Printf.sprintf "no field %S in struct %s" field cl.L.struct_name)
+        (Printf.sprintf "no field %S in struct %s" field layout.Hd.struct_name)
 
 (* Environment loading, as top-level recursions: closures defined
    inside [exec] would be re-allocated on every packet.  The function
@@ -813,19 +803,19 @@ let final_state t env_state states written =
   List.sort compare !bindings
 
 let exec t ?coverage ?trace ~(env : Intf.env) packet =
-  let cl = t.cl in
-  let plen = Bytes.length packet in
-  if plen < cl.L.fixed_bytes then
+  let layout = t.layout in
+  let plen = Bytes.length packet and fixed_bytes = layout.Hd.fixed_bytes in
+  if plen < fixed_bytes then
     Error
       (Printf.sprintf "short packet: %d bytes, struct %s needs %d" plen
-         cl.L.struct_name cl.L.fixed_bytes)
+         layout.Hd.struct_name fixed_bytes)
   else begin
     let st = t.st in
-    L.read cl packet st.view_slots;
-    Array.blit st.view_slots 0 st.proto_slots 0 cl.L.nslots;
+    L.read layout packet st.view_slots;
+    Array.blit st.view_slots 0 st.proto_slots 0 layout.Hd.nslots;
     let data =
-      if plen = cl.L.fixed_bytes then Bytes.empty
-      else Bytes.sub packet cl.L.fixed_bytes (plen - cl.L.fixed_bytes)
+      if plen = fixed_bytes then Bytes.empty
+      else Bytes.sub packet fixed_bytes (plen - fixed_bytes)
     in
     (* the tail is never mutated in place, only replaced: share it *)
     st.view_data <- data;
@@ -875,12 +865,12 @@ let exec t ?coverage ?trace ~(env : Intf.env) packet =
         Intf.backend = Intf.Compiled;
         discarded = st.discarded;
         error;
-        output = L.pack cl st.proto_slots ~data:st.proto_data;
-        reserialized = L.pack cl view_slots ~data;
+        output = L.pack layout st.proto_slots ~data:st.proto_data;
+        reserialized = L.pack layout view_slots ~data;
         sent = st.sent;
         called = st.called;
         ip = st.ip;
-        read_field = (fun f -> read_field cl view_slots f);
+        read_field = (fun f -> read_field layout view_slots f);
         final_state = lazy (final_state t env_state states written);
         assigns_checksum = t.assigns_checksum;
       }

@@ -1,11 +1,7 @@
-(* A header layout compiled for slot-array execution: every fixed field
-   resolved once — C identifier, bit geometry, mask, slot index — so the
-   packet hot path never walks field lists or normalizes names.
-
-   Slot sharing mirrors [Packet_view]'s hashtable keyed by C identifier:
-   two fields whose names normalize to the same identifier share one
-   slot (reads see the last write), keeping the compiled representation
-   bit-for-bit interchangeable with the interpreter's view.
+(* Bit packing over a header diagram's fixed fields.  Each field's
+   value lives in [slots.(f.slot)]; the diagram resolved slots, offsets
+   and the fixed size when it was built, so the packet hot path never
+   walks field lists or normalizes names.
 
    Byte packing replicates [Packet_view.serialize]/[deserialize]
    exactly — big-endian, absolute bit offsets on decode, offsets
@@ -13,107 +9,6 @@
    byte-aligned fields and the same bit loop otherwise. *)
 
 module Hd = Sage_rfc.Header_diagram
-
-type field = {
-  ident : string;  (* C identifier of the field name *)
-  bits : int;
-  bit_off : int;  (* absolute offset within the header *)
-  mask : int64;
-  slot : int;
-}
-
-type t = {
-  src : Hd.t;
-  struct_name : string;
-  fields : field array;  (* fixed fields, layout order *)
-  index : (string, int) Hashtbl.t;  (* ident -> slot *)
-  nslots : int;
-  fixed_bytes : int;
-  var_idents : string list;  (* idents of variable-length fields *)
-}
-
-let mask_of_bits bits =
-  if bits >= 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L
-
-let build (layout : Hd.t) =
-  let fixed =
-    List.filter (fun (f : Hd.field) -> not f.Hd.variable) layout.Hd.fields
-  in
-  let index = Hashtbl.create 16 in
-  let nslots = ref 0 in
-  let fields =
-    Array.of_list
-      (List.map
-         (fun (f : Hd.field) ->
-           let ident = Hd.c_identifier f.Hd.name in
-           let slot =
-             match Hashtbl.find_opt index ident with
-             | Some s -> s
-             | None ->
-               let s = !nslots in
-               incr nslots;
-               Hashtbl.add index ident s;
-               s
-           in
-           {
-             ident;
-             bits = f.Hd.bits;
-             bit_off = f.Hd.bit_offset;
-             mask = mask_of_bits f.Hd.bits;
-             slot;
-           })
-         fixed)
-  in
-  let total_bits =
-    List.fold_left (fun acc (f : Hd.field) -> acc + f.Hd.bits) 0 fixed
-  in
-  {
-    src = layout;
-    struct_name = layout.Hd.struct_name;
-    fields;
-    index;
-    nslots = !nslots;
-    fixed_bytes = (total_bits + 7) / 8;
-    var_idents =
-      List.filter_map
-        (fun (f : Hd.field) ->
-          if f.Hd.variable then Some (Hd.c_identifier f.Hd.name) else None)
-        layout.Hd.fields;
-  }
-
-(* one compiled layout per distinct header diagram; layouts are small
-   and the pipeline produces a handful per corpus *)
-let cache : (Hd.t, t) Hashtbl.t = Hashtbl.create 8
-
-(* Hot callers (the fuzz loop) resolve the same physical diagram every
-   iteration: a small identity list dodges the structural hash of the
-   whole field list.  The structural table behind it still deduplicates
-   equal-but-distinct diagrams across pipeline runs. *)
-let phys_cache : (Hd.t * t) list ref = ref []
-let phys_cache_cap = 64
-
-let of_layout layout =
-  let rec find = function
-    | [] -> None
-    | (hd, t) :: rest -> if hd == layout then Some t else find rest
-  in
-  match find !phys_cache with
-  | Some t -> t
-  | None ->
-    let t =
-      match Hashtbl.find_opt cache layout with
-      | Some t -> t
-      | None ->
-        let t = build layout in
-        Hashtbl.add cache layout t;
-        t
-    in
-    phys_cache :=
-      (layout, t)
-      :: (if List.length !phys_cache >= phys_cache_cap then
-            List.filteri (fun i _ -> i < phys_cache_cap - 1) !phys_cache
-          else !phys_cache);
-    t
 
 (* Write [bits] bits of [v], big-endian, at [bit_off] into [buf].
    Byte-aligned fields overwrite whole bytes; the unaligned path only
@@ -213,49 +108,52 @@ let read_bits b ~bit_off ~bits =
 (* Decode the fixed fields of [b] into [slots] (length [nslots]).  The
    caller has checked [Bytes.length b >= fixed_bytes].  Later fields
    sharing a slot overwrite earlier ones, like Hashtbl.replace did. *)
-let read t b slots =
-  let fields = t.fields in
+let read (layout : Hd.t) b slots =
+  let fields = layout.Hd.fixed in
   for i = 0 to Array.length fields - 1 do
     let f = Array.unsafe_get fields i in
-    slots.(f.slot) <- read_bits b ~bit_off:f.bit_off ~bits:f.bits
+    slots.(f.Hd.slot) <- read_bits b ~bit_off:f.Hd.bit_offset ~bits:f.Hd.bits
   done
 
 (* Pack a field subset: offsets relative to the first packed field, the
    same convention as [Packet_view.pack_fields].  [zero_slot] substitutes
    zero for one slot (the checksum-computation primitives). *)
-let pack_fields ?(zero_slot = -1) ~fields ~nbytes slots ~data =
+let pack_fields ?(zero_slot = -1) ~(fields : Hd.field array) ~nbytes slots
+    ~data =
   let base_off =
-    match Array.length fields with 0 -> 0 | _ -> fields.(0).bit_off
+    match Array.length fields with 0 -> 0 | _ -> fields.(0).Hd.bit_offset
   in
   let dlen = Bytes.length data in
   let out = Bytes.make (nbytes + dlen) '\000' in
   for i = 0 to Array.length fields - 1 do
     let f = Array.unsafe_get fields i in
-    let v = if f.slot = zero_slot then 0L else slots.(f.slot) in
-    write_bits out ~bit_off:(f.bit_off - base_off) ~bits:f.bits v
+    let v = if f.Hd.slot = zero_slot then 0L else slots.(f.Hd.slot) in
+    write_bits out ~bit_off:(f.Hd.bit_offset - base_off) ~bits:f.Hd.bits v
   done;
   if dlen > 0 then Bytes.blit data 0 out nbytes dlen;
   out
 
-let pack ?zero_slot t slots ~data =
-  pack_fields ?zero_slot ~fields:t.fields ~nbytes:t.fixed_bytes slots ~data
+let pack ?zero_slot (layout : Hd.t) slots ~data =
+  pack_fields ?zero_slot ~fields:layout.Hd.fixed ~nbytes:layout.Hd.fixed_bytes
+    slots ~data
 
 (* [pack_fields] into a caller-owned scratch buffer — for byte images
    that are consumed immediately (checksum sums) and never retained, so
    the hot path skips the allocation.  Zeroes the packed prefix first
    (the unaligned bit path only ORs one-bits in) and returns the packed
    length; [buf] must be at least [nbytes + length data] long. *)
-let pack_fields_into ?(zero_slot = -1) ~fields ~nbytes slots ~data buf =
+let pack_fields_into ?(zero_slot = -1) ~(fields : Hd.field array) ~nbytes
+    slots ~data buf =
   let base_off =
-    match Array.length fields with 0 -> 0 | _ -> fields.(0).bit_off
+    match Array.length fields with 0 -> 0 | _ -> fields.(0).Hd.bit_offset
   in
   let dlen = Bytes.length data in
   let len = nbytes + dlen in
   Bytes.fill buf 0 len '\000';
   for i = 0 to Array.length fields - 1 do
     let f = Array.unsafe_get fields i in
-    let v = if f.slot = zero_slot then 0L else slots.(f.slot) in
-    write_bits buf ~bit_off:(f.bit_off - base_off) ~bits:f.bits v
+    let v = if f.Hd.slot = zero_slot then 0L else slots.(f.Hd.slot) in
+    write_bits buf ~bit_off:(f.Hd.bit_offset - base_off) ~bits:f.Hd.bits v
   done;
   if dlen > 0 then Bytes.blit data 0 buf nbytes dlen;
   len

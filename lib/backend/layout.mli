@@ -1,54 +1,29 @@
-(** Header layouts compiled for slot-array execution: per-field C
-    identifiers, bit geometry, masks and slot indices resolved once, so
-    the packet hot path never walks field lists or normalizes names.
-    Packing and unpacking are bit-for-bit compatible with
+(** Bit packing over a header diagram's fixed fields, for slot-array
+    execution: a field's value lives in [slots.(field.slot)], with the
+    geometry {!Sage_rfc.Header_diagram} resolved when the diagram was
+    built.  Packing and unpacking are bit-for-bit compatible with
     {!Sage_interp.Packet_view.serialize}/[deserialize] (asserted by the
     backend differential test suite). *)
 
 module Hd = Sage_rfc.Header_diagram
 
-type field = {
-  ident : string;  (** C identifier of the field name *)
-  bits : int;
-  bit_off : int;  (** absolute bit offset within the header *)
-  mask : int64;
-  slot : int;
-      (** fields whose names normalize to the same identifier share a
-          slot, mirroring the view's identifier-keyed hashtable *)
-}
-
-type t = {
-  src : Hd.t;
-  struct_name : string;
-  fields : field array;  (** fixed fields, layout order *)
-  index : (string, int) Hashtbl.t;  (** ident -> slot *)
-  nslots : int;
-  fixed_bytes : int;
-  var_idents : string list;  (** idents of variable-length fields *)
-}
-
-val mask_of_bits : int -> int64
-
-val of_layout : Hd.t -> t
-(** Memoized per distinct header diagram. *)
-
-val read : t -> bytes -> int64 array -> unit
+val read : Hd.t -> bytes -> int64 array -> unit
 (** Decode the fixed fields into a slot array of length [nslots].  The
     caller must have checked [Bytes.length >= fixed_bytes]. *)
 
-val pack : ?zero_slot:int -> t -> int64 array -> data:bytes -> bytes
+val pack : ?zero_slot:int -> Hd.t -> int64 array -> data:bytes -> bytes
 (** Serialize: fixed fields then the variable tail, like
     [Packet_view.serialize].  [zero_slot] substitutes zero for one slot
     (checksum computation). *)
 
 val pack_fields :
-  ?zero_slot:int -> fields:field array -> nbytes:int -> int64 array ->
+  ?zero_slot:int -> fields:Hd.field array -> nbytes:int -> int64 array ->
   data:bytes -> bytes
 (** Pack an arbitrary field subset with offsets taken relative to the
     first packed field — the [Packet_view.serialize_from] convention. *)
 
 val pack_fields_into :
-  ?zero_slot:int -> fields:field array -> nbytes:int -> int64 array ->
+  ?zero_slot:int -> fields:Hd.field array -> nbytes:int -> int64 array ->
   data:bytes -> bytes -> int
 (** [pack_fields] into a caller-owned scratch buffer, returning the
     packed length — for byte images that are summed and dropped, so the

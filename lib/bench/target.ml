@@ -222,7 +222,7 @@ let all =
     };
     {
       key = "analysis-absint/iter";
-      descr = "SA007-SA012 proof layer over all ICMP functions, per run";
+      descr = "SA007-SA011 proof layer over all ICMP functions, per run";
       backend = "absint";
       calls = 200;
       reps = 3;

@@ -8,15 +8,12 @@
 module Hd = Sage_rfc.Header_diagram
 module L = Sage_backend.Layout
 
-let mask_of_bits bits =
-  if bits >= 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L
-
 (* Boundary-biased field value: zero, one, all-ones, the sign bit and
    its neighbourhood are each over-represented relative to uniform —
    the values RFC prose tends to single out ("must be zero", "nonzero",
    the highest code point). *)
 let field_value rng ~bits =
-  let ones = mask_of_bits bits in
+  let ones = Hd.mask_of_bits bits in
   match Rng.int_below rng 8 with
   | 0 -> 0L
   | 1 -> 1L
@@ -25,20 +22,22 @@ let field_value rng ~bits =
   | 4 when bits >= 2 -> Int64.shift_left 1L (bits - 1)
   | _ -> Int64.logand (Rng.next_int64 rng) ones
 
-let data_tail rng =
+(* [hdr], sometimes followed by a random variable-length tail *)
+let with_tail rng hdr =
   match Rng.int_below rng 4 with
-  | 0 | 1 -> Bytes.empty
+  | 0 | 1 -> hdr
   | _ ->
-    let n = Rng.range rng 1 24 in
+    let n = Rng.range rng 1 24 and base = Bytes.length hdr in
+    let b = Bytes.extend hdr 0 n in
     (* four tail bytes per generator advance, not one per byte *)
-    let b = Bytes.create n in
     let i = ref 0 in
     while !i < n do
       let w = Rng.bits32 rng in
       let stop = min n (!i + 4) in
       let k = ref 0 in
       while !i < stop do
-        Bytes.unsafe_set b !i (Char.unsafe_chr ((w lsr (!k * 8)) land 0xff));
+        Bytes.unsafe_set b (base + !i)
+          (Char.unsafe_chr ((w lsr (!k * 8)) land 0xff));
         incr i;
         incr k
       done
@@ -47,65 +46,61 @@ let data_tail rng =
 
 (* A structurally valid packet for the layout: fixed header fully
    present, boundary-biased values, sometimes a variable-length tail.
-   Runs over the compiled layout — a slot array and one pack, no
-   hashtable view — but draws in layout-field order and packs
-   big-endian exactly as the view-based generator did, so a given RNG
-   state yields byte-identical packets (asserted by the backend test
-   suite). *)
-(* Scratch slot array, reused across calls (generation is sequential
-   and [L.pack] copies the values out).  Every slot is overwritten
-   before packing — each slot belongs to at least one fixed field. *)
-let scratch_cache : (L.t * int64 array) list ref = ref []
-
-let scratch_slots cl =
-  match List.assq_opt cl !scratch_cache with
-  | Some a -> a
-  | None ->
-    let a = Array.make (max 1 cl.L.nslots) 0L in
-    scratch_cache := (cl, a) :: !scratch_cache;
-    a
-
+   Values are drawn in layout-field order and packed big-endian exactly
+   as [L.pack] packs a slot array, so a given RNG state yields
+   byte-identical packets (asserted by the backend test suite). *)
 let packet rng (layout : Hd.t) =
-  let cl = L.of_layout layout in
-  let slots = scratch_slots cl in
-  Array.iter
-    (fun (f : L.field) -> slots.(f.L.slot) <- field_value rng ~bits:f.L.bits)
-    cl.L.fields;
-  let data = data_tail rng in
-  L.pack cl slots ~data
+  let fixed = layout.Hd.fixed in
+  if layout.Hd.nslots = Array.length fixed then begin
+    (* a slot per field (every shipped layout): pack each value as it
+       is drawn, with no slot array to allocate per packet *)
+    let hdr = Bytes.make layout.Hd.fixed_bytes '\000' in
+    let base = if Array.length fixed = 0 then 0 else fixed.(0).Hd.bit_offset in
+    for i = 0 to Array.length fixed - 1 do
+      let f = fixed.(i) in
+      L.write_bits hdr ~bit_off:(f.Hd.bit_offset - base) ~bits:f.Hd.bits
+        (field_value rng ~bits:f.Hd.bits)
+    done;
+    with_tail rng hdr
+  end
+  else begin
+    (* fields sharing a slot all carry its last draw *)
+    let slots = Array.make layout.Hd.nslots 0L in
+    Array.iter
+      (fun (f : Hd.field) -> slots.(f.Hd.slot) <- field_value rng ~bits:f.Hd.bits)
+      fixed;
+    with_tail rng (L.pack layout slots ~data:Bytes.empty)
+  end
 
-(* Byte offsets where a fixed field starts on a byte boundary — the
-   interesting truncation points. *)
+(* A fixed field starting on a byte boundary: an interesting truncation
+   point. *)
+let boundary (f : Hd.field) = f.Hd.bit_offset mod 8 = 0
+
 let field_boundaries (layout : Hd.t) =
   List.filter_map
-    (fun (f : Hd.field) ->
-      if (not f.Hd.variable) && f.Hd.bit_offset mod 8 = 0 then
-        Some (f.Hd.bit_offset / 8)
-      else None)
-    layout.Hd.fields
+    (fun f -> if boundary f then Some (f.Hd.bit_offset / 8) else None)
+    (Array.to_list layout.Hd.fixed)
+
+(* The boundaries below byte [len]: counted, and the [k]th of them —
+   a truncation picks one without building the list. *)
+let cut_below len (f : Hd.field) = boundary f && f.Hd.bit_offset / 8 < len
+
+let rec count_cuts (fixed : Hd.field array) len i =
+  if i = Array.length fixed then 0
+  else Bool.to_int (cut_below len fixed.(i)) + count_cuts fixed len (i + 1)
+
+let rec nth_cut (fixed : Hd.field array) len i k =
+  let f = fixed.(i) in
+  if not (cut_below len f) then nth_cut fixed len (i + 1) k
+  else if k = 0 then f.Hd.bit_offset / 8
+  else nth_cut fixed len (i + 1) (k - 1)
 
 let checksum_byte (layout : Hd.t) =
-  List.find_map
+  Array.find_map
     (fun (f : Hd.field) ->
-      if Hd.c_identifier f.Hd.name = "checksum" && not f.Hd.variable then
-        Some (f.Hd.bit_offset / 8)
+      if String.equal f.Hd.ident "checksum" then Some (f.Hd.bit_offset / 8)
       else None)
-    layout.Hd.fields
-
-(* Truncation offsets and the checksum byte are layout constants:
-   resolve them once per compiled layout (physical identity, like
-   [L.of_layout]'s fast path) instead of walking the field list on
-   every mutation. *)
-let geom_cache : (L.t * (int list * int option)) list ref = ref []
-
-let geometry (layout : Hd.t) =
-  let cl = L.of_layout layout in
-  match List.assq_opt cl !geom_cache with
-  | Some g -> g
-  | None ->
-    let g = (field_boundaries layout, checksum_byte layout) in
-    geom_cache := (cl, g) :: !geom_cache;
-    g
+    layout.Hd.fixed
 
 (* One seeded mutation of [b].  All mutants of a non-empty input are
    non-empty except field-boundary truncation at offset 0. *)
@@ -128,17 +123,19 @@ let mutate rng (layout : Hd.t) b =
       b
     | 2 ->
       (* field-boundary truncation *)
-      let boundaries, _ = geometry layout in
-      let cuts = List.filter (fun o -> o < len) boundaries in
-      let cut = match cuts with [] -> Rng.int_below rng len | _ -> Rng.pick rng cuts in
+      let fixed = layout.Hd.fixed in
+      let cut =
+        match count_cuts fixed len 0 with
+        | 0 -> Rng.int_below rng len
+        | n -> nth_cut fixed len 0 (Rng.int_below rng n)
+      in
       Bytes.sub b 0 cut
     | 3 ->
       (* checksum corruption: step the recovered checksum field (or the
          last byte when the layout has none) so near-valid packets with
          a just-wrong checksum are common *)
-      let _, csum = geometry layout in
       let i =
-        match csum with
+        match checksum_byte layout with
         | Some o when o + 1 < len -> o + 1
         | _ -> len - 1
       in

@@ -6,14 +6,11 @@ type t = {
   mutable data : bytes;
 }
 
-let fixed_fields layout =
-  List.filter (fun (f : Hd.field) -> not f.variable) layout.Hd.fields
-
 let create layout =
   let values = Hashtbl.create 16 in
-  List.iter
+  Array.iter
     (fun (f : Hd.field) -> Hashtbl.replace values (Hd.c_identifier f.name) 0L)
-    (fixed_fields layout);
+    layout.Hd.fixed;
   { layout; values; data = Bytes.empty }
 
 let struct_def v = v.layout
@@ -23,9 +20,6 @@ let find_field v name =
   List.find_opt
     (fun (f : Hd.field) -> Hd.c_identifier f.name = ident)
     v.layout.Hd.fields
-
-let mask_of_bits bits =
-  if bits >= 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L
 
 let get v name =
   match find_field v name with
@@ -38,7 +32,7 @@ let set v name value =
   match find_field v name with
   | Some f when not f.variable ->
     Hashtbl.replace v.values (Hd.c_identifier f.name)
-      (Int64.logand value (mask_of_bits f.bits));
+      (Int64.logand value (Hd.mask_of_bits f.bits));
     Ok ()
   | Some _ -> Error (Printf.sprintf "field %S is variable-length" name)
   | None -> Error (Printf.sprintf "no field %S in struct %s" name v.layout.Hd.struct_name)
@@ -48,12 +42,6 @@ let set_data v b = v.data <- b
 
 let copy v =
   { layout = v.layout; values = Hashtbl.copy v.values; data = Bytes.copy v.data }
-
-let fixed_bytes layout =
-  let bits =
-    List.fold_left (fun acc (f : Hd.field) -> acc + f.bits) 0 (fixed_fields layout)
-  in
-  (bits + 7) / 8
 
 (* Big-endian bit packing. *)
 let pack_fields v fields total_bits =
@@ -85,7 +73,7 @@ let pack_fields v fields total_bits =
   out
 
 let serialize v =
-  let fields = fixed_fields v.layout in
+  let fields = Array.to_list v.layout.Hd.fixed in
   let total_bits = List.fold_left (fun acc (f : Hd.field) -> acc + f.bits) 0 fields in
   Bytes.cat (pack_fields v fields total_bits) v.data
 
@@ -108,9 +96,7 @@ let serialize_from v name =
       Ok (Bytes.cat (pack_fields v fields total_bits) v.data)
 
 let deserialize layout b =
-  let fields = fixed_fields layout in
-  let total_bits = List.fold_left (fun acc (f : Hd.field) -> acc + f.bits) 0 fields in
-  let nbytes = (total_bits + 7) / 8 in
+  let nbytes = layout.Hd.fixed_bytes in
   if Bytes.length b < nbytes then
     Error
       (Printf.sprintf "short packet: %d bytes, struct %s needs %d"
@@ -127,11 +113,11 @@ let deserialize layout b =
       done;
       !value
     in
-    List.iter
+    Array.iter
       (fun (f : Hd.field) ->
         Hashtbl.replace v.values (Hd.c_identifier f.name)
           (read_bits ~bit_off:f.bit_offset ~bits:f.bits))
-      fields;
+      layout.Hd.fixed;
     v.data <- Bytes.sub b nbytes (Bytes.length b - nbytes);
     Ok v
   end

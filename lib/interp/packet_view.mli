@@ -40,20 +40,6 @@ val deserialize : Sage_rfc.Header_diagram.t -> bytes -> (t, string) result
 (** Parse wire bytes into a view; trailing bytes beyond the fixed fields
     become the variable data. *)
 
-val fixed_bytes : Sage_rfc.Header_diagram.t -> int
-(** Size of the fixed part in bytes (total fixed bits / 8). *)
-
-val fixed_fields :
-  Sage_rfc.Header_diagram.t -> Sage_rfc.Header_diagram.field list
-(** The fixed-width fields of the layout, in offset order — the set a
-    generated function must account for, and the set the static analyzer
-    compares definite assignments against. *)
-
-val mask_of_bits : int -> int64
-(** [mask_of_bits bits] is the largest value a [bits]-wide field can
-    hold ([2^bits - 1], or all-ones for [bits >= 64]) — the same mask
-    {!set} truncates writes with, reused by the overflow check. *)
-
 val is_variable_field : t -> string -> bool
 (** Whether the named field is the layout's variable-length trailing
     field (e.g. "Internet Header + 64 bits of Original Data Datagram") —

@@ -4,9 +4,16 @@ type field = {
   bits : int;
   bit_offset : int;
   variable : bool;
+  slot : int;
 }
 
-type t = { struct_name : string; fields : field list }
+type t = {
+  struct_name : string;
+  fields : field list;
+  fixed : field array;
+  nslots : int;
+  fixed_bytes : int;
+}
 
 let is_separator line =
   let line = String.trim line in
@@ -25,8 +32,8 @@ let is_ruler line =
   && String.for_all (fun c -> (c >= '0' && c <= '9') || c = ' ') line
 
 (* Split a content row "|  Type  |  Code  |  Checksum  |" into
-   (label, width_in_bits) cells.  Bit width = character span / 2, because
-   the art gives each bit two columns ("-+"). *)
+   (label, width_in_bits, open_ended) cells.  Bit width = character span
+   / 2, because the art gives each bit two columns ("-+"). *)
 let parse_row line =
   let line = String.trim line in
   let n = String.length line in
@@ -36,15 +43,14 @@ let parse_row line =
     if line.[i] = '|' then begin
       let content = String.sub line !start (i - !start) in
       let span = i - !start + 1 in
-      cells := (String.trim content, span / 2) :: !cells;
+      cells := (String.trim content, span / 2, false) :: !cells;
       start := i + 1
     end
   done;
-  (* an open-ended trailing cell ("|  Data ...") is a variable-length
-     field with no fixed width *)
+  (* an open-ended trailing cell ("|  Data ...") has no fixed width *)
   if !start < n then begin
     let content = String.trim (String.sub line !start (n - !start)) in
-    if content <> "" then cells := (content, 0) :: !cells
+    if content <> "" then cells := (content, 0, true) :: !cells
   end;
   List.rev !cells
 
@@ -99,8 +105,42 @@ let rec identifier_from s i =
 
 let is_c_identifier s = s <> "" && identifier_from s 0
 
-let field ~name ~bits ~bit_offset ~variable =
-  { name; ident = c_identifier name; bits; bit_offset; variable }
+let mask_of_bits bits =
+  if bits >= 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L
+
+(* Slot sharing follows identifiers, the key the interpreter's packet
+   view stores values under: two fixed fields whose labels normalise
+   alike are one storage cell, and a read sees the last write. *)
+let v ~name cells =
+  let slots = Hashtbl.create 16 in
+  let fields, _ =
+    List.fold_left
+      (fun (acc, bit_offset) (label, bits, variable) ->
+        let ident = c_identifier label in
+        let slot =
+          if variable then -1
+          else
+            match Hashtbl.find_opt slots ident with
+            | Some s -> s
+            | None ->
+              let s = Hashtbl.length slots in
+              Hashtbl.add slots ident s;
+              s
+        in
+        ( { name = label; ident; bits; bit_offset; variable; slot } :: acc,
+          bit_offset + bits ))
+      ([], 0) cells
+  in
+  let fields = List.rev fields in
+  let fixed = Array.of_list (List.filter (fun f -> not f.variable) fields) in
+  let fixed_bits = Array.fold_left (fun acc f -> acc + f.bits) 0 fixed in
+  {
+    struct_name = name;
+    fields;
+    fixed;
+    nslots = Hashtbl.length slots;
+    fixed_bytes = (fixed_bits + 7) / 8;
+  }
 
 let parse ~name text =
   let lines = String.split_on_char '\n' text in
@@ -113,35 +153,37 @@ let parse ~name text =
   in
   if rows = [] then Error "no diagram content rows found"
   else begin
-    (* flatten rows into a field sequence with bit offsets; merge
-       consecutive rows that repeat the same single label (64-bit fields
-       drawn across two rows, or continuation rows labeled "+") *)
-    let fields = ref [] in
-    let offset = ref 0 in
-    let push name bits =
-      (match !fields with
-       | prev :: rest
-         when String.equal (String.lowercase_ascii prev.name) (String.lowercase_ascii name)
-              && not prev.variable ->
-         fields := { prev with bits = prev.bits + bits } :: rest
-       | _ ->
-         fields :=
-           field ~name ~bits ~bit_offset:!offset ~variable:(looks_variable name)
-           :: !fields);
-      offset := !offset + bits
+    (* merge consecutive cells that repeat the same label (64-bit fields
+       drawn across two rows, or continuation rows labeled "+"), newest
+       first *)
+    let merged =
+      List.fold_left
+        (fun acc (label, bits, open_ended) ->
+          match acc with
+          | (prev, prev_bits, prev_open) :: rest
+            when String.equal (String.lowercase_ascii prev)
+                   (String.lowercase_ascii label)
+                 && not (looks_variable prev) ->
+            (prev, prev_bits + bits, prev_open) :: rest
+          | _ -> (label, bits, open_ended) :: acc)
+        [] (List.concat rows)
     in
-    List.iter (fun cells -> List.iter (fun (label, bits) -> push label bits) cells) rows;
-    let fields = List.rev !fields in
-    if fields = [] then Error "diagram rows contained no cells"
-    else Ok { struct_name = name; fields }
+    (* from the last cell back: a data-like cell is the variable tail
+       only when it is open-ended or nothing fixed-width follows it *)
+    let cells, _ =
+      List.fold_left
+        (fun (cells, fixed_follows) (label, bits, open_ended) ->
+          let variable =
+            looks_variable label && (open_ended || not fixed_follows)
+          in
+          ((label, bits, variable) :: cells, fixed_follows || not variable))
+        ([], false) merged
+    in
+    if cells = [] then Error "diagram rows contained no cells"
+    else Ok (v ~name cells)
   end
 
-let total_bits t =
-  List.fold_left (fun acc f -> if f.variable then acc else acc + f.bits) 0 t.fields
-
-let find_field t name =
-  let target = String.lowercase_ascii name in
-  List.find_opt (fun f -> String.lowercase_ascii f.name = target) t.fields
+let total_bits t = Array.fold_left (fun acc f -> acc + f.bits) 0 t.fixed
 
 let find_ident t query =
   let ident = c_identifier query in

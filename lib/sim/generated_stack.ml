@@ -9,7 +9,7 @@
    buffers), so one stack must not be shared across [Pool] domains. *)
 
 module Rt = Sage_interp.Runtime
-module Pv = Sage_interp.Packet_view
+module Hd = Sage_rfc.Header_diagram
 module Addr = Sage_net.Addr
 module Ipv4 = Sage_net.Ipv4
 module Udp = Sage_net.Udp
@@ -115,10 +115,11 @@ let encapsulate t (l : Backend.loaded) (o : Backend.outcome) =
     ip_datagram ~protocol:Ipv4.protocol_udp ~src ~dst (Udp.encode ~src ~dst udp ~payload)
   | None -> ip_datagram ~protocol:(protocol_number t) ~src ~dst o.Backend.output
 
-(* An all-zero fixed header with [data] appended: what [Pv.create] plus
-   [set_data] serialized to, as raw packet bytes. *)
-let blank_packet sd data =
-  let fixed = Bytes.make (Pv.fixed_bytes sd) '\000' in
+(* An all-zero fixed header with [data] appended: what
+   [Packet_view.create] plus [set_data] serialized to, as raw packet
+   bytes. *)
+let blank_packet (sd : Hd.t) data =
+  let fixed = Bytes.make sd.Hd.fixed_bytes '\000' in
   if Bytes.length data = 0 then fixed else Bytes.cat fixed data
 
 let build_message ?(params = []) ?(data = Bytes.empty) ~src ~dst t ~fn =

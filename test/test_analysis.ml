@@ -18,17 +18,9 @@ let contains ~needle haystack = Astring_contains.contains haystack needle
 (* ---- a small hand-built layout: type/code/checksum/payload ---- *)
 
 let layout =
-  {
-    Hd.struct_name = "Test Message";
-    fields =
-      [
-        Hd.field ~name:"Type" ~bits:8 ~bit_offset:0 ~variable:false;
-        Hd.field ~name:"Code" ~bits:8 ~bit_offset:8 ~variable:false;
-        Hd.field ~name:"Checksum" ~bits:16 ~bit_offset:16 ~variable:false;
-        Hd.field ~name:"Identifier" ~bits:16 ~bit_offset:32 ~variable:false;
-        Hd.field ~name:"Data" ~bits:0 ~bit_offset:48 ~variable:true;
-      ];
-  }
+  Hd.v ~name:"Test Message"
+    [ ("Type", 8, false); ("Code", 8, false); ("Checksum", 16, false);
+      ("Identifier", 16, false); ("Data", 0, true) ]
 
 let func body =
   {

@@ -56,42 +56,51 @@ let test_choices () =
     (fun c -> checkb "other is the other one" true (Backend.other c <> c))
     [ Backend.Interp; Backend.Compiled ]
 
-(* ---- compiled layouts vs the interpreter's packet view ---- *)
+(* ---- the diagram's slot geometry vs the interpreter's packet view ---- *)
 
-(* Decode a generated packet through both representations: every slot
-   must agree with [Pv.get], and re-packing the slots must reproduce
-   [Pv.serialize] byte for byte. *)
+(* Decode a generated packet through both representations: every
+   field's slot must agree with [Pv.get], and re-packing the slots must
+   reproduce [Pv.serialize] byte for byte — and so must the generated
+   packet itself, whose fields sharing a slot carry one value. *)
+let check_layout_parity what (layout : Hd.t) =
+  let rng = Rng.of_seed 77 in
+  for i = 1 to 20 do
+    let packet = Gen.packet rng layout in
+    match Pv.deserialize layout packet with
+    | Error e -> Alcotest.failf "%s: deserialize: %s" what e
+    | Ok view ->
+      let slots = Array.make (max 1 layout.Hd.nslots) 0L in
+      L.read layout packet slots;
+      Array.iter
+        (fun (hf : Hd.field) ->
+          match Pv.get view hf.Hd.name with
+          | Ok v ->
+            check Alcotest.int64
+              (Printf.sprintf "%s.%s #%d" what hf.Hd.name i)
+              v slots.(hf.Hd.slot)
+          | Error e -> Alcotest.failf "Pv.get %s: %s" hf.Hd.name e)
+        layout.Hd.fixed;
+      check Alcotest.bytes
+        (Printf.sprintf "%s repack #%d" what i)
+        (Pv.serialize view)
+        (L.pack layout slots ~data:(Pv.get_data view));
+      check Alcotest.bytes
+        (Printf.sprintf "%s generated #%d" what i)
+        (Pv.serialize view) packet
+  done
+
 let layout_parity name () =
-  let run = run_of name in
   List.iter
-    (fun ((f : Ir.func), layout) ->
-      let cl = L.of_layout layout in
-      let rng = Rng.of_seed 77 in
-      for i = 1 to 20 do
-        let packet = Gen.packet rng layout in
-        match Pv.deserialize layout packet with
-        | Error e -> Alcotest.failf "%s: deserialize: %s" f.Ir.fn_name e
-        | Ok view ->
-          let slots = Array.make (max 1 cl.L.nslots) 0L in
-          L.read cl packet slots;
-          List.iter
-            (fun (hf : Hd.field) ->
-              if not hf.Hd.variable then begin
-                let slot = Hashtbl.find cl.L.index (Hd.c_identifier hf.Hd.name) in
-                match Pv.get view hf.Hd.name with
-                | Ok v ->
-                  check Alcotest.int64
-                    (Printf.sprintf "%s.%s #%d" f.Ir.fn_name hf.Hd.name i)
-                    v slots.(slot)
-                | Error e -> Alcotest.failf "Pv.get %s: %s" hf.Hd.name e
-              end)
-            layout.Hd.fields;
-          check Alcotest.bytes
-            (Printf.sprintf "%s repack #%d" f.Ir.fn_name i)
-            (Pv.serialize view)
-            (L.pack cl slots ~data:(Pv.get_data view))
-      done)
-    (targets_of run)
+    (fun ((f : Ir.func), layout) -> check_layout_parity f.Ir.fn_name layout)
+    (targets_of (run_of name))
+
+(* no shipped diagram repeats an identifier: "Type" and "TYPE" share
+   one slot here, so both fields carry the last value written *)
+let test_layout_parity_shared_slots () =
+  check_layout_parity "shared"
+    (Hd.v ~name:"shared"
+       [ ("Type", 8, false); ("Code", 8, false); ("TYPE", 16, false);
+         ("Data ...", 0, true) ])
 
 (* ---- interp-vs-compiled agreement, every function, every corpus ---- *)
 
@@ -122,14 +131,14 @@ let exec_parity name () =
       done;
       (* structural edges: empty, one byte short, all-ones fixed header *)
       let short =
-        let n = Pv.fixed_bytes layout in
+        let n = layout.Hd.fixed_bytes in
         if n = 0 then Bytes.empty else Bytes.make (n - 1) '\xff'
       in
       let env = Driver.env_of (Rng.of_seed 5) in
       List.iteri
         (fun i p ->
           agree ~what:(Printf.sprintf "%s edge %d" f.Ir.fn_name i) li lc ~env p)
-        [ Bytes.empty; short; Bytes.make (Pv.fixed_bytes layout) '\xff' ])
+        [ Bytes.empty; short; Bytes.make layout.Hd.fixed_bytes '\xff' ])
     (targets_of run)
 
 (* ---- coverage parity ---- *)
@@ -250,7 +259,7 @@ let test_divergence_diff () =
   let lc = divergence_load Backend.Compiled ~layout f in
   checkb "compiled side reports the generated function" true
     (lc.Backend.func == f);
-  let packet = Bytes.make (Pv.fixed_bytes layout) '\000' in
+  let packet = Bytes.make layout.Hd.fixed_bytes '\000' in
   let env = Driver.env_of (Rng.of_seed 1) in
   match (Driver.exec ~env li packet, Driver.exec ~env lc packet) with
   | Ok a, Ok b -> (
@@ -328,4 +337,6 @@ let suite =
         test_divergence_found;
       Alcotest.test_case "seeded divergence: interp unaffected" `Quick
         test_divergence_interp_untouched;
+      Alcotest.test_case "layout parity: shared slots" `Quick
+        test_layout_parity_shared_slots;
     ]

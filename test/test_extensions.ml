@@ -28,7 +28,7 @@ let test_tcp_header_recovered () =
     check Alcotest.int "20-byte fixed header" 160
       (Sage_rfc.Header_diagram.total_bits d);
     let f name =
-      Option.get (Sage_rfc.Header_diagram.find_field d name)
+      Option.get (Sage_rfc.Header_diagram.find_ident d name)
     in
     check Alcotest.int "seq is 32 bits" 32 (f "Sequence Number").Sage_rfc.Header_diagram.bits;
     check Alcotest.int "data offset is 4 bits" 4 (f "Offset").Sage_rfc.Header_diagram.bits;
@@ -125,7 +125,7 @@ let test_bgp_open_header () =
   let run = Lazy.force bgp_run in
   match run.P.codegen.P.structs with
   | [ d ] ->
-    let f name = Option.get (Sage_rfc.Header_diagram.find_field d name) in
+    let f name = Option.get (Sage_rfc.Header_diagram.find_ident d name) in
     check Alcotest.int "hold time merged to 16 bits" 16
       (f "Hold Time").Sage_rfc.Header_diagram.bits;
     check Alcotest.int "bgp identifier merged to 32 bits" 32

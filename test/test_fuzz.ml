@@ -168,7 +168,7 @@ let test_gen_packet_valid () =
   for _ = 1 to 50 do
     let b = Gen.packet r layout in
     checkb "covers the fixed header" true
-      (Bytes.length b >= Pv.fixed_bytes layout);
+      (Bytes.length b >= layout.Hd.fixed_bytes);
     match Pv.deserialize layout b with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "generated packet rejected: %s" e
@@ -217,8 +217,7 @@ let test_gen_tail_slicing_refill () =
      replay the stream by hand and check the slices land byte-for-byte,
      including the refill edge where byte 4 needs a fresh draw *)
   let layout = echo_layout () in
-  let cl = Sage_backend.Layout.of_layout layout in
-  let fixed = Pv.fixed_bytes layout in
+  let fixed = layout.Hd.fixed_bytes in
   let rec find seed tries =
     if tries = 0 then Alcotest.fail "no packet with a 5+ byte tail found"
     else
@@ -229,9 +228,8 @@ let test_gen_tail_slicing_refill () =
   let seed, tail_len = find 0 200 in
   let r = Rng.of_seed seed in
   Array.iter
-    (fun (f : Sage_backend.Layout.field) ->
-      ignore (Gen.field_value r ~bits:f.Sage_backend.Layout.bits))
-    cl.Sage_backend.Layout.fields;
+    (fun (f : Hd.field) -> ignore (Gen.field_value r ~bits:f.Hd.bits))
+    layout.Hd.fixed;
   checkb "tail branch taken" true (Rng.int_below r 4 >= 2);
   checki "tail length replays" tail_len (Rng.range r 1 24);
   let expect = Bytes.create tail_len in

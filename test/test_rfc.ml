@@ -35,10 +35,10 @@ let test_diagram_offsets () =
   match Hd.parse ~name:"echo" echo_art with
   | Error e -> Alcotest.fail e
   | Ok d ->
-    (match Hd.find_field d "checksum" with
+    (match Hd.find_ident d "checksum" with
      | Some f -> check Alcotest.int "checksum offset" 16 f.Hd.bit_offset
      | None -> Alcotest.fail "no checksum field");
-    (match Hd.find_field d "Sequence Number" with
+    (match Hd.find_ident d "Sequence Number" with
      | Some f -> check Alcotest.int "seq offset" 48 f.Hd.bit_offset
      | None -> Alcotest.fail "no seq field")
 
@@ -365,6 +365,138 @@ let prop_is_c_identifier_fixed_point =
          alphabet.[Qcheck_lite.int_below r (String.length alphabet)]))
     (fun s -> Hd.is_c_identifier s = String.equal (Hd.c_identifier s) s)
 
+(* ---- the geometry [Hd.v] resolves ---- *)
+
+(* A cell whose label mentions "data" is the variable tail only when it
+   is open-ended or nothing fixed-width follows it: RFC 793's "Data
+   Offset" stays a 6-bit field, and only the closing "Data" row is
+   variable. *)
+let test_diagram_data_label_fixed () =
+  let art =
+    "   +-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+\n\
+    \   |Data Offset|Reservd|U|A|P|R|S|F|            Window             |\n\
+    \   +-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+\n\
+    \   |           Checksum            |        Urgent Pointer         |\n\
+    \   +-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+\n\
+    \   |                             Data                              |\n\
+    \   +-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+"
+  in
+  match Hd.parse ~name:"tcp" art with
+  | Error e -> Alcotest.fail e
+  | Ok d ->
+    check
+      Alcotest.(list (pair string bool))
+      "only the last cell is variable"
+      [ ("Data Offset", false); ("Reservd", false); ("U", false);
+        ("A", false); ("P", false); ("R", false); ("S", false);
+        ("F", false); ("Window", false); ("Checksum", false);
+        ("Urgent Pointer", false); ("Data", true) ]
+      (List.map (fun (f : Hd.field) -> (f.Hd.name, f.Hd.variable)) d.Hd.fields);
+    check Alcotest.int "data offset is 6 bits" 6
+      (Option.get (Hd.find_ident d "Data Offset")).Hd.bits;
+    check Alcotest.int "fixed bits" 64 (Hd.total_bits d);
+    check Alcotest.bool "first member is a bitfield" true
+      (Astring_contains.contains (Hd.to_c_struct d)
+         "{\n    uint8_t data_offset : 6;")
+
+(* NTP draws each 64-bit timestamp as two 32-bit rows; the merged field
+   is built whole, so its width, mask and the fixed size all count 64
+   bits *)
+let test_ntp_timestamps_whole () =
+  let ntp = Doc.parse ~title:"ntp" Sage_corpus.Ntp_rfc.text in
+  let d =
+    Option.get (List.find_map (fun s -> s.Doc.diagram) ntp.Doc.sections)
+  in
+  let stamps =
+    List.filter
+      (fun (f : Hd.field) -> Astring_contains.contains f.Hd.name "Timestamp")
+      d.Hd.fields
+  in
+  check
+    Alcotest.(list (pair string (pair int int)))
+    "four whole timestamps"
+    [ ("Reference Timestamp", (64, 128)); ("Originate Timestamp", (64, 192));
+      ("Receive Timestamp", (64, 256)); ("Transmit Timestamp", (64, 320)) ]
+    (List.map
+       (fun (f : Hd.field) -> (f.Hd.name, (f.Hd.bits, f.Hd.bit_offset)))
+       stamps);
+  check Alcotest.(list int) "one slot each" [ 8; 9; 10; 11 ]
+    (List.map (fun (f : Hd.field) -> f.Hd.slot) stamps);
+  check Alcotest.int "12 fixed fields, 12 slots" 12 d.Hd.nslots;
+  check Alcotest.int "48-byte header" 48 d.Hd.fixed_bytes;
+  check Alcotest.int64 "64-bit mask is all ones" (-1L) (Hd.mask_of_bits 64)
+
+(* Random cell lists over labels whose identifiers coincide in pairs,
+   widths 1-64 and an optional open-ended tail: [Hd.v] numbers slots by
+   first occurrence of each identifier, lists the fixed fields in order
+   and rounds their bits up to bytes. *)
+let geometry_labels =
+  [| "Type"; "TYPE"; "Code"; "Sequence Number"; "sequence-number";
+     "Reserved"; "Flags" |]
+
+let prop_diagram_geometry =
+  let label =
+    Qcheck_lite.make
+      ~shrink:(fun l -> if l = geometry_labels.(0) then [] else [ geometry_labels.(0) ])
+      ~print:(Printf.sprintf "%S")
+      (fun r ->
+        geometry_labels.(Qcheck_lite.int_below r (Array.length geometry_labels)))
+  in
+  let tail =
+    Qcheck_lite.make ~shrink:(fun t -> if t then [ false ] else [])
+      ~print:string_of_bool Qcheck_lite.gen_bool
+  in
+  Qcheck_lite.test ~count:500 "v: slots, fixed fields and size"
+    (Qcheck_lite.pair
+       (Qcheck_lite.list_of ~max_len:12
+          (Qcheck_lite.pair label (Qcheck_lite.int_range 1 64)))
+       tail)
+    (fun (cells, tail) ->
+      let cells =
+        List.map (fun (l, bits) -> (l, bits, false)) cells
+        @ if tail then [ ("Data ...", 0, true) ] else []
+      in
+      let d = Hd.v ~name:"random" cells in
+      let fixed = Array.to_list d.Hd.fixed in
+      let firsts =
+        List.fold_left
+          (fun acc (f : Hd.field) ->
+            if List.mem f.Hd.ident acc then acc else acc @ [ f.Hd.ident ])
+          [] fixed
+      in
+      let rec index x i = function
+        | [] -> -1
+        | y :: ys -> if String.equal x y then i else index x (i + 1) ys
+      in
+      let fixed_bits =
+        List.fold_left
+          (fun n (_, bits, variable) -> if variable then n else n + bits)
+          0 cells
+      in
+      List.map (fun (f : Hd.field) -> f.Hd.name) d.Hd.fields
+      = List.map (fun (l, _, _) -> l) cells
+      && fixed = List.filter (fun (f : Hd.field) -> not f.Hd.variable) d.Hd.fields
+      && List.for_all
+           (fun (f : Hd.field) -> f.Hd.slot = index f.Hd.ident 0 firsts)
+           fixed
+      && List.for_all
+           (fun (a : Hd.field) ->
+             List.for_all
+               (fun (b : Hd.field) ->
+                 String.equal a.Hd.ident b.Hd.ident = (a.Hd.slot = b.Hd.slot))
+               fixed)
+           fixed
+      && List.for_all
+           (fun (f : Hd.field) -> f.Hd.slot = -1)
+           (List.filter (fun (f : Hd.field) -> f.Hd.variable) d.Hd.fields)
+      && d.Hd.nslots = List.length firsts
+      && d.Hd.fixed_bytes = (fixed_bits + 7) / 8
+      && List.for_all
+           (fun (f : Hd.field) ->
+             Hd.mask_of_bits f.Hd.bits
+             = Int64.shift_right_logical (-1L) (64 - f.Hd.bits))
+           fixed)
+
 let suite =
   [
     tc "diagram fields" test_diagram_fields;
@@ -394,4 +526,7 @@ let suite =
     tc "state diagram: no boxes" test_state_diagram_no_boxes;
     tc "corpus fields carry their identifiers" test_corpus_idents;
     prop_is_c_identifier_fixed_point;
+    tc "diagram fixed cell named data" test_diagram_data_label_fixed;
+    tc "NTP timestamps come out whole" test_ntp_timestamps_whole;
+    prop_diagram_geometry;
   ]
