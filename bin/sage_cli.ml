@@ -220,15 +220,6 @@ let check_reqs_arg =
   in
   Arg.(value & flag & info [ "check-reqs" ] ~doc)
 
-(* --analyze: print the static analyzer's findings after the pipeline *)
-let analyze_arg =
-  let doc =
-    "Print the static-analysis findings over the generated code \
-     (definite-assignment/field coverage, dead code, width/overflow, \
-     checksum ordering).  $(b,--fail-on) sets the exit policy."
-  in
-  Arg.(value & flag & info [ "analyze" ] ~doc)
-
 (* --fail-on error/warning: the exit policy over the findings *)
 let fail_on_arg =
   let doc =
@@ -243,10 +234,6 @@ let fail_on_arg =
                    ("warning", Sage_analysis.Analyzer.Fail_warning) ]))
            None
        & info [ "fail-on" ] ~docv:"SEV" ~doc)
-
-let analysis_exit ?(fail_on = Sage_analysis.Analyzer.Fail_never)
-    (result : P.run) =
-  Sage_analysis.Analyzer.exit_code_on ~fail_on result.P.diagnostics
 
 (* --seeded NAME: the fixtures Fixture.all registers for [verb] *)
 let seeded_arg verb =
@@ -373,7 +360,7 @@ let run_cmd =
     let doc = "Also print every sentence's parse status." in
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
   in
-  let run corpus verbose jobs analyze fail_on traced =
+  let run corpus verbose jobs traced =
     traced @@ fun trace ->
     let result = run_pipeline ~jobs ?trace corpus in
     Printf.printf "document  : %s\n" result.P.document.Sage_rfc.Document.title;
@@ -406,17 +393,12 @@ let run_cmd =
              else r.P.sentence))
         result.P.sentences
     end;
-    if analyze then begin
-      print_newline ();
-      print_string (Sage.Report.analysis result)
-    end;
-    analysis_exit ?fail_on result
+    0
   in
   let doc = "Run the full pipeline (parse, winnow, generate) over a corpus." in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(const run $ corpus_arg $ verbose_arg $ jobs_arg $ analyze_arg
-          $ fail_on_arg $ tracer_arg "run")
+    Term.(const run $ corpus_arg $ verbose_arg $ jobs_arg $ tracer_arg "run")
 
 (* ------------------------------------------------------------------ *)
 (* sage code                                                           *)
@@ -939,13 +921,10 @@ let chaos_cmd =
 (* ------------------------------------------------------------------ *)
 
 let report_cmd =
-  let run corpus jobs fail_on traced =
+  let run corpus jobs traced =
     traced @@ fun trace ->
-    let result = run_pipeline ~jobs ?trace corpus in
-    print_string (Sage.Report.markdown result);
-    (* the markdown already carries the findings; --fail-on here only
-       selects the exit policy *)
-    analysis_exit ?fail_on result
+    print_string (Sage.Report.markdown (run_pipeline ~jobs ?trace corpus));
+    0
   in
   let doc =
     "Produce the markdown report a spec author reads in the feedback loop: \
@@ -954,7 +933,7 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const run $ corpus_arg $ jobs_arg $ fail_on_arg $ tracer_arg "report")
+    Term.(const run $ corpus_arg $ jobs_arg $ tracer_arg "report")
 
 (* ------------------------------------------------------------------ *)
 (* sage bench                                                          *)

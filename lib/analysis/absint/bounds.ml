@@ -25,16 +25,6 @@ module Hd = Sage_rfc.Header_diagram
 module I = Interval
 module D = Diagnostic
 
-(* the parameters every harness environment binds (fuzz driver, sim
-   state-update path); [payload_length] is prepended per execution *)
-let known_params =
-  [
-    "current_time"; "error_pointer"; "gateway_address"; "all_hosts_group";
-    "host_group"; "interface_address"; "remote_system"; "event_ManualStart";
-    "event_ManualStop"; "original_datagram"; "original_datagram_data";
-    "internet_header"; "payload_length";
-  ]
-
 let ip_fields = [ "src"; "dst"; "ttl"; "tos" ]
 let cmp_ops = [ "eq"; "ne"; "gt"; "ge"; "lt"; "le" ]
 
@@ -93,7 +83,8 @@ let obligations ctx (fact : Absint.fact) exprs =
     | Ir.Field (l, f) -> field_access ~request:false l f
     | Ir.Request_field (l, f) -> field_access ~request:true l f
     | Ir.Param p ->
-      if not (List.mem p known_params || Absenv.is_local fact.Absint.env p)
+      if
+        not (List.mem p Ir.harness_params || Absenv.is_local fact.Absint.env p)
       then
         emit
           (Printf.sprintf

@@ -133,9 +133,8 @@ let pack_fields ?(zero_slot = -1) ~(fields : Hd.field array) ~nbytes slots
   if dlen > 0 then Bytes.blit data 0 out nbytes dlen;
   out
 
-let pack ?zero_slot (layout : Hd.t) slots ~data =
-  pack_fields ?zero_slot ~fields:layout.Hd.fixed ~nbytes:layout.Hd.fixed_bytes
-    slots ~data
+let pack (layout : Hd.t) slots ~data =
+  pack_fields ~fields:layout.Hd.fixed ~nbytes:layout.Hd.fixed_bytes slots ~data
 
 (* [pack_fields] into a caller-owned scratch buffer — for byte images
    that are consumed immediately (checksum sums) and never retained, so

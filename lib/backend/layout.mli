@@ -11,16 +11,16 @@ val read : Hd.t -> bytes -> int64 array -> unit
 (** Decode the fixed fields into a slot array of length [nslots].  The
     caller must have checked [Bytes.length >= fixed_bytes]. *)
 
-val pack : ?zero_slot:int -> Hd.t -> int64 array -> data:bytes -> bytes
+val pack : Hd.t -> int64 array -> data:bytes -> bytes
 (** Serialize: fixed fields then the variable tail, like
-    [Packet_view.serialize].  [zero_slot] substitutes zero for one slot
-    (checksum computation). *)
+    [Packet_view.serialize]. *)
 
 val pack_fields :
   ?zero_slot:int -> fields:Hd.field array -> nbytes:int -> int64 array ->
   data:bytes -> bytes
 (** Pack an arbitrary field subset with offsets taken relative to the
-    first packed field — the [Packet_view.serialize_from] convention. *)
+    first packed field — the [Packet_view.serialize_from] convention.
+    [zero_slot] substitutes zero for one slot (checksum computation). *)
 
 val pack_fields_into :
   ?zero_slot:int -> fields:Hd.field array -> nbytes:int -> int64 array ->

@@ -277,8 +277,8 @@ let expand_distribution lf =
   in
   variants lf
 
-let parse_chunks ?(target = Category.s) ?(expand_distributive = true)
-    ?(capacity = cell_capacity) ~lexicon chunks =
+let parse_chunks ?(expand_distributive = true) ?(capacity = cell_capacity)
+    ~lexicon chunks =
   let chunks = Array.of_list chunks in
   let n = Array.length chunks in
   if n = 0 then { items = []; lfs = []; truncated = false; chunks = [] }
@@ -313,7 +313,7 @@ let parse_chunks ?(target = Category.s) ?(expand_distributive = true)
        reduces what the rules build *)
     let spanning =
       List.filter
-        (fun it -> Category.equal it.cat target)
+        (fun it -> Category.equal it.cat Category.s)
         (Array.to_list chart.(0).(n))
     in
     let lfs =
@@ -327,17 +327,9 @@ let parse_chunks ?(target = Category.s) ?(expand_distributive = true)
     { items = spanning; lfs; truncated = st.truncated; chunks = Array.to_list chunks }
   end
 
-let parse ?strategy ?target ?expand_distributive ?capacity ~lexicon ~dict
-    sentence =
-  let chunks = Chunker.chunk_sentence ?strategy ~dict sentence in
-  (* drop the sentence-final period *)
-  let chunks =
-    match List.rev chunks with
-    | { Chunker.tokens = [ t ]; _ } :: rest when t.Sage_nlp.Token.kind = Terminator ->
-      List.rev rest
-    | _ -> chunks
-  in
-  parse_chunks ?target ?expand_distributive ?capacity ~lexicon chunks
+let parse ?strategy ?expand_distributive ?capacity ~lexicon ~dict sentence =
+  parse_chunks ?expand_distributive ?capacity ~lexicon
+    (Chunker.drop_terminator (Chunker.chunk_sentence ?strategy ~dict sentence))
 
 let rec pp_deriv ppf = function
   | Leaf (text, entry) ->

@@ -27,7 +27,7 @@ type deriv =
 type item = { cat : Category.t; sem : Sem.t; deriv : deriv }
 
 type result = {
-  items : item list;         (** spanning items of the target category *)
+  items : item list;         (** spanning items of category [S] *)
   lfs : Sage_logic.Lf.t list; (** extracted logical forms, deduplicated *)
   truncated : bool;
       (** a chart cell reached the capacity bound and stopped combining *)
@@ -36,21 +36,20 @@ type result = {
 
 val parse :
   ?strategy:Sage_nlp.Chunker.strategy ->
-  ?target:Category.t ->
   ?expand_distributive:bool ->
   ?capacity:int ->
   lexicon:Lexicon.t ->
   dict:Sage_nlp.Term_dictionary.t ->
   string ->
   result
-(** Parse one sentence.  [target] defaults to [S].  When
+(** Parse one sentence, without its sentence-final punctuation
+    ({!Sage_nlp.Chunker.drop_terminator}), to category [S].  When
     [expand_distributive] (default [true]), coordinated left-hand sides of
     assignments additionally yield the distributed reading
     ["(A is C) and (B is C)"], emulating CCG's coordination over-generation
     (paper §4.1 "predicate distributivity"). *)
 
 val parse_chunks :
-  ?target:Category.t ->
   ?expand_distributive:bool ->
   ?capacity:int ->
   lexicon:Lexicon.t ->

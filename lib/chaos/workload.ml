@@ -369,14 +369,13 @@ let generated_bfd_receive gs : Bfd_link.receive =
     `Ok
 
 let bfd ~stack ~run ?trace ?observer ~seed () =
-  let detect_mult = 3 in
   let receive =
     match stack with
     | Reference -> None
     | Generated ->
       Some (generated_bfd_receive (Gs.of_run ?trace ?observer (Lazy.force run)))
   in
-  let link = Bfd_link.create_link ~detect_mult ?receive ~seed () in
+  let link = Bfd_link.create_link ?receive ~seed () in
   let log = new_log () in
   let step ~healed =
     Bfd_link.step_link link;
@@ -385,7 +384,7 @@ let bfd ~stack ~run ?trace ?observer ~seed () =
   let check ~heal_ticks:_ =
     (* detection time (detect_mult ticks, RFC 5880 §6.8.4) to notice the
        stale session, plus the three-way handshake to come back up *)
-    let bound = detect_mult + 8 in
+    let bound = Bfd_link.detect_mult + 8 in
     let bfd_v =
       if first_within log bound then None
       else

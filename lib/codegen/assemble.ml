@@ -21,23 +21,11 @@ let normalize_message m =
   in
   String.trim m
 
-let strip_determiner m =
-  match List.find_map
-          (fun p ->
-            let lp = String.length p in
-            if String.length m > lp && String.sub m 0 lp = p then
-              Some (String.sub m lp (String.length m - lp))
-            else None)
-          [ "the "; "an "; "a " ]
-  with
-  | Some rest -> rest
-  | None -> m
-
 let message_matches ~target ~variant =
   (* exact match after normalization — "echo" must not match "echo reply" *)
   String.equal
-    (strip_determiner (normalize_message target))
-    (strip_determiner (normalize_message variant))
+    (Context.strip_determiner (normalize_message target))
+    (Context.strip_determiner (normalize_message variant))
 
 let function_name ~protocol ~message ~role =
   let base =

@@ -42,6 +42,9 @@ val resolve : dynamic -> string -> resolution option
     sentence a code-generation failure, feeding the iterative discovery of
     non-actionable sentences (§5.2). *)
 
+val strip_determiner : string -> string
+(** Drop one leading ["the "], ["a "] or ["an "], when more follows. *)
+
 val pp_resolution : Format.formatter -> resolution -> unit
 
 val pp : Format.formatter -> dynamic -> unit

@@ -34,6 +34,14 @@ type func = {
 
 let role_name = function Sender -> "sender" | Receiver -> "receiver"
 
+let harness_params =
+  [
+    "current_time"; "error_pointer"; "gateway_address"; "all_hosts_group";
+    "host_group"; "interface_address"; "remote_system"; "event_ManualStart";
+    "event_ManualStop"; "original_datagram"; "original_datagram_data";
+    "internet_header"; "payload_length";
+  ]
+
 let layer_prefix = function Proto -> "hdr" | Ip -> "ip" | State -> "state"
 
 let rec pp_expr ppf = function

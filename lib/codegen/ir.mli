@@ -58,6 +58,12 @@ type func = {
 
 val role_name : role -> string
 
+val harness_params : string list
+(** The {!Param} names every fuzz execution binds: those of
+    [Sage_fuzz.Driver.env_of], plus the [payload_length] that
+    [Driver.backend_env] adds.  SA007 proves a parameter read safe
+    exactly when it names one of these. *)
+
 val pp_expr : Format.formatter -> expr -> unit
 val pp_lvalue : Format.formatter -> lvalue -> unit
 val pp_stmt : Format.formatter -> stmt -> unit

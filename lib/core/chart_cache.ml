@@ -2,9 +2,7 @@ module Lru = Sage_sched.Lru
 
 type t = Sage_ccg.Parser.result Lru.t
 
-let default_capacity = 4096
-
-let create ?(capacity = default_capacity) () = Lru.create ~capacity
+let create () = Lru.create ~capacity:4096
 
 let kind_char = function
   | Sage_nlp.Token.Word -> 'w'

@@ -17,8 +17,8 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Default capacity {!default_capacity}. *)
+val create : unit -> t
+(** An empty cache of 4096 entries. *)
 
 val key : protocol:string -> Sage_nlp.Chunker.chunk list -> string
 (** The cache key: protocol name plus every chunk's NP label and token

@@ -197,15 +197,7 @@ let copula_chunk =
     tokens = [ Sage_nlp.Token.v Sage_nlp.Token.Word "is" ];
   }
 
-let drop_terminator chunks =
-  match List.rev chunks with
-  | { Chunker.tokens = [ t ]; _ } :: rest
-    when t.Sage_nlp.Token.kind = Sage_nlp.Token.Terminator ->
-    List.rev rest
-  | _ -> chunks
-
-let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
-    ?trace sentence =
+let analyze_sentence_body spec ?message ?field ?cache ?trace sentence =
   let annotated =
     let s = squeeze_spaces sentence in
     List.exists (fun p -> squeezed_prefix p s 0 0 false) spec.annotated_non_actionable
@@ -220,14 +212,13 @@ let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
       status = Annotated_non_actionable;
     }
   else begin
-    ignore struct_def;
     let parse chunks =
       Chart_cache.parse ?cache ?trace ~protocol:spec.protocol
         ~lexicon:spec.lexicon chunks
     in
     let chunks =
-      drop_terminator
-        (Chunker.chunk_sentence ?strategy ~dict:spec.dictionary sentence)
+      Chunker.drop_terminator
+        (Chunker.chunk_sentence ~dict:spec.dictionary sentence)
     in
     let result = parse chunks in
     let winnowed lfs =
@@ -309,8 +300,7 @@ let analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
 (* Per-sentence span wrapper: the Begin event carries the sentence's
    provenance (clipped text, message, field), the End event its outcome
    (status + LF count before winnowing). *)
-let analyze_sentence spec ?message ?field ?struct_def ?strategy ?cache ?trace
-    sentence =
+let analyze_sentence spec ?message ?field ?struct_def:_ ?cache ?trace sentence =
   let span_args =
     ("sentence", Trace.Str (clip sentence))
     :: ((match message with Some m -> [ ("message", Trace.Str m) ] | None -> [])
@@ -318,8 +308,7 @@ let analyze_sentence spec ?message ?field ?struct_def ?strategy ?cache ?trace
   in
   let sp = Trace.span ~cat:"pipeline" ~args:span_args trace "sentence" in
   match
-    analyze_sentence_body spec ?message ?field ?struct_def ?strategy ?cache
-      ?trace sentence
+    analyze_sentence_body spec ?message ?field ?cache ?trace sentence
   with
   | report ->
     Trace.close trace sp
@@ -434,7 +423,6 @@ type section_plan = {
 type analysis_job = {
   job_field : string option;
   job_msg : string;
-  job_struct_def : Hd.t option;
   job_sentence : string;
 }
 
@@ -480,8 +468,7 @@ let run_document ?(jobs = 1) ?cache ?trace spec ~title ~text =
         let prose ?field sentence =
           works :=
             new_job
-              { job_field = field; job_msg = msg; job_struct_def = struct_def;
-                job_sentence = sentence }
+              { job_field = field; job_msg = msg; job_sentence = sentence }
             :: !works
         in
         List.iter
@@ -524,8 +511,7 @@ let run_document ?(jobs = 1) ?cache ?trace spec ~title ~text =
            whole document run *)
         match
           analyze_sentence spec ~message:job.job_msg ?field:job.job_field
-            ?struct_def:job.job_struct_def ?cache ?trace
-            job.job_sentence
+            ?cache ?trace job.job_sentence
         with
         | report -> report
         | exception exn ->
@@ -560,8 +546,7 @@ let run_document ?(jobs = 1) ?cache ?trace spec ~title ~text =
         all_reports := report :: !all_reports;
         let ctx =
           Context.dynamic ?field:job.job_field ~role:plan.plan_gen_role
-            ?struct_def:(Option.map Fun.id struct_def) ~protocol:spec.protocol
-            ~message:msg ()
+            ?struct_def ~protocol:spec.protocol ~message:msg ()
         in
         let placement =
           match report.status with
@@ -604,7 +589,7 @@ let run_document ?(jobs = 1) ?cache ?trace spec ~title ~text =
             src_message = report.message;
             src_field = report.field;
             src_role = Some plan.plan_gen_role;
-            src_struct = Option.map Fun.id struct_def;
+            src_struct = struct_def;
             src_lf;
             src_note;
           }
@@ -620,9 +605,8 @@ let run_document ?(jobs = 1) ?cache ?trace spec ~title ~text =
         | Error reason -> non_actionable := (block, reason) :: !non_actionable
         | Ok proc ->
           let ctx =
-            Context.dynamic ~role:Ir.Sender
-              ?struct_def:(Option.map Fun.id struct_def)
-              ~protocol:spec.protocol ~message:msg ()
+            Context.dynamic ~role:Ir.Sender ?struct_def ~protocol:spec.protocol
+              ~message:msg ()
           in
           let stmts =
             List.concat_map

@@ -114,14 +114,14 @@ val analyze_sentence :
   ?message:string ->
   ?field:string ->
   ?struct_def:Sage_rfc.Header_diagram.t ->
-  ?strategy:Sage_nlp.Chunker.strategy ->
   ?cache:Chart_cache.t ->
   ?trace:Sage_trace.Trace.t ->
   string ->
   sentence_report
 (** Parse and winnow one sentence (with subject-supply retry for field
-    descriptions).  [cache] memoizes the CCG chart on the post-chunking
-    token sequence.  [trace] wraps the analysis in a
+    descriptions).  [struct_def] is not read: parsing and winnowing
+    need no header layout.  [cache] memoizes the CCG chart on the
+    post-chunking token sequence.  [trace] wraps the analysis in a
     ["sentence"] span whose Begin event carries provenance (clipped
     sentence text, message, field) and whose End event carries the
     outcome (status, LF count before winnowing), with ["winnow"]

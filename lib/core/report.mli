@@ -12,13 +12,10 @@ val markdown : Pipeline.run -> string
     analysis findings, generated functions with statement counts, and
     recovered header layouts. *)
 
-val analysis : Pipeline.run -> string
-(** The static-analysis findings of the run, rendered as text (findings
-    plus a severity summary line). *)
-
 val analysis_json : Pipeline.run -> string
-(** The same findings as a stable JSON object, the shape of the
-    [analyze --format json] artifact the CI gate keeps per corpus. *)
+(** The run's static-analysis findings as a stable JSON object, the
+    shape of the [analyze --format json] artifact the CI gate keeps per
+    corpus. *)
 
 val rewrite_worklist : Pipeline.run -> string
 (** Only the action items for the spec author (ambiguous + zero-LF

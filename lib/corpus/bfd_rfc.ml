@@ -90,6 +90,9 @@ let transmission_section =
     "";
   ]
 
+let state_management_section = "Reception of BFD Control Packets"
+let state_management_band = (20, 25)
+
 let make_text ~no_session_sentence ~demand_sentence =
   String.concat "\n"
     ([
@@ -97,7 +100,7 @@ let make_text ~no_session_sentence ~demand_sentence =
        "";
        diagram;
        "";
-       "Reception of BFD Control Packets";
+       state_management_section;
        "";
        "   Procedure";
        "";

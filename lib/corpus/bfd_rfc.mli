@@ -12,6 +12,14 @@ val rewritten_text : string
 (** Post-rewrite text: the co-reference made explicit and the rephrasing
     fragment removed, as in Table 5. *)
 
+val state_management_section : string
+(** ["Reception of BFD Control Packets"]: the section whose sentences
+    are the state-management sentences of the paper's §6.4. *)
+
+val state_management_band : int * int
+(** [(20, 25)], the inclusive range of state-management sentence counts
+    that matches the paper's 22. *)
+
 val annotated_non_actionable : string list
 val dictionary_extension : string list
 

@@ -50,7 +50,7 @@ let winnow ?(extra_checks = []) lfs =
   in
   { base; stages = List.rev !stage_results; survivors = lfs }
 
-let apply_single_family family ?(extra_checks = []) lfs =
+let apply_single_family family lfs =
   let lfs = Lf.dedup (List.map Checks.normalize_condition lfs) in
   let n = List.length lfs in
   match family with
@@ -61,8 +61,7 @@ let apply_single_family family ?(extra_checks = []) lfs =
     let _, merged = Checks.merge_isomorphic lfs in
     merged
   | f ->
-    let checks = Checks.all_filters @ extra_checks in
-    n - List.length (filter_family checks f lfs)
+    n - List.length (filter_family Checks.all_filters f lfs)
 
 let is_ambiguous trace = List.length trace.survivors > 1
 

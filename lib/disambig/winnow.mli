@@ -25,13 +25,9 @@ val winnow :
     0 for unparseable ones, >1 for truly ambiguous sentences that need a
     human rewrite (paper Figure 4). *)
 
-val apply_single_family :
-  Checks.family ->
-  ?extra_checks:Checks.check list ->
-  Sage_logic.Lf.t list ->
-  int
-(** For Figure 6: apply only one family to the base LF set and return the
-    number of LFs it removes on its own. *)
+val apply_single_family : Checks.family -> Sage_logic.Lf.t list -> int
+(** For Figure 6: apply only one family of {!Checks.all_filters} to the
+    base LF set and return the number of LFs it removes on its own. *)
 
 val is_ambiguous : trace -> bool
 (** More than one survivor. *)

@@ -14,28 +14,19 @@ module Backend = Sage_backend.Backend
 let local_addr = Addr.of_octets 10 0 1 50
 let remote_addr = Addr.of_octets 192 168 2 10
 
-(* A fixed, well-formed original IPv4 datagram for the ICMP error
-   senders, which quote its header + first 64 bits of data. *)
-let original_datagram =
+(* The parameters of a fixed, well-formed original IPv4 datagram for
+   the ICMP error senders, which quote its header + first 64 bits of
+   data. *)
+let original_excerpts =
   lazy
     (let payload = Bytes.make 16 'q' in
      let hdr =
        Ipv4.make ~protocol:Ipv4.protocol_udp ~src:remote_addr ~dst:local_addr
          ~payload_len:(Bytes.length payload) ()
      in
-     Ipv4.encode hdr ~payload)
-
-let original_excerpts =
-  lazy
-    (let original = Lazy.force original_datagram in
-     match Ipv4.decode original with
-     | Error _ -> assert false (* we built it *)
-     | Ok (hdr, payload) ->
-       let hlen = Ipv4.header_len hdr in
-       [ ("original_datagram", Rt.VBytes original);
-         ("original_datagram_data", Rt.VBytes payload);
-         ("internet_header", Rt.VBytes (Bytes.sub original 0 hlen));
-       ])
+     match Rt.original_excerpts (Ipv4.encode hdr ~payload) with
+     | Ok params -> params
+     | Error e -> invalid_arg e (* we built it *))
 
 (* Everything outside the packet that a generated function may read:
    env parameters, protocol state, the IP header underneath.  Drawn up

@@ -12,7 +12,9 @@ type env = {
 
 val env_of : Rng.t -> env
 (** Draw an environment: fixed addresses/clock, varied protocol state
-    and event flags, boundary TTLs. *)
+    and event flags, boundary TTLs.  Its parameters, with the
+    [payload_length] of {!backend_env}, are exactly
+    {!Sage_codegen.Ir.harness_params}, which SA007 assumes bound. *)
 
 val local_discr : int64
 (** The BFD local discriminator installed in [bfd.LocalDiscr] (1, a

@@ -64,14 +64,12 @@ let violation_of ~protocol ~env ?alt ?(reqs = []) prog packet =
     in
     Oracle.check ~protocol ~packet ?other ~reqs ?req_env outcome
 
-let shrink_budget = Shrink.default_budget
-
 (* Greedy descent: take the first simpler candidate that still violates
    the same oracle; stop when none does (or the budget runs out).  Kind
    equality pins requirement findings to their RQ id, so the shrunk
    witness violates the *same* requirement as the original. *)
 let shrink ~protocol ~env ?alt ?reqs prog ~kind packet =
-  Shrink.minimize ~budget:shrink_budget ~candidates:Gen.shrink_candidates
+  Shrink.minimize ~candidates:Gen.shrink_candidates
     ~still_failing:(fun c ->
       match violation_of ~protocol ~env ?alt ?reqs prog c with
       | Some v when v.Oracle.kind = kind -> Some v.Oracle.detail

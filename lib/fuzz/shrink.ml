@@ -10,10 +10,8 @@
    so a shrink result is a pure function of (value, candidates,
    still_failing). *)
 
-let default_budget = 400
-
-let minimize ?(budget = default_budget) ~candidates ~still_failing x =
-  let budget = ref budget in
+let minimize ~candidates ~still_failing x =
+  let budget = ref 400 in
   let steps = ref 0 in
   let cur = ref x in
   let detail = ref None in

@@ -2,11 +2,7 @@
     budget, shared by the fuzz engine (packet shrinking) and the chaos
     campaign runner (episode-schedule shrinking). *)
 
-val default_budget : int
-(** Evaluations allowed per minimization (400). *)
-
 val minimize :
-  ?budget:int ->
   candidates:('a -> 'a list) ->
   still_failing:('a -> 'b option) ->
   'a ->
@@ -14,7 +10,7 @@ val minimize :
 (** [minimize ~candidates ~still_failing x] greedily descends from [x]:
     candidates are tried in order and the first one on which
     [still_failing] returns [Some _] becomes the new current value;
-    the loop stops when no candidate fails or [budget] evaluations have
-    been spent.  Returns the final value, the failure detail observed on
+    the loop stops when no candidate fails or 400 evaluations have been
+    spent.  Returns the final value, the failure detail observed on
     it (None when [x] itself was never improved), and the number of
     accepted shrink steps.  Fully deterministic. *)

@@ -83,3 +83,17 @@ let bytes_of_value = function
       done;
       b
     end
+
+let original_excerpts original =
+  match Sage_net.Ipv4.decode original with
+  | Error e ->
+    Error
+      (Printf.sprintf "original datagram: %s" (Sage_net.Decode_error.to_string e))
+  | Ok (hdr, payload) ->
+    Ok
+      [
+        ("original_datagram", VBytes original);
+        ("original_datagram_data", VBytes payload);
+        ( "internet_header",
+          VBytes (Bytes.sub original 0 (Sage_net.Ipv4.header_len hdr)) );
+      ]

@@ -69,3 +69,9 @@ val int_of_value : value -> int64
 
 val bytes_of_value : value -> bytes
 (** A [VInt] coerces to its minimal big-endian encoding. *)
+
+val original_excerpts : bytes -> ((string * value) list, string) result
+(** The parameters an ICMP error sender reads about the datagram it
+    quotes: [original_datagram] (the whole datagram),
+    [original_datagram_data] (its IP payload) and [internet_header] (its
+    IP header).  [Error] when the datagram does not decode as IPv4. *)

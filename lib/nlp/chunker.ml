@@ -95,6 +95,12 @@ let chunk ?(strategy = Longest_match) ~dict tokens =
 let chunk_sentence ?strategy ~dict s =
   chunk ?strategy ~dict (Tokenizer.tokenize s)
 
+let drop_terminator chunks =
+  match List.rev chunks with
+  | { tokens = [ t ]; _ } :: rest when t.Token.kind = Token.Terminator ->
+    List.rev rest
+  | _ -> chunks
+
 let np_count chunks = List.length (List.filter (fun c -> c.is_np) chunks)
 
 let pp_chunk ppf c =

@@ -30,6 +30,10 @@ val chunk_sentence :
   ?strategy:strategy -> dict:Term_dictionary.t -> string -> chunk list
 (** [chunk_sentence ~dict s] = [chunk ~dict (Tokenizer.tokenize s)]. *)
 
+val drop_terminator : chunk list -> chunk list
+(** The parser's input for a chunked sentence: the chunks without the
+    sentence-final punctuation chunk, when there is one. *)
+
 val np_count : chunk list -> int
 (** Number of chunks labeled as noun phrases. *)
 

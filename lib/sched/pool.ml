@@ -39,5 +39,4 @@ let map ?(around_worker = no_hook) ~jobs f items =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_list ?around_worker ~jobs f items =
-  Array.to_list (map ?around_worker ~jobs f (Array.of_list items))
+let map_list ~jobs f items = Array.to_list (map ~jobs f (Array.of_list items))

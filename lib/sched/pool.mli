@@ -34,10 +34,5 @@ val map :
     call.  Used to open per-worker trace spans without making the
     scheduler depend on the tracer. *)
 
-val map_list :
-  ?around_worker:(int -> (unit -> unit) -> unit) ->
-  jobs:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
+val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}, same ordering guarantee. *)

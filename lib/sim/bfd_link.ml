@@ -16,7 +16,6 @@ type endpoint = {
   mutable session : Bfd.session;
   wire : Faults.t;              (* the path *from* this endpoint *)
   local_discr : int32;
-  detect_mult : int;
   mutable alive : bool;         (* false between crash and restart *)
   mutable ticks_since_rx : int;
   mutable rx_count : int;
@@ -43,14 +42,18 @@ type outcome = {
   events : event list;          (* in tick order *)
 }
 
-let make_endpoint ~local_discr ~detect_mult wire =
+let detect_mult = 3
+
+let new_session local_discr =
   let session = Bfd.new_session ~local_discr in
   session.Bfd.detect_mult <- detect_mult;
+  session
+
+let make_endpoint ~local_discr wire =
   {
-    session;
+    session = new_session local_discr;
     wire;
     local_discr;
-    detect_mult;
     alive = true;
     ticks_since_rx = 0;
     rx_count = 0;
@@ -100,15 +103,14 @@ let deliver_to link ep packets =
 
 let reference_receive sess pkt = Bfd.receive_control_packet sess pkt
 
-let create_link ?(detect_mult = 3) ?(plan = []) ?(receive = reference_receive)
-    ~seed () =
+let create_link ?(plan = []) ?(receive = reference_receive) ~seed () =
   (* independent deterministic streams per direction, derived from the
      one seed so a single integer reproduces the whole run *)
   let a_to_b = Faults.create ~plan ~seed () in
   let b_to_a = Faults.create ~plan ~seed:(seed + 0x5157) () in
   {
-    a = make_endpoint ~local_discr:1l ~detect_mult a_to_b;
-    b = make_endpoint ~local_discr:2l ~detect_mult b_to_a;
+    a = make_endpoint ~local_discr:1l a_to_b;
+    b = make_endpoint ~local_discr:2l b_to_a;
     receive;
     tick = 0;
     was_up = false;
@@ -137,9 +139,7 @@ let kill_endpoint link ~at_a = (endpoint link ~at_a).alive <- false
    Down with everything to relearn — exactly a daemon respawn. *)
 let restart_endpoint link ~at_a =
   let ep = endpoint link ~at_a in
-  let session = Bfd.new_session ~local_discr:ep.local_discr in
-  session.Bfd.detect_mult <- ep.detect_mult;
-  ep.session <- session;
+  ep.session <- new_session ep.local_discr;
   ep.ticks_since_rx <- 0;
   ep.alive <- true
 
@@ -195,8 +195,8 @@ let outcome_of link =
     events = link_events link;
   }
 
-let run ?(detect_mult = 3) ?(plan = []) ~seed ~ticks () =
-  let link = create_link ~detect_mult ~plan ~seed () in
+let run ?(plan = []) ~seed ~ticks () =
+  let link = create_link ~plan ~seed () in
   for _ = 1 to ticks do
     step_link link
   done;

@@ -29,13 +29,14 @@ type outcome = {
   events : event list;  (** in tick order *)
 }
 
-val run :
-  ?detect_mult:int -> ?plan:Faults.plan -> seed:int -> ticks:int -> unit ->
-  outcome
-(** Run the link for [ticks] ticks.  [detect_mult] (default 3) is both
-    ends' detection multiplier; [plan] (default none) applies to both
-    directions, each with its own PRNG stream derived from [seed], so
-    the whole run is reproducible from the one integer. *)
+val detect_mult : int
+(** Both ends' detection multiplier, 3: a session that hears nothing for
+    3 ticks declares its peer down. *)
+
+val run : ?plan:Faults.plan -> seed:int -> ticks:int -> unit -> outcome
+(** Run the link for [ticks] ticks.  [plan] (default none) applies to
+    both directions, each with its own PRNG stream derived from [seed],
+    so the whole run is reproducible from the one integer. *)
 
 (** {2 Tick-by-tick driving}
 
@@ -50,12 +51,11 @@ type receive = Sage_net.Bfd.session -> Sage_net.Bfd.packet ->
   [ `Ok | `Discard of string ]
 (** Session-update logic, pluggable so the same harness drives the
     hand-written reference ({!Sage_net.Bfd.receive_control_packet}, the
-    default) or a SAGE-generated reception procedure executed by the
-    interpreter. *)
+    default) or a SAGE-generated reception procedure run on a
+    {!Generated_stack}'s compiled backend. *)
 
 val create_link :
-  ?detect_mult:int -> ?plan:Faults.plan -> ?receive:receive -> seed:int ->
-  unit -> link
+  ?plan:Faults.plan -> ?receive:receive -> seed:int -> unit -> link
 (** Endpoint A has discriminator 1, endpoint B discriminator 2; both
     wires derive their PRNG streams from [seed] exactly as {!run}. *)
 

@@ -135,23 +135,9 @@ let build_message ?(params = []) ?(data = Bytes.empty) ~src ~dst t ~fn =
       in
       Result.map (encapsulate t l) (exec t l ~env packet))
 
-let original_excerpt_params original =
-  match Ipv4.decode original with
-  | Error e ->
-    Error
-      (Printf.sprintf "original datagram: %s" (Sage_net.Decode_error.to_string e))
-  | Ok (hdr, payload) ->
-    let hlen = Ipv4.header_len hdr in
-    Ok
-      [
-        ("original_datagram", Rt.VBytes original);
-        ("original_datagram_data", Rt.VBytes payload);
-        ("internet_header", Rt.VBytes (Bytes.sub original 0 hlen));
-      ]
-
 let build_error_message ?(params = []) ~router_addr ~original t ~fn =
   Result.bind (loaded_for t fn) (fun l ->
-      Result.bind (original_excerpt_params original) (fun excerpts ->
+      Result.bind (Rt.original_excerpts original) (fun excerpts ->
           let packet = blank_packet l.Backend.layout Bytes.empty in
           (* errors are addressed by the generated code itself (the
              "Destination Address" IP-field description); start from
@@ -168,7 +154,7 @@ let build_error_message ?(params = []) ~router_addr ~original t ~fn =
           in
           Result.map (encapsulate t l) (exec t l ~env packet)))
 
-let process_request ?(params = []) t ~fn ~request =
+let process_request t ~fn ~request =
   Result.bind (loaded_for t fn) (fun l ->
       match Ipv4.decode request with
       | Error e ->
@@ -179,7 +165,7 @@ let process_request ?(params = []) t ~fn ~request =
            header rides along so request-layer reads resolve *)
         let env =
           {
-            Backend.params = base_params @ params;
+            Backend.params = base_params;
             state = [];
             ip =
               { Backend.src = req_hdr.Ipv4.src; dst = req_hdr.Ipv4.dst;

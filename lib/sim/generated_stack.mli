@@ -66,15 +66,14 @@ val build_error_message :
     destination derived by the generated code. *)
 
 val process_request :
-  ?params:(string * env_value) list ->
   t ->
   fn:string ->
   request:bytes ->
   (bytes option, string) result
 (** Run a receiver-role function against an incoming datagram: the reply
     is formed from the received message (static framework), then the
-    generated statements mutate it.  [Ok None] when the generated code
-    discarded the packet. *)
+    generated statements mutate it.  The environment holds only the
+    clock.  [Ok None] when the generated code discarded the packet. *)
 
 val run_state_update :
   ?state:(string * int64) list ->

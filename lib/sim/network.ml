@@ -98,6 +98,8 @@ let record t dgram = Pcap.add_packet t.cap dgram
 let is_router_addr t addr =
   List.exists (fun (_, iface) -> Addr.equal iface addr) t.router_ifaces
 
+let traceroute_base_port = 33434
+
 (* A destination host answers an ICMP echo-like request using the
    configured service, or a port-unreachable for UDP probes to high ports
    (traceroute behaviour). *)
@@ -114,7 +116,7 @@ let host_receive t (host : host) dgram =
       | Error e -> Dropped e
     else if hdr.Ipv4.protocol = Ipv4.protocol_udp then
       match Udp.decode _payload with
-      | Ok (udp, _) when udp.Udp.dst_port >= 33434 ->
+      | Ok (udp, _) when udp.Udp.dst_port >= traceroute_base_port ->
         (* traceroute probe: no listener on the high port *)
         (match
            t.service.Icmp_service.error ~kind:Icmp_service.Port_unreachable
@@ -295,6 +297,19 @@ let idle t =
     List.iter
       (fun pkt -> ignore (traced_route t ~from:(client_addr t) pkt))
       (Faults.idle f)
+
+let retry t ~retries ~answered probe =
+  let rec go attempt =
+    let r = probe attempt in
+    if answered r || attempt >= retries then r
+    else begin
+      for _ = 1 to 1 lsl attempt do
+        idle t
+      done;
+      go (attempt + 1)
+    end
+  in
+  go 0
 
 let send t ~from dgram =
   let deliveries = send_all t ~from dgram in

@@ -77,6 +77,17 @@ val idle : t -> unit
     retrying client's backoff wait consumes, so delayed packets keep
     moving while the client is silent. *)
 
+val retry : t -> retries:int -> answered:('a -> bool) -> (int -> 'a) -> 'a
+(** [retry t ~retries ~answered probe] is the retry discipline of
+    {!Ping.ping} and {!Traceroute.traceroute}: it runs [probe 0], and
+    while the result is not [answered] and fewer than [retries] re-sends
+    were made, waits [2^attempt] ticks of {!idle} (exponential backoff)
+    and runs [probe (attempt + 1)].  Returns the last result. *)
+
+val traceroute_base_port : int
+(** 33434, the first UDP port traceroute probes.  A host answers a UDP
+    datagram to this port or above with Port Unreachable. *)
+
 val send_all : t -> from:Sage_net.Addr.t -> bytes -> delivery list
 (** Like {!send}, but returns the outcome of {e every} packet the fault
     process put on the wire for this injection — duplicates yield two

@@ -94,22 +94,14 @@ let check_reply ~src ~target ~identifier ~seq ~payload reply =
     else fail (Length_wrong "reply shorter than an ICMP header");
     (match !failures with [] -> Ok_reply | fs -> Bad_reply (List.rev fs))
 
-(* [retries] adds client-side resilience: a probe that drew no reply is
-   re-sent up to [retries] more times, waiting [backoff * 2^attempt]
-   wire ticks between attempts (exponential backoff, like ping -W with
-   a retrying wrapper).  Each waited tick calls [on_tick] — the chaos
-   controller uses that hook to keep its episode clock in lock-step
-   with the wire — and defaults to {!Network.idle}, so delayed packets
-   keep moving during the wait.  With [retries = 0] (the default) the
-   behaviour is exactly the historical single-attempt one. *)
+(* [retries] adds client-side resilience, like ping -W with a retrying
+   wrapper: a probe that drew no reply is re-sent up to [retries] more
+   times with {!Network.retry}'s exponential backoff on the wire clock.
+   With [retries = 0] (the default) the behaviour is exactly the
+   historical single-attempt one. *)
 let ping ?(count = 3) ?(identifier = 0x2327) ?(payload_len = 56) ?(retries = 0)
-    ?(backoff = 1) ?on_tick ~net target =
+    ~net target =
   let src = Network.client_addr net in
-  let wait ticks =
-    for _ = 1 to ticks do
-      match on_tick with Some f -> f () | None -> Network.idle net
-    done
-  in
   let checks = ref [] in
   let received = ref 0 in
   for seq = 1 to count do
@@ -144,17 +136,18 @@ let ping ?(count = 3) ?(identifier = 0x2327) ?(payload_len = 56) ?(retries = 0)
       | Network.Delivered _ -> `Lost (No_reply "destination swallowed the request")
       | Network.Dropped reason -> `Lost (No_reply ("dropped: " ^ reason))
     in
-    let rec go attempt =
-      match attempt_once attempt with
+    let check =
+      match
+        Network.retry net ~retries
+          ~answered:(function `Got _ -> true | `Lost _ -> false)
+          attempt_once
+      with
       | `Got check ->
         incr received;
         check
-      | `Lost check when attempt >= retries -> check
-      | `Lost _ ->
-        wait (backoff * (1 lsl attempt));
-        go (attempt + 1)
+      | `Lost check -> check
     in
-    checks := go 0 :: !checks
+    checks := check :: !checks
   done;
   { target; sent = count; received = !received; checks = List.rev !checks }
 

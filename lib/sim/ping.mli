@@ -35,19 +35,15 @@ val ping :
   ?identifier:int ->
   ?payload_len:int ->
   ?retries:int ->
-  ?backoff:int ->
-  ?on_tick:(unit -> unit) ->
   net:Network.t ->
   Sage_net.Addr.t ->
   result
 (** Ping a target through the simulated network.  [retries] (default 0:
     one attempt per probe, the historical behaviour) re-sends a probe
-    that drew no reply up to that many more times, waiting
-    [backoff * 2^attempt] ticks between attempts (exponential backoff,
-    [backoff] defaults to 1).  Each waited tick invokes [on_tick]
-    (default {!Network.idle}), which is how a chaos controller keeps its
-    episode clock aligned with the wire during the client's silence.
-    A probe counts as [received] when {e any} attempt drew a reply. *)
+    that drew no reply up to that many more times, waiting [2^attempt]
+    ticks of {!Network.idle} between attempts ({!Network.retry}), so
+    delayed packets keep moving during the client's silence.  A probe
+    counts as [received] when {e any} attempt drew a reply. *)
 
 val lost : result -> int
 (** Probes that drew no echo reply ([sent - received]); under an

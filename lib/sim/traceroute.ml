@@ -34,23 +34,16 @@ let quoted_matches ~probe quoted =
     && Bu.get_u16 ppl 0 = Bu.get_u16 quoted (4 * ihl)
     && Bu.get_u16 ppl 2 = Bu.get_u16 quoted ((4 * ihl) + 2)
 
-(* Same retry/backoff discipline as {!Ping.ping}: a TTL whose probe drew
-   no responder is re-probed up to [retries] more times with exponential
-   backoff, each waited tick running [on_tick] (default
-   {!Network.idle}).  [retries = 0] is the historical one-shot probe. *)
-let traceroute ?(max_ttl = 8) ?(first_port = 33434) ?(retries = 0)
-    ?(backoff = 1) ?on_tick ~net target =
+(* Same retry discipline as {!Ping.ping} ({!Network.retry}): a TTL
+   whose probe drew no responder is re-probed up to [retries] more
+   times.  [retries = 0] is the historical one-shot probe. *)
+let traceroute ?(max_ttl = 8) ?(retries = 0) ~net target =
   let src = Network.client_addr net in
-  let wait ticks =
-    for _ = 1 to ticks do
-      match on_tick with Some f -> f () | None -> Network.idle net
-    done
-  in
   let hops = ref [] in
   let reached = ref false in
   let ttl = ref 1 in
   while (not !reached) && !ttl <= max_ttl do
-    let port = first_port + !ttl - 1 in
+    let port = Network.traceroute_base_port + !ttl - 1 in
     let payload = Bytes.make 24 '\x40' in
     let udp = Udp.make ~src_port:43210 ~dst_port:port ~payload_len:(Bytes.length payload) in
     let segment = Udp.encode ~src ~dst:target udp ~payload in
@@ -104,15 +97,12 @@ let traceroute ?(max_ttl = 8) ?(first_port = 33434) ?(retries = 0)
         { ttl = !ttl; responder = None; response_type = None;
           quoted_probe_ok = false; note = "dropped: " ^ reason }
     in
-    let rec go attempt =
-      let hop = attempt_once attempt in
-      if hop.responder <> None || attempt >= retries then hop
-      else begin
-        wait (backoff * (1 lsl attempt));
-        go (attempt + 1)
-      end
+    let hop =
+      Network.retry net ~retries
+        ~answered:(fun hop -> hop.responder <> None)
+        attempt_once
     in
-    hops := go 0 :: !hops;
+    hops := hop :: !hops;
     incr ttl
   done;
   { target; hops = List.rev !hops; reached = !reached }

@@ -20,19 +20,13 @@ type result = {
 }
 
 val traceroute :
-  ?max_ttl:int ->
-  ?first_port:int ->
-  ?retries:int ->
-  ?backoff:int ->
-  ?on_tick:(unit -> unit) ->
-  net:Network.t ->
-  Sage_net.Addr.t ->
-  result
-(** [retries] (default 0: the historical one probe per TTL) re-sends a
-    probe whose responder never answered up to that many more times,
-    waiting [backoff * 2^attempt] ticks between attempts; each waited
-    tick invokes [on_tick] (default {!Network.idle}).  The recorded hop
-    is the last attempt's outcome. *)
+  ?max_ttl:int -> ?retries:int -> net:Network.t -> Sage_net.Addr.t -> result
+(** Probe TTL [k] (from 1 to [max_ttl], default 8) at the UDP port
+    [k - 1] above {!Network.traceroute_base_port}.  [retries] (default 0:
+    the historical one probe per TTL) re-sends a probe whose responder
+    never answered up to that many more times, waiting [2^attempt] ticks
+    of {!Network.idle} between attempts ({!Network.retry}).  The
+    recorded hop is the last attempt's outcome. *)
 
 val hop_count : result -> int
 

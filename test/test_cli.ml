@@ -254,10 +254,11 @@ let test_fuzz_coverage_out () =
 
 (* ---- analyze verb: proofs, fixtures, policies, determinism ---- *)
 
+(* --fail-on belongs to analyze alone: run and report refuse it *)
 let test_malformed_fail_on () =
   expect_usage_error "analyze fail-on" "analyze --fail-on never-ever";
-  expect_usage_error "run fail-on" "run --fail-on never-ever";
-  expect_usage_error "report fail-on" "report --fail-on never-ever"
+  test_option_gone "run --fail-on error" ();
+  test_option_gone "report --fail-on error" ()
 
 let test_analyze_prove_clean () =
   let code, _out, err = run_cli "analyze -p icmp --prove" in
@@ -358,6 +359,8 @@ let suite =
       (test_option_gone "chaos --backend compiled");
     Alcotest.test_case "removed option: report --analyze" `Quick
       (test_option_gone "report --analyze");
+    Alcotest.test_case "removed option: run --analyze" `Quick
+      (test_option_gone "run --analyze");
     Alcotest.test_case "removed option: fuzz -v" `Quick
       (test_option_gone "fuzz -v");
     Alcotest.test_case "removed option: bench --stats" `Quick

@@ -369,6 +369,24 @@ let test_driver_env_deterministic () =
   let e2 = Driver.env_of (Rng.of_seed 21) in
   checkb "env replays" true (e1 = e2)
 
+(* SA007 proves a parameter read safe when [Ir.harness_params] names
+   it, so the --check-proofs cross-check is sound only while that list
+   is exactly what a fuzz execution binds *)
+let test_driver_binds_harness_params () =
+  let run = run_of "icmp" in
+  let layout = layout_of run echo_fn in
+  let env = Driver.env_of (Rng.of_seed 1) in
+  let bound =
+    Driver.backend_env ~env
+      (load_interp (func_of run echo_fn) layout)
+      (Gen.packet (Rng.of_seed 1) layout)
+  in
+  check
+    Alcotest.(list string)
+    "bound parameter names"
+    (List.sort_uniq compare Ir.harness_params)
+    (List.sort_uniq compare (List.map fst bound.Backend.params))
+
 let test_driver_rejects_short () =
   let run = run_of "icmp" in
   let f = func_of run echo_fn in
@@ -679,4 +697,6 @@ let suite =
     Alcotest.test_case "shrink: keeps oracle violated" `Quick
       test_shrink_keeps_oracle;
     Alcotest.test_case "summary: shape" `Quick test_summary_shape;
+    Alcotest.test_case "driver: binds exactly the harness contract" `Quick
+      test_driver_binds_harness_params;
   ]

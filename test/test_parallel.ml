@@ -117,7 +117,7 @@ let test_cache_counts_agree_with_trace () =
      workers racing on one shared cache, every lookup must still emit
      exactly one instant and every miss exactly one parse span *)
   let igmp = P.find_corpus "igmp" in
-  let cache = Sage.Chart_cache.create ~capacity:1024 () in
+  let cache = Sage.Chart_cache.create () in
   let trace = Sage_trace.Trace.create () in
   for _ = 1 to 2 do
     ignore
@@ -171,7 +171,7 @@ let test_parallel_matches_sequential () =
     P.corpora
 
 let test_cache_rerun_identical_with_hits () =
-  let cache = Sage.Chart_cache.create ~capacity:4096 () in
+  let cache = Sage.Chart_cache.create () in
   List.iter
     (fun c ->
       let name = c.P.name in
@@ -201,7 +201,7 @@ let test_cache_shared_across_jobs () =
   (* a cache warmed sequentially, reused by a parallel run: still
      byte-identical, and the parallel run is all hits *)
   let igmp = P.find_corpus "igmp" in
-  let cache = Sage.Chart_cache.create ~capacity:1024 () in
+  let cache = Sage.Chart_cache.create () in
   let cold = P.run_corpus ~jobs:1 ~cache igmp in
   let hits0 = Sage.Chart_cache.hits cache in
   let warm = P.run_corpus ~jobs:4 ~cache igmp in
